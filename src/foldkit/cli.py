@@ -19,13 +19,11 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .codec import EncodedProtein, decode, encode
 from .errors import FoldkitError
 from .featurise import DEFAULT_K, FeatureScheme, build_graph
-from .geometry import edges_to_text, kabsch
+from .geometry import backbone_array, edges_to_text, kabsch
 from .pdb import parse_pdb, write_pdb
 from .residues import vocabulary_sha256
 from .rng import path_seed
@@ -35,8 +33,6 @@ from .tasks import (DEFAULT_CUTOFF, DEFAULT_NU, DEFAULT_SIGMA, CorruptionKind,
                     CorruptionSpec, binding_site_labels, corrupt_structure,
                     interface_labels)
 from .tensorio import write_tensor
-
-logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,14 +47,12 @@ def _walk(root: str, suffix: str) -> list[str]:
     found = []
     while queue:
         current = queue.pop(0)
-        dirs = []
         for entry in sorted(os.listdir(current)):
             path = os.path.join(current, entry)
             if os.path.isdir(path):
-                dirs.append(path)
+                queue.append(path)
             elif entry.endswith(suffix):
                 found.append(path)
-        queue.extend(dirs)
     return found
 
 
@@ -83,26 +77,24 @@ def _plan(input_path: str, output_path: str, in_suffix: str,
     return plans
 
 
-def _run_jobs(plans, worker, jobs: int) -> int:
-    failures = 0
-    if jobs <= 1:
-        for plan in plans:
-            try:
-                worker(plan)
-            except FoldkitError as exc:
-                print(f"{plan[0]}: {type(exc).__name__}: {exc}", file=sys.stderr)
-                failures += 1
-        return failures
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(worker, plan): plan for plan in plans}
-        for future in concurrent.futures.as_completed(futures):
-            try:
-                future.result()
-            except FoldkitError as exc:
-                print(f"{futures[future][0]}: {type(exc).__name__}: {exc}",
-                      file=sys.stderr)
-                failures += 1
-    return failures
+def _run_jobs(args, in_suffix: str, out_suffix: str | None, worker) -> int:
+    """Run worker on every planned file, with --jobs threads; print
+    per-file errors in input order. Returns 2 if any file failed."""
+    def attempt(plan):
+        try:
+            worker(plan)
+        except FoldkitError as exc:
+            return f"{plan[0]}: {type(exc).__name__}: {exc}"
+        return None
+
+    plans = _plan(args.input, args.output, in_suffix, out_suffix)
+    failed = False
+    with concurrent.futures.ThreadPoolExecutor(max(args.jobs, 1)) as pool:
+        for error in (pool.map if args.jobs > 1 else map)(attempt, plans):
+            if error is not None:
+                print(error, file=sys.stderr)
+                failed = True
+    return 2 if failed else 0
 
 
 def _read_text(path: str) -> str:
@@ -146,16 +138,6 @@ def _pick_chain(structure, chain_id: str | None, path: str):
     return structure.chains[0]
 
 
-def _backbone_coords(chain):
-    coords = []
-    for res in chain.residues:
-        for name in ("N", "CA", "C", "O"):
-            atom = res.atom(name)
-            if atom is not None:
-                coords.append(atom.position)
-    return np.asarray(coords)
-
-
 def _write_manifest(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
@@ -173,13 +155,12 @@ def run_encode(args) -> int:
         _ensure_parent(out_path)
         with open(out_path, "wb") as fh:
             fh.write(encoded.to_bytes())
-        rebuilt = decode(encoded)
-        sup = kabsch(_backbone_coords(chain), _backbone_coords(rebuilt))
+        xyz, present = backbone_array(chain)
+        sup = kabsch(xyz[present], backbone_array(decode(encoded))[0][present])
         print(f"{in_path}: {encoded.n_residues} residues, "
               f"round-trip backbone RMSD {sup.rmsd:.4f} A", file=sys.stderr)
 
-    plans = _plan(args.input, args.output, ".pdb", ".fkc")
-    return 2 if _run_jobs(plans, worker, args.jobs) else 0
+    return _run_jobs(args, ".pdb", ".fkc", worker)
 
 
 def run_decode(args) -> int:
@@ -193,8 +174,7 @@ def run_decode(args) -> int:
         print(f"{in_path}: decoded {encoded.n_residues} residues",
               file=sys.stderr)
 
-    plans = _plan(args.input, args.output, ".fkc", ".pdb")
-    return 2 if _run_jobs(plans, worker, args.jobs) else 0
+    return _run_jobs(args, ".fkc", ".pdb", worker)
 
 
 def run_featurise(args) -> int:
@@ -205,8 +185,7 @@ def run_featurise(args) -> int:
         structure = _parse_file(in_path)
         graph = build_graph(structure, scheme, args.k,
                             global_positions=args.global_positions)
-        out_dir = (out_path if os.path.splitext(out_path)[1] == ""
-                   else os.path.splitext(out_path)[0])
+        out_dir = os.path.splitext(out_path)[0]
         os.makedirs(out_dir, exist_ok=True)
         write_tensor(os.path.join(out_dir, "scalars.fkt"), graph.scalars)
         write_tensor(os.path.join(out_dir, "coords.fkt"), graph.coords)
@@ -221,15 +200,15 @@ def run_featurise(args) -> int:
             "num_nodes": graph.num_nodes,
             "vocabulary_sha256": vocabulary_sha256()})
 
-    plans = _plan(args.input, args.output, ".pdb", None)
-    return 2 if _run_jobs(plans, worker, args.jobs) else 0
+    return _run_jobs(args, ".pdb", None, worker)
 
 
 def run_corrupt(args) -> int:
-    try:
+    try:  # reject a bad kind or spec once, before any file is read
         kind = CorruptionKind(args.kind)
-    except ValueError:
-        print(f"unknown corruption kind {args.kind!r}", file=sys.stderr)
+        CorruptionSpec(kind, nu=args.nu, sigma=args.sigma)
+    except ValueError as exc:
+        print(f"foldkit corrupt: error: {exc}", file=sys.stderr)
         return 1
 
     def worker(plan):
@@ -239,8 +218,7 @@ def run_corrupt(args) -> int:
         spec = CorruptionSpec(kind, nu=args.nu, sigma=args.sigma, seed=seed)
         structure = _parse_file(in_path)
         result = corrupt_structure(structure, spec)
-        out_dir = (out_path if os.path.splitext(out_path)[1] == ""
-                   else os.path.splitext(out_path)[0])
+        out_dir = os.path.splitext(out_path)[0]
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "corrupted.pdb"), "w") as fh:
             fh.write(write_pdb(result.corrupted))
@@ -249,8 +227,7 @@ def run_corrupt(args) -> int:
             "kind": kind.value, "nu": spec.nu, "sigma": spec.sigma,
             "seed": spec.seed, "lambda_aux": spec.lambda_aux})
 
-    plans = _plan(args.input, args.output, ".pdb", None)
-    return 2 if _run_jobs(plans, worker, args.jobs) else 0
+    return _run_jobs(args, ".pdb", None, worker)
 
 
 def _write_targets(out_dir: str, targets) -> None:
@@ -291,8 +268,7 @@ def run_label(args) -> int:
             fh.write("chain,seq_index,label\n")
             fh.write("\n".join(rows) + "\n")
 
-    plans = _plan(args.input, args.output, ".pdb", ".csv")
-    return 2 if _run_jobs(plans, worker, args.jobs) else 0
+    return _run_jobs(args, ".pdb", ".csv", worker)
 
 
 def run_filter(args) -> int:

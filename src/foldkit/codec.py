@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import (BadMagic, ChainTooShort, DegenerateFrame,
                      TruncatedPayload, VersionMismatch)
-from .geometry import backbone_dihedrals, bond_angle, wrap_angle
+from .geometry import (backbone_array, backbone_frames, backbone_torsions,
+                       bond_angles, defined, wrap_angle)
 from .residues import UNK, VOCABULARY, residue_index
 from .structure import Atom, Chain, Residue
 
@@ -134,26 +135,15 @@ def to_internal(chain: Chain) -> InternalCoords:
     n = len(chain.residues)
     if n < 3:
         raise ChainTooShort(f"need >= 3 residues, got {n}")
-    dihedrals = backbone_dihedrals(chain)  # raises MissingAtom as needed
-    pos = [[res.atom(name).position for name in ("N", "CA", "C")]
-           for res in chain.residues]
-
-    def fill(values):
-        return np.array([v if v is not None else 0.0 for v in values])
-
-    theta_n = np.array([bond_angle(*pos[i]) for i in range(n)])
-    theta_ca = np.zeros(n)
-    theta_c = np.zeros(n)
-    for i in range(n - 1):
-        theta_ca[i] = bond_angle(pos[i][1], pos[i][2], pos[i + 1][0])
-        theta_c[i] = bond_angle(pos[i][2], pos[i + 1][0], pos[i + 1][1])
-    return InternalCoords(
-        res_types=tuple(r.res_type for r in chain.residues),
-        phi=fill(dihedrals.phi), psi=fill(dihedrals.psi),
-        omega=fill(dihedrals.omega),
-        theta_n=theta_n, theta_ca=theta_ca, theta_c=theta_c,
-        anchor=np.array(pos[0]),
-    )
+    frames = backbone_frames(chain, *backbone_array(chain))
+    torsions = np.nan_to_num(backbone_torsions(frames))
+    # consecutive triples of N0 CA0 C0 N1 ... are theta_n(0), theta_ca(0),
+    # theta_c(0), theta_n(1), ...; the last two are undefined (0)
+    atoms = frames.reshape(-1, 3)
+    theta = np.append(defined(bond_angles, atoms[:-2], atoms[1:-1], atoms[2:]),
+                      [0.0, 0.0]).reshape(n, 3)
+    return InternalCoords(tuple(r.res_type for r in chain.residues),
+                          *torsions.T, *theta.T, anchor=frames[0])
 
 
 def from_internal(ic: InternalCoords, geom: CanonicalGeometry = DEFAULT_GEOMETRY,
@@ -195,31 +185,48 @@ def from_internal(ic: InternalCoords, geom: CanonicalGeometry = DEFAULT_GEOMETRY
     return Chain(chain_id, tuple(residues))
 
 
-def quantise_torsion(theta: float) -> int:
-    """Map [-pi, pi) onto u16; monotone, half-step round-trip error."""
-    return int(round((theta + np.pi) / (2.0 * np.pi) * _Q))
+def _quantise_torsions(theta):
+    """Map [-pi, pi) monotonically onto [0, 65535], rounding half to even;
+    the round-trip error stays under half a step."""
+    return np.rint((theta + np.pi) / (2.0 * np.pi) * _Q)
 
 
-def dequantise_torsion(q: int) -> float:
+def _dequantise_torsions(q):
     # The two boundary bins come back a quarter-step inside (-pi, pi):
     # dequantising them to exactly +-pi would let fp noise flip the sign
     # when a rebuilt structure is re-measured, breaking the
     # encode(decode(encode(x))) fixed point. Error stays under half a step.
     step = 2.0 * np.pi / _Q
-    if q == 0:
-        return -np.pi + 0.25 * step
-    if q == _Q:
-        return np.pi - 0.25 * step
-    return q / _Q * 2.0 * np.pi - np.pi
+    return np.where(q == 0, -np.pi + 0.25 * step,
+                    np.where(q == _Q, np.pi - 0.25 * step,
+                             q / _Q * 2.0 * np.pi - np.pi))
+
+
+def _quantise_bond_angles(theta):
+    """Map (0, pi) onto [0, 65535]."""
+    return np.rint(theta / np.pi * _Q)
+
+
+def _dequantise_bond_angles(q):
+    return q / _Q * np.pi
+
+
+def quantise_torsion(theta: float) -> int:
+    """Map [-pi, pi) onto u16; monotone, half-step round-trip error."""
+    return int(_quantise_torsions(theta))
+
+
+def dequantise_torsion(q: int) -> float:
+    return float(_dequantise_torsions(q))
 
 
 def quantise_bond_angle(theta: float) -> int:
     """Map (0, pi) onto u16."""
-    return int(round(theta / np.pi * _Q))
+    return int(_quantise_bond_angles(theta))
 
 
 def dequantise_bond_angle(q: int) -> float:
-    return q / _Q * np.pi
+    return float(_dequantise_bond_angles(q))
 
 
 @dataclass(frozen=True)
@@ -276,15 +283,10 @@ class EncodedProtein:
 def encode(chain: Chain) -> EncodedProtein:
     """Quantise a backbone-complete chain into the 13-byte-per-residue form."""
     ic = to_internal(chain)
-    n = ic.n_residues
-    quantised = np.empty((n, 6), dtype=np.uint16)
-    for i in range(n):
-        quantised[i, 0] = quantise_torsion(ic.phi[i])
-        quantised[i, 1] = quantise_torsion(ic.psi[i])
-        quantised[i, 2] = quantise_torsion(ic.omega[i])
-        quantised[i, 3] = quantise_bond_angle(ic.theta_n[i])
-        quantised[i, 4] = quantise_bond_angle(ic.theta_ca[i])
-        quantised[i, 5] = quantise_bond_angle(ic.theta_c[i])
+    torsions = np.stack([ic.phi, ic.psi, ic.omega], axis=1)
+    angles = np.stack([ic.theta_n, ic.theta_ca, ic.theta_c], axis=1)
+    quantised = np.hstack([_quantise_torsions(torsions),
+                           _quantise_bond_angles(angles)]).astype(np.uint16)
     codes = np.array([residue_index(t) for t in ic.res_types], dtype=np.uint8)
     return EncodedProtein(VERSION, ic.anchor.astype(np.float32), codes, quantised)
 
@@ -292,17 +294,10 @@ def encode(chain: Chain) -> EncodedProtein:
 def decode(e: EncodedProtein, geom: CanonicalGeometry = DEFAULT_GEOMETRY,
            chain_id: str = "A") -> Chain:
     """Dequantise and rebuild the chain."""
-    n = e.n_residues
-    q = e.quantised
     ic = InternalCoords(
-        res_types=tuple(VOCABULARY[c] if c < len(VOCABULARY) else UNK
-                        for c in e.res_type_codes),
-        phi=[dequantise_torsion(q[i, 0]) for i in range(n)],
-        psi=[dequantise_torsion(q[i, 1]) for i in range(n)],
-        omega=[dequantise_torsion(q[i, 2]) for i in range(n)],
-        theta_n=[dequantise_bond_angle(q[i, 3]) for i in range(n)],
-        theta_ca=[dequantise_bond_angle(q[i, 4]) for i in range(n)],
-        theta_c=[dequantise_bond_angle(q[i, 5]) for i in range(n)],
-        anchor=e.anchor,
-    )
+        tuple(VOCABULARY[c] if c < len(VOCABULARY) else UNK
+              for c in e.res_type_codes),
+        *_dequantise_torsions(e.quantised[:, :3]).T,  # phi, psi, omega
+        *_dequantise_bond_angles(e.quantised[:, 3:]).T,  # theta_n, _ca, _c
+        anchor=e.anchor)
     return from_internal(ic, geom, chain_id)

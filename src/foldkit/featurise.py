@@ -18,13 +18,15 @@ feature matrix ever contains NaN.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, OddDimension
-from .geometry import (GraphTopology, backbone_dihedrals, knn_graph,
-                       sidechain_torsions, virtual_angles)
+from .errors import DegenerateGeometry, DimensionMismatch, OddDimension
+from .geometry import (GraphTopology, backbone_array, backbone_frames,
+                       backbone_torsions, chi_angles, knn_graph, row_norms,
+                       virtual_angle_array)
 from .residues import MAX_CHI, VOCAB_SIZE, residue_index
 from .structure import Chain, Granularity, Structure, select_granularity
 
@@ -53,116 +55,119 @@ class FeatureScheme(enum.Enum):
                 f"{', '.join(s.value for s in cls)}") from None
 
 
-_SCHEME_DIMS = {
-    FeatureScheme.CA_IDENT: VOCAB_SIZE,
-    FeatureScheme.CA_SEQ: VOCAB_SIZE + POSITION_DIM,
-    FeatureScheme.CA_ANGLES: VOCAB_SIZE + POSITION_DIM + 4,
-    FeatureScheme.CA_BB: VOCAB_SIZE + POSITION_DIM + 4 + 6,
-    FeatureScheme.CA_SC: VOCAB_SIZE + POSITION_DIM + 4 + 6 + 2 * MAX_CHI,
-}
+# Each scheme ends one block further along the normative order.
+_SCHEME_DIMS = dict(zip(FeatureScheme, itertools.accumulate(
+    (VOCAB_SIZE, POSITION_DIM, 4, 6, 2 * MAX_CHI))))
+
+
+def _positional_block(indices: np.ndarray, dim: int = POSITION_DIM) -> np.ndarray:
+    if dim % 2 != 0:
+        raise OddDimension(f"dim must be even, got {dim}")
+    k = np.arange(dim // 2)
+    rates = indices[:, None] / np.power(10000.0, 2.0 * k / dim)
+    pe = np.empty((len(indices), dim))
+    pe[:, 0::2] = np.sin(rates)
+    pe[:, 1::2] = np.cos(rates)
+    return pe
 
 
 def positional_encoding(index: int, dim: int = POSITION_DIM) -> np.ndarray:
     """Transformer-style sinusoid: pe[2k] = sin(i / 10000^(2k/dim)),
     pe[2k+1] the matching cosine."""
-    if dim % 2 != 0:
-        raise OddDimension(f"dim must be even, got {dim}")
-    k = np.arange(dim // 2)
-    rates = index / np.power(10000.0, 2.0 * k / dim)
-    pe = np.empty(dim)
-    pe[0::2] = np.sin(rates)
-    pe[1::2] = np.cos(rates)
-    return pe
+    return _positional_block(np.array([index]), dim)[0]
 
 
-def embed_angle(theta) -> tuple[float, float]:
-    """(sin, cos) on the unit circle; None embeds as (0, 0)."""
-    if theta is None:
-        return (0.0, 0.0)
-    return (float(np.sin(theta)), float(np.cos(theta)))
-
-
-def _ca_chains(s: Structure) -> list[Chain]:
-    """Chains restricted to residues that have a CA atom, full atom sets kept."""
-    reduced = select_granularity(s, Granularity.CA_ONLY)
-    kept = {(c.id, r.key) for c in reduced.chains for r in c.residues}
-    out = []
-    for chain in s.chains:
-        residues = tuple(r for r in chain.residues if (chain.id, r.key) in kept)
-        if residues:
-            out.append(Chain(chain.id, residues))
+def _embed(angles: np.ndarray) -> np.ndarray:
+    """(n, m) angles -> (n, 2m) interleaved (sin, cos); NaN (undefined)
+    embeds as (0, 0)."""
+    undefined = np.isnan(angles)
+    out = np.empty((len(angles), 2 * angles.shape[1]))
+    out[:, 0::2] = np.where(undefined, 0.0, np.sin(angles))
+    out[:, 1::2] = np.where(undefined, 0.0, np.cos(angles))
     return out
 
 
-def ca_coordinates(s: Structure) -> np.ndarray:
-    """(n, 3) CA positions over all chains, in chain order."""
-    coords = [r.atom("CA").position for c in _ca_chains(s) for r in c.residues]
-    return np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+def embed_angle(theta) -> tuple[float, float]:
+    """(sin, cos) on the unit circle; None (or NaN) embeds as (0, 0)."""
+    sin, cos = _embed(np.array([[np.nan if theta is None else theta]],
+                               dtype=np.float64))[0]
+    return (float(sin), float(cos))
+
+
+def _nodes(s: Structure):
+    """The graph nodes, CA-bearing residues (full atom sets kept): per
+    chain (chain, xyz, present) with its (n, 4, 3) backbone array and
+    presence mask, then the (n, 3) CA coordinates and (n,) chain index."""
+    reduced = select_granularity(s, Granularity.CA_ONLY)
+    kept = {(c.id, r.key) for c in reduced.chains for r in c.residues}
+    chains = []
+    for chain in s.chains:
+        residues = tuple(r for r in chain.residues if (chain.id, r.key) in kept)
+        if residues:
+            node_chain = Chain(chain.id, residues)
+            chains.append((node_chain, *backbone_array(node_chain)))
+    coords = np.concatenate([xyz[:, 1] for _, xyz, _ in chains])
+    chain_index = np.repeat(np.arange(len(chains), dtype=np.int64),
+                            [len(xyz) for _, xyz, _ in chains])
+    return chains, coords, chain_index
+
+
+def _scalar_blocks(chain: Chain, xyz: np.ndarray, present: np.ndarray,
+                   first_position: int):
+    """One chain's scalar feature blocks in the normative order, each
+    computed only when asked for."""
+    n = len(chain.residues)
+    yield np.eye(VOCAB_SIZE)[[residue_index(r.res_type) for r in chain.residues]]
+    yield _positional_block(first_position + np.arange(n))
+    yield _embed(virtual_angle_array(xyz[:, 1]) if n >= 2
+                 else np.full((n, 2), np.nan))
+    yield _embed(backbone_torsions(backbone_frames(chain, xyz, present)))
+    yield _embed(chi_angles(chain.residues))
+
+
+def _scalar_features(chains, scheme: FeatureScheme,
+                     global_positions: bool) -> np.ndarray:
+    rows = []
+    offset = 0
+    for chain, xyz, present in chains:
+        blocks = []
+        for block in _scalar_blocks(chain, xyz, present,
+                                    offset if global_positions else 0):
+            blocks.append(block)
+            if sum(b.shape[1] for b in blocks) >= scheme.dim:
+                break
+        rows.append(np.concatenate(blocks, axis=1)[:, :scheme.dim])
+        offset += len(chain.residues)
+    return np.concatenate(rows)
 
 
 def scalar_features(s: Structure, scheme: FeatureScheme,
                     global_positions: bool = False) -> np.ndarray:
-    """Scalar feature matrix, one row per CA-bearing residue.
+    """Scalar feature matrix, one row per CA-bearing residue: every block
+    concatenated in the normative order, truncated at scheme.dim.
 
     Positional indices restart at 0 for each chain unless global_positions
     is set. Angle-bearing schemes raise MissingAtom when a node residue
     lacks the backbone atoms its torsions need.
     """
-    chains = _ca_chains(s)
-    rows = []
-    offset = 0
-    for chain in chains:
-        n = len(chain.residues)
-        kappa = alpha = None
-        dihed = None
-        if scheme in (FeatureScheme.CA_ANGLES, FeatureScheme.CA_BB,
-                      FeatureScheme.CA_SC):
-            trace = [r.atom("CA").position for r in chain.residues]
-            if n >= 2:
-                virt = virtual_angles(trace)
-                kappa, alpha = virt.kappa, virt.alpha
-            else:
-                kappa = alpha = (None,) * n
-        if scheme in (FeatureScheme.CA_BB, FeatureScheme.CA_SC):
-            dihed = backbone_dihedrals(chain)
-        for i, res in enumerate(chain.residues):
-            row = np.zeros(scheme.dim)
-            row[residue_index(res.res_type)] = 1.0
-            if scheme is FeatureScheme.CA_IDENT:
-                rows.append(row)
-                continue
-            pos = offset + i if global_positions else i
-            row[VOCAB_SIZE:VOCAB_SIZE + POSITION_DIM] = positional_encoding(pos)
-            if scheme is FeatureScheme.CA_SEQ:
-                rows.append(row)
-                continue
-            base = VOCAB_SIZE + POSITION_DIM
-            row[base:base + 2] = embed_angle(kappa[i])
-            row[base + 2:base + 4] = embed_angle(alpha[i])
-            if scheme is FeatureScheme.CA_ANGLES:
-                rows.append(row)
-                continue
-            base += 4
-            row[base:base + 2] = embed_angle(dihed.phi[i])
-            row[base + 2:base + 4] = embed_angle(dihed.psi[i])
-            row[base + 4:base + 6] = embed_angle(dihed.omega[i])
-            if scheme is FeatureScheme.CA_BB:
-                rows.append(row)
-                continue
-            base += 6
-            chi = sidechain_torsions(res).chi
-            for k in range(MAX_CHI):
-                row[base + 2 * k:base + 2 * k + 2] = embed_angle(chi[k])
-            rows.append(row)
-        offset += n
-    return np.asarray(rows).reshape(-1, scheme.dim)
+    return _scalar_features(_nodes(s)[0], scheme, global_positions)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    norms = row_norms(v)
+    if np.any(norms < 1e-12):
         raise DegenerateGeometry("coincident CA positions")
-    return v / norm
+    return v / norms[:, None]
+
+
+def _vector_features(coords: np.ndarray, chain_index: np.ndarray,
+                     topology: GraphTopology):
+    node_vectors = np.zeros((len(coords), 2, 3))
+    linked = chain_index[1:] == chain_index[:-1]
+    node_vectors[1:, 0][linked] = _unit_rows((coords[:-1] - coords[1:])[linked])
+    node_vectors[:-1, 1][linked] = _unit_rows((coords[1:] - coords[:-1])[linked])
+    src, dst = topology.edges.T
+    return node_vectors, _unit_rows(coords[dst] - coords[src])
 
 
 def vector_features(s: Structure, topology: GraphTopology):
@@ -173,24 +178,8 @@ def vector_features(s: Structure, topology: GraphTopology):
     (source, target) carries the unit vector from source to target,
     x_target - x_source, shape (E, 3).
     """
-    chains = _ca_chains(s)
-    coords = ca_coordinates(s)
-    n = len(coords)
-    node_vectors = np.zeros((n, 2, 3))
-    offset = 0
-    for chain in chains:
-        m = len(chain.residues)
-        for i in range(m):
-            g = offset + i
-            if i > 0:
-                node_vectors[g, 0] = _unit(coords[g - 1] - coords[g])
-            if i < m - 1:
-                node_vectors[g, 1] = _unit(coords[g + 1] - coords[g])
-        offset += m
-    edge_vectors = np.zeros((topology.num_edges, 3))
-    for e, (src, dst) in enumerate(topology.edges):
-        edge_vectors[e] = _unit(coords[dst] - coords[src])
-    return node_vectors, edge_vectors
+    _, coords, chain_index = _nodes(s)
+    return _vector_features(coords, chain_index, topology)
 
 
 @dataclass(frozen=True)
@@ -210,14 +199,22 @@ class ProteinGraph:
 
     def __post_init__(self):
         n = self.topology.num_nodes
-        assert self.coords.shape == (n, 3)
-        assert self.scalars.shape == (n, self.scheme.dim)
-        assert self.node_vectors.shape == (n, 2, 3)
-        assert self.edge_vectors.shape == (self.topology.num_edges, 3)
-        assert len(self.res_types) == n
-        assert np.all(np.isfinite(self.scalars))
+        for name, expected in (("coords", (n, 3)),
+                               ("scalars", (n, self.scheme.dim)),
+                               ("node_vectors", (n, 2, 3)),
+                               ("edge_vectors", (self.topology.num_edges, 3))):
+            shape = np.shape(getattr(self, name))
+            if shape != expected:
+                raise DimensionMismatch(
+                    f"{name} has shape {shape}, expected {expected}")
+        if len(self.res_types) != n:
+            raise DimensionMismatch(
+                f"{len(self.res_types)} residue types for {n} nodes")
+        if not np.all(np.isfinite(self.scalars)):
+            raise DegenerateGeometry("non-finite scalar features")
         norms = np.linalg.norm(self.node_vectors, axis=-1)
-        assert np.all((np.abs(norms - 1.0) < 1e-9) | (norms < 1e-9))
+        if not np.all((np.abs(norms - 1.0) < 1e-9) | (norms < 1e-9)):
+            raise DegenerateGeometry("node vectors are neither unit nor zero")
 
     @property
     def num_nodes(self) -> int:
@@ -228,20 +225,14 @@ def build_graph(s: Structure, scheme: FeatureScheme = FeatureScheme.CA_BB,
                 k: int = DEFAULT_K,
                 global_positions: bool = False) -> ProteinGraph:
     """Compose CA selection, k-NN topology, scalar and vector features."""
-    chains = _ca_chains(s)
-    coords = ca_coordinates(s)
+    chains, coords, chain_index = _nodes(s)
     topology = knn_graph(coords, k)
-    scalars = scalar_features(s, scheme, global_positions)
-    node_vectors, edge_vectors = vector_features(s, topology)
-    res_types = []
-    chain_index = []
-    for ci, chain in enumerate(chains):
-        for res in chain.residues:
-            res_types.append(residue_index(res.res_type))
-            chain_index.append(ci)
+    scalars = _scalar_features(chains, scheme, global_positions)
+    node_vectors, edge_vectors = _vector_features(coords, chain_index, topology)
     return ProteinGraph(
         topology=topology, coords=coords, scalars=scalars,
         node_vectors=node_vectors, edge_vectors=edge_vectors, scheme=scheme,
-        res_types=tuple(res_types),
-        chain_index=np.asarray(chain_index, dtype=np.int64),
-        chain_ids=tuple(c.id for c in chains))
+        res_types=tuple(residue_index(r.res_type)
+                        for chain, _, _ in chains for r in chain.residues),
+        chain_index=chain_index,
+        chain_ids=tuple(chain.id for chain, _, _ in chains))

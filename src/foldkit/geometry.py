@@ -1,8 +1,9 @@
 """Torsion, angle, and graph geometry over 3D coordinates.
 
 Angles are radians. Torsions live in [-pi, pi) with +pi normalised to -pi;
-bond angles live in [0, pi]. Angles that do not exist (chain termini,
-absent sidechain atoms) are None, never NaN.
+bond angles live in [0, pi]. Every angle comes from the batched kernels
+dihedrals() and bond_angles(). Angles that do not exist (chain termini,
+absent sidechain atoms) are NaN in arrays and None, never NaN, in tuples.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import (DegenerateConfiguration, DegenerateGeometry, MissingAtom,
                      TooFewNodes)
 from .residues import CHI_ATOMS, MAX_CHI
-from .structure import Chain, Residue
+from .structure import BACKBONE_ATOMS, Chain, Residue
 
 _EPS = 1e-12
 TWO_PI = 2.0 * np.pi
@@ -25,37 +26,76 @@ def wrap_angle(theta: float) -> float:
     return float(np.mod(theta + np.pi, TWO_PI) - np.pi)
 
 
-def dihedral(p1, p2, p3, p4) -> float:
-    """Signed torsion of the bond p2-p3: 0 is cis (p1 and p4 eclipsed).
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (m, 3) arrays. Each row goes through the
+    routine np.dot uses on two 3-vectors, so it gives the same bits."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
-    atan2 of the two plane normals around b2; positive sense is clockwise
-    looking from p2 toward p3. Raises DegenerateGeometry when either
-    bonded triple is collinear.
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (m, 3) array."""
+    return np.sqrt(_dots(v, v))
+
+
+def dihedrals(p1, p2, p3, p4) -> tuple[np.ndarray, np.ndarray]:
+    """Signed torsions of the bonds p2-p3 over (m, 3) rows, and their
+    validity mask.
+
+    0 is cis (p1 and p4 eclipsed); positive sense is clockwise looking
+    from p2 toward p3 (atan2 of the two plane normals around b2). A row
+    whose bonded triples are collinear is invalid and holds NaN.
     """
-    p1, p2, p3, p4 = (np.asarray(p, dtype=np.float64) for p in (p1, p2, p3, p4))
-    b1 = p2 - p1
+    p1, p2, p3, p4 = (np.asarray(p, dtype=np.float64).reshape(-1, 3)
+                      for p in (p1, p2, p3, p4))
     b2 = p3 - p2
-    b3 = p4 - p3
-    n1 = np.cross(b1, b2)
-    n2 = np.cross(b2, b3)
-    if np.linalg.norm(n1) < _EPS or np.linalg.norm(n2) < _EPS:
-        raise DegenerateGeometry("collinear atoms leave the torsion undefined")
-    b2n = b2 / np.linalg.norm(b2)
-    y = float(np.dot(np.cross(n1, n2), b2n))
-    x = float(np.dot(n1, n2))
-    return wrap_angle(np.arctan2(y, x))
+    n1 = np.cross(p2 - p1, b2)
+    n2 = np.cross(b2, p4 - p3)
+    valid = ~((row_norms(n1) < _EPS) | (row_norms(n2) < _EPS))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        b2n = b2 / row_norms(b2)[:, None]
+    angles = np.arctan2(_dots(np.cross(n1, n2), b2n), _dots(n1, n2))
+    return np.where(valid, np.mod(angles + np.pi, TWO_PI) - np.pi, np.nan), valid
+
+
+def bond_angles(p1, p2, p3) -> tuple[np.ndarray, np.ndarray]:
+    """Angles at p2 between the bonds to p1 and p3 over (m, 3) rows, in
+    [0, pi], and their validity mask; a row with coincident atoms is
+    invalid and holds NaN."""
+    p1, p2, p3 = (np.asarray(p, dtype=np.float64).reshape(-1, 3)
+                  for p in (p1, p2, p3))
+    u = p1 - p2
+    v = p3 - p2
+    valid = ~((row_norms(u) < _EPS) | (row_norms(v) < _EPS))
+    angles = np.arctan2(row_norms(np.cross(u, v)), _dots(u, v))
+    return np.where(valid, angles, np.nan), valid
+
+
+def defined(kernel, *points) -> np.ndarray:
+    """kernel(*points) (dihedrals or bond_angles) where every row must be
+    valid; raises DegenerateGeometry otherwise."""
+    angles, valid = kernel(*points)
+    if not valid.all():
+        raise DegenerateGeometry(
+            "collinear atoms leave the torsion undefined" if kernel is dihedrals
+            else "coincident atoms leave the bond angle undefined")
+    return angles
+
+
+def dihedral(p1, p2, p3, p4) -> float:
+    """Signed torsion of the bond p2-p3: one row of dihedrals(). Raises
+    DegenerateGeometry when either bonded triple is collinear."""
+    return float(defined(dihedrals, p1, p2, p3, p4)[0])
 
 
 def bond_angle(p1, p2, p3) -> float:
-    """Angle at p2 between the bonds to p1 and p3, in [0, pi]."""
-    p1, p2, p3 = (np.asarray(p, dtype=np.float64) for p in (p1, p2, p3))
-    u = p1 - p2
-    v = p3 - p2
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < _EPS or nv < _EPS:
-        raise DegenerateGeometry("coincident atoms leave the bond angle undefined")
-    return float(np.arctan2(np.linalg.norm(np.cross(u, v)), np.dot(u, v)))
+    """Angle at p2 between the bonds to p1 and p3, in [0, pi]: one row of
+    bond_angles()."""
+    return float(defined(bond_angles, p1, p2, p3)[0])
+
+
+def _optional(values: np.ndarray) -> tuple:
+    """NaN (undefined) entries become None, the rest Python floats."""
+    return tuple(None if np.isnan(v) else float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -81,17 +121,43 @@ class ChiSet:
     chi: tuple
 
 
-def _backbone_positions(chain: Chain, names=("N", "CA", "C")) -> list:
-    out = []
-    for res in chain.residues:
-        row = []
-        for name in names:
+def backbone_array(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 4, 3) N/CA/C/O positions of a chain and their (n, 4) presence
+    mask; absent atoms hold zero rows."""
+    xyz = np.zeros((len(chain.residues), len(BACKBONE_ATOMS), 3))
+    present = np.zeros(xyz.shape[:2], dtype=bool)
+    for i, res in enumerate(chain.residues):
+        for j, name in enumerate(BACKBONE_ATOMS):
             atom = res.atom(name)
-            if atom is None:
-                raise MissingAtom(f"{res.res_type} {res.seq_index}", name)
-            row.append(atom.position)
-        out.append(row)
-    return out
+            if atom is not None:
+                xyz[i, j] = atom.position
+                present[i, j] = True
+    return xyz, present
+
+
+def backbone_frames(chain: Chain, xyz: np.ndarray,
+                    present: np.ndarray) -> np.ndarray:
+    """The (n, 3, 3) N/CA/C block of a backbone array; raises MissingAtom
+    for the first absent atom in residue order."""
+    missing = np.argwhere(~present[:, :3])
+    if len(missing):
+        i, j = missing[0]
+        res = chain.residues[i]
+        raise MissingAtom(f"{res.res_type} {res.seq_index}", BACKBONE_ATOMS[j])
+    return xyz[:, :3]
+
+
+def backbone_torsions(frames: np.ndarray) -> np.ndarray:
+    """(n, 3) phi/psi/omega of an (n, 3, 3) N/CA/C array; NaN at termini.
+
+    The atoms N0 CA0 C0 N1 ... in chain order make every consecutive
+    quadruple a backbone torsion: psi(0), omega(0), phi(1), psi(1), ...
+    Raises DegenerateGeometry on a collinear backbone triple.
+    """
+    atoms = frames.reshape(-1, 3)
+    angles = defined(dihedrals, atoms[:-3], atoms[1:-2], atoms[2:-1], atoms[3:])
+    padded = np.concatenate(([np.nan], angles, [np.nan, np.nan]))
+    return padded[:len(atoms)].reshape(-1, 3)
 
 
 def backbone_dihedrals(chain: Chain) -> DihedralSet:
@@ -100,53 +166,53 @@ def backbone_dihedrals(chain: Chain) -> DihedralSet:
     phi_i uses C(i-1)-N(i)-CA(i)-C(i); psi_i uses N(i)-CA(i)-C(i)-N(i+1);
     omega_i uses CA(i)-C(i)-N(i+1)-CA(i+1). Termini are None.
     """
-    bb = _backbone_positions(chain)
-    n = len(bb)
-    phi: list = [None] * n
-    psi: list = [None] * n
-    omega: list = [None] * n
-    for i in range(n):
-        n_i, ca_i, c_i = bb[i]
-        if i > 0:
-            phi[i] = dihedral(bb[i - 1][2], n_i, ca_i, c_i)
-        if i < n - 1:
-            n_next, ca_next = bb[i + 1][0], bb[i + 1][1]
-            psi[i] = dihedral(n_i, ca_i, c_i, n_next)
-            omega[i] = dihedral(ca_i, c_i, n_next, ca_next)
-    return DihedralSet(tuple(phi), tuple(psi), tuple(omega))
+    torsions = backbone_torsions(backbone_frames(chain, *backbone_array(chain)))
+    return DihedralSet(*(_optional(column) for column in torsions.T))
+
+
+def virtual_angle_array(ca_trace) -> np.ndarray:
+    """(n, 2) kappa/alpha of a CA trace, NaN where undefined (see
+    virtual_angles)."""
+    pts = np.asarray(ca_trace, dtype=np.float64).reshape(-1, 3)
+    n = len(pts)
+    if n < 2:
+        raise TooFewNodes("need at least 2 CA positions")
+    if np.any(row_norms(np.diff(pts, axis=0)) < _EPS):
+        raise DegenerateGeometry("coincident consecutive CA positions")
+    out = np.full((n, 2), np.nan)
+    out[1:-1, 0] = bond_angles(pts[:-2], pts[1:-1], pts[2:])[0]
+    # a collinear CA window leaves its torsion undefined (NaN)
+    out[1:-2, 1] = dihedrals(pts[:-3], pts[1:-2], pts[2:-1], pts[3:])[0]
+    return out
 
 
 def virtual_angles(ca_trace) -> VirtualAngleSet:
     """Virtual bond angle kappa(i) over CA(i-1),CA(i),CA(i+1) and virtual
     torsion alpha(i) over CA(i-1)..CA(i+2)."""
-    pts = np.asarray(ca_trace, dtype=np.float64)
-    n = len(pts)
-    if n < 2:
-        raise TooFewNodes("need at least 2 CA positions")
-    if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) < _EPS):
-        raise DegenerateGeometry("coincident consecutive CA positions")
-    kappa: list = [None] * n
-    alpha: list = [None] * n
-    for i in range(1, n - 1):
-        kappa[i] = bond_angle(pts[i - 1], pts[i], pts[i + 1])
-    for i in range(1, n - 2):
-        try:
-            alpha[i] = dihedral(pts[i - 1], pts[i], pts[i + 1], pts[i + 2])
-        except DegenerateGeometry:
-            alpha[i] = None  # collinear CA window, torsion undefined
-    return VirtualAngleSet(tuple(kappa), tuple(alpha))
+    return VirtualAngleSet(*(_optional(column)
+                             for column in virtual_angle_array(ca_trace).T))
+
+
+def chi_angles(residues) -> np.ndarray:
+    """(n, 4) chi1..chi4 per residue from the per-type atom quadruples,
+    gathered as (n, 4, 4, 3); NaN where the type defines fewer torsions
+    or atoms are absent. Raises DegenerateGeometry on collinear atoms."""
+    quads = np.zeros((len(residues), MAX_CHI, 4, 3))
+    present = np.zeros((len(residues), MAX_CHI), dtype=bool)
+    for i, res in enumerate(residues):
+        for k, names in enumerate(CHI_ATOMS.get(res.res_type, ())):
+            atoms = [res.atom(name) for name in names]
+            if all(a is not None for a in atoms):
+                quads[i, k] = [a.position for a in atoms]
+                present[i, k] = True
+    out = np.full(present.shape, np.nan)
+    out[present] = defined(dihedrals, *quads[present].transpose(1, 0, 2))
+    return out
 
 
 def sidechain_torsions(residue: Residue) -> ChiSet:
     """chi1..chi4 from the per-type atom quadruples; missing atoms give None."""
-    table = CHI_ATOMS.get(residue.res_type, ())
-    chi: list = [None] * MAX_CHI
-    for k, names in enumerate(table):
-        atoms = [residue.atom(name) for name in names]
-        if any(a is None for a in atoms):
-            continue
-        chi[k] = dihedral(*(a.position for a in atoms))
-    return ChiSet(tuple(chi))
+    return ChiSet(_optional(chi_angles((residue,))[0]))
 
 
 @dataclass(frozen=True)

@@ -25,24 +25,11 @@ VOCAB_SIZE = len(VOCABULARY)  # 23
 RESIDUE_INDEX = {name: i for i, name in enumerate(VOCABULARY)}
 UNK_INDEX = RESIDUE_INDEX[UNK]
 MASK_INDEX = RESIDUE_INDEX[MASK]
-PAD_INDEX = RESIDUE_INDEX[PAD]
-
-ONE_LETTER = {
-    "ALA": "A", "ARG": "R", "ASN": "N", "ASP": "D", "CYS": "C",
-    "GLN": "Q", "GLU": "E", "GLY": "G", "HIS": "H", "ILE": "I",
-    "LEU": "L", "LYS": "K", "MET": "M", "PHE": "F", "PRO": "P",
-    "SER": "S", "THR": "T", "TRP": "W", "TYR": "Y", "VAL": "V",
-    "UNK": "X",
-}
 
 
 def residue_index(res_type: str) -> int:
     """Vocabulary index for a three-letter code; non-canonical maps to UNK."""
     return RESIDUE_INDEX.get(res_type, UNK_INDEX)
-
-
-def is_canonical(res_type: str) -> bool:
-    return res_type in RESIDUE_INDEX and RESIDUE_INDEX[res_type] < 20
 
 
 def vocabulary_sha256() -> str:

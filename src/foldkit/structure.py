@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidFilterSpec, NoCompleteResidues
-from .residues import is_canonical
 
 logger = logging.getLogger(__name__)
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import (CanonicalGeometry, DEFAULT_GEOMETRY, InternalCoords,
-                    from_internal, to_internal)
+from .codec import (CanonicalGeometry, DEFAULT_GEOMETRY, from_internal,
+                    to_internal)
 from .errors import MissingConfidence, SelectorEmpty, SingleChain, TooFewNodes
 from .featurise import ProteinGraph
-from .geometry import bond_angle, dihedral
+from .geometry import bond_angles, defined, dihedrals, row_norms
 from .residues import MASK_INDEX, VOCAB_SIZE, VOCABULARY, residue_index
 from .rng import make_rng
 from .structure import Chain, Residue, Structure
@@ -49,7 +49,7 @@ class CorruptionSpec:
     def __post_init__(self):
         if not 0.0 <= self.nu <= 1.0:
             raise ValueError(f"nu must be in [0, 1], got {self.nu}")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
@@ -171,11 +171,8 @@ def corrupt_torsions(chain: Chain, sigma: float, rng: np.random.Generator,
     original = np.stack([ic.phi, ic.psi, ic.omega], axis=1)
     noised = np.mod(original + noise + np.pi, 2.0 * np.pi) - np.pi
     noised[~ic.defined_torsions] = 0.0
-    corrupted_ic = InternalCoords(
-        res_types=ic.res_types, phi=noised[:, 0], psi=noised[:, 1],
-        omega=noised[:, 2], theta_n=ic.theta_n, theta_ca=ic.theta_ca,
-        theta_c=ic.theta_c, anchor=ic.anchor)
-    rebuilt = from_internal(corrupted_ic, geom, chain.id)
+    rebuilt = from_internal(replace(ic, phi=noised[:, 0], psi=noised[:, 1],
+                                    omega=noised[:, 2]), geom, chain.id)
     targets = DenoisingTargets(kind="torsional", angular_noise=noise,
                                original_angles=original, sigma=sigma)
     return CorruptionResult(rebuilt, targets, np.ones(n, dtype=bool))
@@ -234,14 +231,10 @@ class MaskedAttribute(enum.Enum):
 
 def _consecutive_tuples(graph: ProteinGraph, size: int) -> np.ndarray:
     """Runs of `size` consecutive nodes within one chain."""
-    tuples = []
-    chain_idx = graph.chain_index
-    n = graph.num_nodes
-    for start in range(n - size + 1):
-        window = chain_idx[start:start + size]
-        if np.all(window == window[0]):
-            tuples.append(range(start, start + size))
-    return np.asarray([list(t) for t in tuples], dtype=np.int64).reshape(-1, size)
+    windows = (np.arange(graph.num_nodes - size + 1)[:, None]
+               + np.arange(size)).astype(np.int64)
+    chains = graph.chain_index[windows]
+    return windows[np.all(chains == chains[:, :1], axis=1)]
 
 
 def masked_attribute_targets(graph: ProteinGraph, kind: MaskedAttribute,
@@ -265,14 +258,12 @@ def masked_attribute_targets(graph: ProteinGraph, kind: MaskedAttribute,
     chosen = (np.sort(rng.choice(len(candidates), size=m, replace=False))
               if m else np.empty(0, dtype=np.int64))
     tuples = candidates[chosen]
-    X = graph.coords
+    points = graph.coords[tuples.T]
     if kind is MaskedAttribute.DISTANCE:
-        values = np.array([np.linalg.norm(X[i] - X[j]) for i, j in tuples])
-    elif kind is MaskedAttribute.ANGLE:
-        values = np.array([bond_angle(X[a], X[b], X[c]) for a, b, c in tuples])
+        values = row_norms(points[0] - points[1])
     else:
-        values = np.array([dihedral(X[a], X[b], X[c], X[d])
-                           for a, b, c, d in tuples])
+        values = defined(bond_angles if kind is MaskedAttribute.ANGLE
+                         else dihedrals, *points)
     return DenoisingTargets(kind=f"masked_{kind.name.lower()}",
                             indices=tuples, values=values)
 
@@ -349,15 +340,9 @@ def corrupt_structure(s: Structure, spec: CorruptionSpec,
     """
     if spec.kind is CorruptionKind.CO_DENOISE:
         seq_part = corrupt_structure(
-            s, CorruptionSpec(CorruptionKind.SEQ_MUTATE, nu=spec.nu,
-                              sigma=spec.sigma, lambda_aux=spec.lambda_aux,
-                              seed=spec.seed),
-            geom)
+            s, replace(spec, kind=CorruptionKind.SEQ_MUTATE), geom)
         struct_part = corrupt_structure(
-            seq_part.corrupted,
-            CorruptionSpec(CorruptionKind.COORD_GAUSS, nu=spec.nu,
-                           sigma=spec.sigma, lambda_aux=spec.lambda_aux,
-                           seed=spec.seed),
+            seq_part.corrupted, replace(spec, kind=CorruptionKind.COORD_GAUSS),
             geom)
         targets = DenoisingTargets(kind="co", sequence=seq_part.targets,
                                    structure=struct_part.targets)

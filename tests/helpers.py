@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from foldkit.structure import Chain, Structure
+from foldkit.structure import Atom, Chain, Structure
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -38,6 +38,22 @@ def transform_structure(s: Structure, R: np.ndarray, t: np.ndarray) -> Structure
             for res in chain.residues)))
     hetero = tuple(move(a) for a in s.hetero_atoms)
     return replace(s, chains=tuple(chains), hetero_atoms=hetero)
+
+
+def with_atom(chain: Chain, index: int, name: str, position) -> Chain:
+    """Chain whose residue `index` has atom `name` at position, replacing
+    the atom of that name or appending it."""
+    res = chain.residues[index]
+    moved = Atom(name, name[0], np.asarray(position, dtype=np.float64),
+                 serial=1000 + len(res.atoms))
+    if res.atom(name) is None:
+        atoms = res.atoms + (moved,)
+    else:
+        atoms = tuple(replace(a, position=moved.position) if a.name == name
+                      else a for a in res.atoms)
+    residues = list(chain.residues)
+    residues[index] = replace(res, atoms=atoms)
+    return replace(chain, residues=tuple(residues))
 
 
 # --- independent geometry oracles ---

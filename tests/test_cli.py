@@ -68,9 +68,47 @@ class TestEncodeDecode:
         assert run_cli("encode", str(tmp_path / "nope.pdb"),
                        str(tmp_path / "x.fkc")) == 2
 
-    def test_usage_error_exits_1(self):
+    def test_usage_error_exits_1(self, tmp_path, fixture_file, capsys):
         assert run_cli("featurise") == 1
         assert run_cli("label", "a", "b") == 1  # --mode required
+        # a bad corruption spec is rejected before any file is read
+        for bad in (("--nu", "2"), ("--sigma", "-1"), ("--sigma", "nan")):
+            for source, jobs in ((fixture_file, "1"), (FIXTURES, "1"),
+                                 (FIXTURES, "2")):
+                out = tmp_path / "corrupt"
+                assert run_cli("corrupt", source, str(out), "--jobs", jobs,
+                               *bad) == 1
+                assert not out.exists()
+                assert bad[0][2:] in capsys.readouterr().err
+
+    def test_errors_in_input_order_under_jobs(self, tmp_path, capsys):
+        src = tmp_path / "bad"
+        names = [f"{c}.fkc" for c in "hgfedcba"] + ["sub/z.fkc", "sub/a.fkc"]
+        for name in names:
+            (src / name).parent.mkdir(parents=True, exist_ok=True)
+            (src / name).write_bytes(b"XXXX" + bytes(60))
+        assert run_cli("decode", str(src), str(tmp_path / "out"),
+                       "--jobs", "2") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"{src / name}: BadMagic: expected b'FKC1', got b'XXXX'"
+                         for name in sorted(names[:8]) + ["sub/a.fkc", "sub/z.fkc"]]
+
+    def test_rmsd_over_present_backbone_atoms(self, tmp_path, capsys):
+        from foldkit.pdb import write_pdb
+        from foldkit.rng import make_rng
+        from foldkit.synth import random_chain, single_chain_structure
+        import dataclasses
+        chain = random_chain(12, make_rng(56))
+        res = chain.residues[5]
+        chain = dataclasses.replace(chain, residues=(
+            chain.residues[:5]
+            + (dataclasses.replace(res, atoms=tuple(
+                a for a in res.atoms if a.name != "O")),)
+            + chain.residues[6:]))
+        src = tmp_path / "no_o.pdb"
+        src.write_text(write_pdb(single_chain_structure(chain)))
+        assert run_cli("encode", str(src), str(tmp_path / "no_o.fkc")) == 0
+        assert "round-trip backbone RMSD" in capsys.readouterr().err
 
     def test_version_and_help_exit_0(self, capsys):
         assert run_cli("--version") == 0

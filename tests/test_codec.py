@@ -8,12 +8,13 @@ from foldkit.codec import (DEFAULT_GEOMETRY, EncodedProtein, decode,
                            from_internal, nerf_place, quantise_bond_angle,
                            quantise_torsion, to_internal)
 from foldkit.errors import (BadMagic, ChainTooShort, DegenerateFrame,
-                            FoldkitError, TruncatedPayload, VersionMismatch)
+                            DegenerateGeometry, FoldkitError, TruncatedPayload,
+                            VersionMismatch)
 from foldkit.geometry import backbone_dihedrals, bond_angle, dihedral, kabsch
 from foldkit.rng import make_rng
 from foldkit.synth import helix_chain, make_internal, random_chain
 
-from helpers import angle_close
+from helpers import angle_close, with_atom
 
 
 def backbone_coords(chain):
@@ -63,6 +64,16 @@ class TestInternalRoundTrip:
             assert np.max(np.abs(measured.theta_n - ic.theta_n)) < 1e-9
             assert np.max(np.abs(measured.theta_ca - ic.theta_ca)) < 1e-9
             assert np.max(np.abs(measured.theta_c - ic.theta_c)) < 1e-9
+
+    def test_coincident_n_and_ca_raise(self):
+        chain = random_chain(8, make_rng(25))
+        for index in (0, 4, 7):
+            bad = with_atom(chain, index, "N",
+                            chain.residues[index].atom("CA").position)
+            with pytest.raises(DegenerateGeometry):
+                to_internal(bad)
+            with pytest.raises(DegenerateGeometry):
+                encode(bad)
 
     def test_two_residue_chain_too_short(self):
         chain = random_chain(3, make_rng(8))

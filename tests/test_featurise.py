@@ -1,8 +1,11 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
-from foldkit.errors import (DegenerateGeometry, MissingAtom, OddDimension,
-                            BadMagic, TruncatedPayload)
+from foldkit.errors import (DegenerateGeometry, DimensionMismatch, MissingAtom,
+                            OddDimension, BadMagic, TruncatedPayload)
 from foldkit.featurise import (FeatureScheme, build_graph, embed_angle,
                                positional_encoding, scalar_features,
                                vector_features)
@@ -13,7 +16,8 @@ from foldkit.structure import Atom, Chain, Residue, Structure
 from foldkit.synth import random_chain, single_chain_structure
 from foldkit.tensorio import tensor_from_bytes, tensor_to_bytes
 
-from helpers import random_rotation, transform_structure
+from helpers import (dihedral_oracle, random_rotation, transform_structure,
+                     with_atom)
 
 
 class TestPositionalEncoding:
@@ -107,6 +111,31 @@ class TestScalarFeatures:
         # kappa = pi embeds as (0, -1); alpha undefined embeds as (0, 0)
         assert np.allclose(S[1, 39:41], [0.0, -1.0], atol=1e-12)
         assert np.array_equal(S[1, 41:43], [0.0, 0.0])
+        # a collinear window mid-trace: only the two windows holding it go
+        trace = np.random.default_rng(20).normal(size=(8, 3)) * 4.0
+        trace[4] = 0.5 * (trace[3] + trace[5])
+        S = scalar_features(_ca_only_structure(["ALA"] * 8, trace),
+                            FeatureScheme.CA_ANGLES)
+        assert np.array_equal(S[3:5, 41:43], np.zeros((2, 2)))
+        for i in (1, 2, 5):
+            alpha = dihedral_oracle(*trace[i - 1:i + 3])
+            assert np.allclose(S[i, 41:43], [np.sin(alpha), np.cos(alpha)],
+                               atol=1e-12)
+
+    def test_collinear_chi_atoms_raise_for_sc_scheme(self):
+        chain = random_chain(5, make_rng(22))
+        res = chain.residues[2]
+        n, ca = res.atom("N").position, res.atom("CA").position
+        cb = ca + 1.53 * (ca - n) / np.linalg.norm(ca - n)  # N, CA, CB collinear
+        chain = with_atom(with_atom(chain, 2, "CB", cb), 2, "SG",
+                          cb + np.array([0.0, 0.0, 1.8]))
+        chain = dataclasses.replace(chain, residues=tuple(
+            dataclasses.replace(r, res_type="CYS") if i == 2 else r
+            for i, r in enumerate(chain.residues)))
+        s = single_chain_structure(chain)
+        assert scalar_features(s, FeatureScheme.CA_BB).shape == (5, 49)
+        with pytest.raises(DegenerateGeometry):
+            scalar_features(s, FeatureScheme.CA_SC)
 
     def test_positional_encoding_restarts_per_chain(self):
         s1 = _ca_only_structure(["ALA"] * 3, [(i * 3.8, 0, 0) for i in range(3)])
@@ -179,6 +208,36 @@ class TestBuildGraph:
         assert np.max(np.abs(g2.node_vectors
                              - np.einsum("nvk,jk->nvj", g.node_vectors, R))) < 1e-9
         assert np.max(np.abs(g2.edge_vectors - g.edge_vectors @ R.T)) < 1e-9
+
+    def test_one_warning_for_a_ca_less_residue(self, caplog):
+        chain = random_chain(10, make_rng(23))
+        res = chain.residues[4]
+        chain = dataclasses.replace(chain, residues=(
+            chain.residues[:4]
+            + (dataclasses.replace(res, atoms=tuple(
+                a for a in res.atoms if a.name != "CA")),)
+            + chain.residues[5:]))
+        with caplog.at_level(logging.WARNING, logger="foldkit"):
+            g = build_graph(single_chain_structure(chain), FeatureScheme.CA_SC,
+                            k=4)
+        assert g.num_nodes == 9
+        assert len(caplog.records) == 1
+
+    def test_mis_shaped_graph_raises(self):
+        g = build_graph(single_chain_structure(random_chain(6, make_rng(24))),
+                        FeatureScheme.CA_BB, k=3)
+        for bad in ({"coords": g.coords[:-1]}, {"scalars": g.scalars[:, :-1]},
+                    {"node_vectors": g.node_vectors[:, :1]},
+                    {"edge_vectors": g.edge_vectors[1:]},
+                    {"res_types": g.res_types[:-1]}):
+            with pytest.raises(DimensionMismatch):
+                dataclasses.replace(g, **bad)
+        scalars = g.scalars.copy()
+        scalars[0, 0] = np.nan
+        with pytest.raises(DegenerateGeometry):
+            dataclasses.replace(g, scalars=scalars)
+        with pytest.raises(DegenerateGeometry):
+            dataclasses.replace(g, node_vectors=2.0 * g.node_vectors)
 
     def test_metadata_aligned(self):
         s = single_chain_structure(random_chain(10, make_rng(8)))

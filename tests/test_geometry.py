@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 
 from foldkit.errors import (DegenerateConfiguration, DegenerateGeometry,
                             TooFewNodes)
-from foldkit.geometry import (bond_angle, dihedral, kabsch, knn_graph,
+from foldkit.geometry import (backbone_dihedrals, bond_angle, bond_angles,
+                              dihedral, dihedrals, kabsch, knn_graph,
                               sidechain_torsions, virtual_angles, wrap_angle)
 from foldkit.residues import CHI_ATOMS
 from foldkit.codec import nerf_place
+from foldkit.rng import make_rng
 from foldkit.structure import Atom, Residue
+from foldkit.synth import random_chain
 
 from helpers import (angle_close, bond_angle_oracle, dihedral_oracle,
-                     knn_oracle, random_reflection, random_rotation)
+                     knn_oracle, random_reflection, random_rotation, with_atom)
 
 
 class TestDihedral:
@@ -55,6 +58,61 @@ class TestDihedral:
             assert angle_close(mirrored, -base, 1e-10)
 
 
+def _loop_dihedral(p1, p2, p3, p4):
+    """The per-quadruple formula the batched kernel replaced: its reference."""
+    b2 = p3 - p2
+    n1, n2 = np.cross(p2 - p1, b2), np.cross(b2, p4 - p3)
+    y = np.dot(np.cross(n1, n2), b2 / np.linalg.norm(b2))
+    return wrap_angle(np.arctan2(y, np.dot(n1, n2)))
+
+
+def _loop_bond_angle(p1, p2, p3):
+    u, v = p1 - p2, p3 - p2
+    return float(np.arctan2(np.linalg.norm(np.cross(u, v)), np.dot(u, v)))
+
+
+class TestBatchedKernels:
+    def test_rows_equal_loop_reference_bitwise(self):
+        # bit-equal, not merely close: feature tensors and FKC1 payloads
+        # are compared byte for byte across versions
+        pts = np.random.default_rng(12).normal(size=(2000, 4, 3)) * 3.0
+        torsions, valid = dihedrals(*pts.transpose(1, 0, 2))
+        assert valid.all()
+        assert torsions.tolist() == [_loop_dihedral(*p) for p in pts]
+        angles, valid = bond_angles(*pts[:, :3].transpose(1, 0, 2))
+        assert valid.all()
+        assert angles.tolist() == [_loop_bond_angle(*p[:3]) for p in pts]
+        assert [dihedral(*p) for p in pts[:50]] == torsions[:50].tolist()
+
+    def test_degenerate_rows_masked(self):
+        good = np.random.default_rng(13).normal(size=(4, 3))
+        collinear = np.array([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 1, 0)], float)
+        torsions, valid = dihedrals(*np.stack([good, collinear, good], axis=1))
+        assert valid.tolist() == [True, False, True]
+        assert np.isnan(torsions[1]) and torsions[0] == torsions[2] == dihedral(*good)
+        angles, valid = bond_angles(good[:3], good[[1, 1, 1]], good[[2, 1, 2]])
+        assert valid.tolist() == [True, False, True]
+        assert np.isnan(angles[1])
+
+    def test_empty_rows(self):
+        torsions, valid = dihedrals(*np.zeros((4, 0, 3)))
+        assert torsions.shape == valid.shape == (0,)
+
+    def test_bond_angle_coincident_raises(self):
+        with pytest.raises(DegenerateGeometry):
+            bond_angle((1, 0, 0), (0, 0, 0), (0, 0, 0))
+
+
+class TestBackboneDihedrals:
+    def test_collinear_backbone_triple_raises(self):
+        chain = random_chain(6, make_rng(21))
+        n = chain.residues[3].atom("N").position
+        ca = chain.residues[3].atom("CA").position
+        chain = with_atom(chain, 3, "C", ca + 1.5 * (ca - n) / np.linalg.norm(ca - n))
+        with pytest.raises(DegenerateGeometry):
+            backbone_dihedrals(chain)
+
+
 class TestWrap:
     @given(st.floats(-50.0, 50.0))
     def test_wrap_range(self, theta):
@@ -90,6 +148,17 @@ class TestVirtualAngles:
             expected = dihedral_oracle(trace[i - 1], trace[i],
                                        trace[i + 1], trace[i + 2])
             assert angle_close(virt.alpha[i], expected, 1e-12)
+
+    def test_collinear_window_mid_trace(self):
+        trace = np.random.default_rng(19).normal(size=(8, 3)) * 4.0
+        trace[4] = 0.5 * (trace[3] + trace[5])  # CA 3, 4, 5 collinear
+        virt = virtual_angles(trace)
+        # both windows holding the collinear triple are undefined
+        assert virt.alpha[3] is None and virt.alpha[4] is None
+        for i in (1, 2, 5):
+            expected = dihedral_oracle(*trace[i - 1:i + 3])
+            assert angle_close(virt.alpha[i], expected, 1e-12)
+        assert virt.kappa[4] == pytest.approx(np.pi)
 
     def test_coincident_cas_raise(self):
         with pytest.raises(DegenerateGeometry):

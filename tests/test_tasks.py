@@ -409,3 +409,5 @@ class TestStructureCorruption:
             CorruptionSpec(CorruptionKind.SEQ_MUTATE, nu=1.5)
         with pytest.raises(ValueError):
             CorruptionSpec(CorruptionKind.COORD_GAUSS, sigma=-0.1)
+        with pytest.raises(ValueError):
+            CorruptionSpec(CorruptionKind.COORD_GAUSS, sigma=float("nan"))
