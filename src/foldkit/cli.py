@@ -21,9 +21,9 @@ import sys
 
 from . import __version__
 from .codec import EncodedProtein, decode, encode
-from .errors import FoldkitError
+from .errors import DegenerateConfiguration, FoldkitError
 from .featurise import DEFAULT_K, FeatureScheme, build_graph
-from .geometry import backbone_array, edges_to_text, kabsch
+from .geometry import backbone_array, check_cutoff, edges_to_text, kabsch
 from .pdb import parse_pdb, write_pdb
 from .residues import vocabulary_sha256
 from .rng import path_seed
@@ -250,6 +250,11 @@ def _write_targets(out_dir: str, targets) -> None:
 
 
 def run_label(args) -> int:
+    try:  # reject a bad cutoff once, before any file is read
+        check_cutoff(args.cutoff)
+    except DegenerateConfiguration as exc:
+        print(f"foldkit label: error: {exc}", file=sys.stderr)
+        return 1
     ligands = {code.strip().upper() for code in args.ligands.split(",")
                if code.strip()}
 

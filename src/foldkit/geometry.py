@@ -19,6 +19,7 @@ from .structure import BACKBONE_ATOMS, Chain, Residue
 
 _EPS = 1e-12
 TWO_PI = 2.0 * np.pi
+KNN_BLOCK = 256
 
 
 def wrap_angle(theta: float) -> float:
@@ -241,7 +242,8 @@ def knn_graph(points, k: int) -> GraphTopology:
 
     Neighbours are ranked by squared Euclidean distance with ties broken
     toward the lower index; k is clamped to n-1. Edges are ordered by
-    target node, then by (distance, index).
+    target node, then by (distance, index). Targets are ranked in blocks
+    of KNN_BLOCK rows, so memory is O(KNN_BLOCK * n).
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -249,22 +251,59 @@ def knn_graph(points, k: int) -> GraphTopology:
         raise TooFewNodes("k-NN graph needs at least 2 points")
     if k < 1:
         raise TooFewNodes("k must be >= 1")
+    if not np.isfinite(pts).all():
+        raise DegenerateGeometry("non-finite point in k-NN graph")
     k = min(k, n - 1)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(d2, np.inf)
-    idx = np.arange(n)
-    edges = np.empty((n * k, 2), dtype=np.int64)
-    for i in range(n):
-        order = np.lexsort((idx, d2[i]))[:k]
-        edges[i * k:(i + 1) * k, 0] = order
-        edges[i * k:(i + 1) * k, 1] = i
-    return GraphTopology(n, edges)
+    edges = []
+    for lo in range(0, n, KNN_BLOCK):
+        diff = pts[lo:lo + KNN_BLOCK, None, :] - pts[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        np.fill_diagonal(d2[:, lo:], np.inf)
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        rows, cols = np.nonzero(d2 <= kth)  # >= k per row, rows ascending
+        order = np.lexsort((cols, d2[rows, cols], rows))
+        keep = order[np.arange(len(rows)) - np.searchsorted(rows, rows) < k]
+        edges.append(np.stack((cols[keep], rows[keep] + lo), axis=1))
+    return GraphTopology(n, np.concatenate(edges))
 
 
 def edges_to_text(topology: GraphTopology) -> str:
     """Serialise edges as 'src<TAB>dst' lines."""
-    return "".join(f"{s}\t{t}\n" for s, t in topology.edges)
+    return "".join(f"{s}\t{t}\n" for s, t in topology.edges.tolist())
+
+
+def check_cutoff(cutoff: float) -> None:
+    """Raise DegenerateConfiguration unless cutoff is finite and > 0."""
+    if not 0 < cutoff < np.inf:
+        raise DegenerateConfiguration(
+            f"cutoff must be finite and > 0, got {cutoff}")
+
+
+def within_cutoff(points: np.ndarray, targets: np.ndarray,
+                  cutoff: float) -> np.ndarray:
+    """Mask over (m, 3) points: True where one of the targets lies within
+    cutoff (inclusive, on squared distances), by a uniform cell list: each
+    point searches the 27 cells around its own among the sorted targets."""
+    check_cutoff(cutoff)
+    hit = np.zeros(len(points), dtype=bool)
+    both = np.concatenate((points, targets))
+    # cells a hair wider than cutoff, so rounding never puts a pair within
+    # cutoff two cells apart, and at least 2**-20 of the extent, so keys fit
+    # in int64; numbered from 1, so a neighbour offset stays in the grid
+    edge = max(cutoff * (1 + 1e-6), np.ptp(both) / 2**20)
+    cells = np.floor((both - both.min(axis=0)) / edge).astype(np.int64) + 1
+    strides = (cells.max() + 2) ** np.arange(3)
+    point_keys, target_keys = np.split(cells @ strides, [len(points)])
+    order = np.argsort(target_keys)
+    sorted_keys = target_keys[order]
+    for offset in np.ndindex(3, 3, 3):
+        near = point_keys + (np.asarray(offset) - 1) @ strides
+        end = np.searchsorted(sorted_keys, near, side="right")
+        count = end - np.searchsorted(sorted_keys, near)
+        q = np.repeat(np.arange(len(points)), count)
+        t = order[np.arange(len(q)) + np.repeat(end - np.cumsum(count), count)]
+        hit[q[np.sum((points[q] - targets[t])**2, axis=-1) <= cutoff**2]] = True
+    return hit
 
 
 def edges_from_text(text: str, num_nodes: int | None = None) -> GraphTopology:

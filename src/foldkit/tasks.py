@@ -16,10 +16,10 @@ from .codec import (CanonicalGeometry, DEFAULT_GEOMETRY, from_internal,
                     to_internal)
 from .errors import MissingConfidence, SelectorEmpty, SingleChain, TooFewNodes
 from .featurise import ProteinGraph
-from .geometry import bond_angles, defined, dihedrals, row_norms
+from .geometry import bond_angles, defined, dihedrals, row_norms, within_cutoff
 from .residues import MASK_INDEX, VOCAB_SIZE, VOCABULARY, residue_index
 from .rng import make_rng
-from .structure import Chain, Residue, Structure
+from .structure import Chain, Structure
 
 # Sequence-denoising auxiliary loss weight; carried as metadata so
 # downstream consumers share one recorded constant.
@@ -285,8 +285,13 @@ def plddt_targets(s: Structure) -> DenoisingTargets:
     return DenoisingTargets(kind="plddt", values=np.clip(values / 100.0, 0.0, 1.0))
 
 
-def _residue_positions(res: Residue) -> np.ndarray:
-    return np.asarray([a.position for a in res.atoms], dtype=np.float64)
+def _residue_atoms(s: Structure):
+    """Positions, residue indices and chain ids of the residue atoms."""
+    pairs = list(s.iter_residues())  # (chain, residue)
+    xyz = np.reshape([a.position for _, r in pairs for a in r.atoms], (-1, 3))
+    owner = np.repeat(np.arange(len(pairs)), [len(r.atoms) for _, r in pairs])
+    chains = np.asarray([c.id for c, r in pairs for _ in r.atoms], dtype=str)
+    return xyz, owner, chains
 
 
 def binding_site_labels(s: Structure, selector, cutoff: float = DEFAULT_CUTOFF) -> LabelSet:
@@ -297,35 +302,26 @@ def binding_site_labels(s: Structure, selector, cutoff: float = DEFAULT_CUTOFF) 
                           if a.het_code in selector], dtype=np.float64)
     if targets.size == 0:
         raise SelectorEmpty(f"no hetero atom matches {sorted(selector)}")
-    labels = []
-    for _, res in s.iter_residues():
-        pos = _residue_positions(res)
-        d2 = np.sum((pos[:, None, :] - targets[None, :, :])**2, axis=-1)
-        labels.append(1 if np.any(d2 <= cutoff**2) else 0)
-    return LabelSet(np.asarray(labels, dtype=np.int8), cutoff,
+    positions, owner, _ = _residue_atoms(s)
+    hits = np.bincount(owner, within_cutoff(positions, targets, cutoff),
+                       s.num_residues)
+    return LabelSet((hits > 0).astype(np.int8), cutoff,
                     "het:" + ",".join(sorted(selector)))
 
 
 def interface_labels(complex_structure: Structure,
                      cutoff: float = DEFAULT_CUTOFF) -> LabelSet:
-    """Label 1 for residues with any atom within cutoff of another chain."""
+    """Label 1 for residues with any atom within cutoff (inclusive) of an
+    atom of a chain with another id."""
     if len(complex_structure.chains) < 2:
         raise SingleChain("interface labels need at least 2 chains")
-    chain_atoms = {c.id: np.concatenate([_residue_positions(r) for r in c.residues])
-                   for c in complex_structure.chains}
-    labels = []
-    for chain, res in complex_structure.iter_residues():
-        pos = _residue_positions(res)
-        hit = 0
-        for other_id, other in chain_atoms.items():
-            if other_id == chain.id:
-                continue
-            d2 = np.sum((pos[:, None, :] - other[None, :, :])**2, axis=-1)
-            if np.any(d2 <= cutoff**2):
-                hit = 1
-                break
-        labels.append(hit)
-    return LabelSet(np.asarray(labels, dtype=np.int8), cutoff, "interface")
+    positions, owner, chains = _residue_atoms(complex_structure)
+    hit = np.zeros(len(positions), dtype=bool)
+    for chain_id in np.unique(chains):
+        mine = chains == chain_id
+        hit[mine] = within_cutoff(positions[mine], positions[~mine], cutoff)
+    hits = np.bincount(owner, hit, complex_structure.num_residues)
+    return LabelSet((hits > 0).astype(np.int8), cutoff, "interface")
 
 
 def corrupt_structure(s: Structure, spec: CorruptionSpec,

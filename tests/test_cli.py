@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ class TestEncodeDecode:
                                *bad) == 1
                 assert not out.exists()
                 assert bad[0][2:] in capsys.readouterr().err
+        # so is a label cutoff that is not finite and > 0
+        for bad in ("-3.5", "0", "nan", "inf"):
+            for source, jobs in ((fixture_file, "1"), (FIXTURES, "1"),
+                                 (FIXTURES, "2")):
+                out = tmp_path / "labels"
+                assert run_cli("label", source, str(out), "--jobs", jobs,
+                               "--mode", "interface", "--cutoff", bad) == 1
+                assert not out.exists()
+                assert ("foldkit label: error: cutoff must be finite and > 0"
+                        in capsys.readouterr().err)
 
     def test_errors_in_input_order_under_jobs(self, tmp_path, capsys):
         src = tmp_path / "bad"
@@ -166,7 +177,7 @@ class TestCorrupt:
         run_cli("corrupt", fixture_file, str(out), "--kind", "seq_mutate",
                 "--nu", "0")
         from foldkit.pdb import parse_pdb
-        original = parse_pdb(open(fixture_file).read())
+        original = parse_pdb(Path(fixture_file).read_text())
         corrupted = parse_pdb((out / "corrupted.pdb").read_text())
         assert corrupted == original
 
@@ -209,7 +220,7 @@ class TestLabel:
                        "--ligands", "ZN") == 0
         rows = out.read_text().splitlines()
         assert rows[0] == "chain,seq_index,label"
-        structure = parse_pdb(open(src).read())
+        structure = parse_pdb(Path(src).read_text())
         expected = binding_site_labels(structure, {"ZN"}, 3.5).labels
         got = [int(r.split(",")[2]) for r in rows[1:]]
         assert got == expected.tolist()
@@ -265,7 +276,7 @@ class TestFilterCommand:
         manifest = tmp_path / "accepted.txt"
         run_cli("filter", FIXTURES, str(manifest), "--spec", str(spec))
         from foldkit.cli import _walk
-        pool = [(p, parse_pdb(open(p).read())) for p in _walk(FIXTURES, ".pdb")]
+        pool = [(p, parse_pdb(Path(p).read_text())) for p in _walk(FIXTURES, ".pdb")]
         expected = [p for p, s in pool
                     if FilterSpec(max_resolution=2.5).matches(s)]
         assert manifest.read_text().splitlines() == expected

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,10 @@ from hypothesis import strategies as st
 
 from foldkit.errors import (DegenerateConfiguration, DegenerateGeometry,
                             TooFewNodes)
-from foldkit.geometry import (backbone_dihedrals, bond_angle, bond_angles,
-                              dihedral, dihedrals, kabsch, knn_graph,
-                              sidechain_torsions, virtual_angles, wrap_angle)
+from foldkit.geometry import (KNN_BLOCK, backbone_dihedrals, bond_angle,
+                              bond_angles, dihedral, dihedrals, kabsch,
+                              knn_graph, sidechain_torsions, virtual_angles,
+                              wrap_angle)
 from foldkit.residues import CHI_ATOMS
 from foldkit.codec import nerf_place
 from foldkit.rng import make_rng
@@ -252,6 +255,46 @@ class TestKnnGraph:
     def test_too_few_nodes(self):
         with pytest.raises(TooFewNodes):
             knn_graph([(0, 0, 0)], k=1)
+
+    def test_lattice_ties_match_oracle(self):
+        # integer points: squared distances are exact, so ties abound;
+        # n spans one and two row blocks
+        rng = np.random.default_rng(15)
+        for n, k in ((50, 6), (KNN_BLOCK + 1, 16), (2 * KNN_BLOCK + 3, 9)):
+            pts = rng.integers(-4, 5, size=(n, 3)).astype(float)
+            topo = knn_graph(pts, k)
+            assert [tuple(e) for e in topo.edges] == knn_oracle(pts, k)
+
+    def test_duplicate_points_match_oracle(self):
+        rng = np.random.default_rng(16)
+        base = rng.normal(size=(12, 3))
+        pts = np.concatenate((base, base[::2], base[:3]))
+        for k in (1, 3, 7):
+            topo = knn_graph(pts, k)
+            assert [tuple(e) for e in topo.edges] == knn_oracle(pts, k)
+
+    def test_k_clamped_matches_oracle(self):
+        pts = np.asarray([(x, y, 0) for x in range(3) for y in range(3)], float)
+        topo = knn_graph(pts, 40)
+        assert topo.num_edges == 9 * 8
+        assert [tuple(e) for e in topo.edges] == knn_oracle(pts, 40)
+
+    def test_non_finite_point_raises(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DegenerateGeometry):
+                knn_graph([(0, 0, 0), (1, 0, 0), (bad, 0, 0)], k=1)
+
+    def test_memory_is_not_quadratic(self):
+        # the dense (n, n, 3) difference tensor alone would be 600 MB
+        pts = np.random.default_rng(17).normal(size=(5000, 3)) * 40.0
+        tracemalloc.start()
+        try:
+            topo = knn_graph(pts, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert topo.num_edges == 5000 * 16
+        assert peak < 100e6
 
 
 class TestKabsch:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from foldkit.codec import to_internal
-from foldkit.errors import (MissingConfidence, SelectorEmpty, SingleChain,
-                            TooFewNodes)
+from foldkit.errors import (DegenerateConfiguration, MissingConfidence,
+                            SelectorEmpty, SingleChain, TooFewNodes)
 from foldkit.featurise import FeatureScheme, build_graph
 from foldkit.geometry import kabsch
 from foldkit.residues import MASK_INDEX, RESIDUE_INDEX
@@ -316,6 +316,28 @@ class TestBindingSiteLabels:
                 [zn_pos], 3.5)
             assert labels.labels.tolist() == expected
 
+    def test_several_sites_match_oracle(self):
+        rng = make_rng(37)
+        chain = random_chain(40, rng)
+        ca = np.asarray([r.atom("CA").position for r in chain.residues])
+        sites = ca[::9] + rng.normal(size=(5, 3)) * 2.0
+        s = single_chain_structure(chain, hetero_atoms=tuple(
+            Atom("ZN", "ZN", p, is_hetero=True, serial=9000 + i, het_code="ZN")
+            for i, p in enumerate(sites)))
+        for cutoff in (2.5, 3.5, 6.0):
+            labels = binding_site_labels(s, {"ZN"}, cutoff=cutoff)
+            expected = proximity_oracle(
+                [[a.position for a in r.atoms] for r in chain.residues],
+                sites, cutoff)
+            assert labels.labels.tolist() == expected
+            assert 0 < sum(expected) < 40
+
+    def test_bad_cutoff_raises(self):
+        s = _zn_structure(random_chain(5, make_rng(38)), (0.0, 0.0, 0.0))
+        for cutoff in (-3.5, 0.0, float("nan"), float("inf")):
+            with pytest.raises(DegenerateConfiguration):
+                binding_site_labels(s, {"ZN"}, cutoff=cutoff)
+
     def test_rigid_motion_invariance(self):
         rng = make_rng(36)
         s = _zn_structure(random_chain(15, rng), rng.normal(size=3) * 6.0)
@@ -360,6 +382,36 @@ class TestInterfaceLabels:
                 expected.extend(proximity_oracle(
                     [[a.position for a in res.atoms]], other_atoms, 3.5))
             assert labels.labels.tolist() == expected
+
+    def test_three_lattice_chains_match_oracle(self):
+        # integer coordinates around the origin: many atom pairs lie at
+        # exactly 3 or 5 A, and the cutoff is inclusive
+        rng = np.random.default_rng(42)
+        chains = []
+        for chain_id in "ABC":
+            residues = tuple(
+                Residue("GLY", i + 1, None, tuple(
+                    Atom(name, "C", rng.integers(-6, 7, size=3).astype(float))
+                    for name in ("N", "CA", "C")[:int(rng.integers(1, 4))]))
+                for i in range(12))
+            chains.append(Chain(chain_id, residues))
+        s = Structure("TRI", tuple(chains))
+        for cutoff in (1.0, 3.0, 5.0, 100.0):
+            expected = []
+            for chain, res in s.iter_residues():
+                others = [a.position for c in s.chains if c.id != chain.id
+                          for r in c.residues for a in r.atoms]
+                expected.extend(proximity_oracle(
+                    [[a.position for a in res.atoms]], others, cutoff))
+            assert interface_labels(s, cutoff=cutoff).labels.tolist() == expected
+        assert 0 < sum(interface_labels(s, cutoff=3.0).labels) < 36
+        assert interface_labels(s, cutoff=100.0).labels.all()
+
+    def test_bad_cutoff_raises(self):
+        s = _dimer(np.array([5.0, 0.5, 0.0]))
+        for cutoff in (-3.5, 0.0, float("nan"), float("inf")):
+            with pytest.raises(DegenerateConfiguration):
+                interface_labels(s, cutoff=cutoff)
 
     def test_rigid_motion_invariance(self):
         rng = make_rng(41)
