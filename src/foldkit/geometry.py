@@ -302,7 +302,7 @@ def within_cutoff(points: np.ndarray, targets: np.ndarray,
         count = end - np.searchsorted(sorted_keys, near)
         q = np.repeat(np.arange(len(points)), count)
         t = order[np.arange(len(q)) + np.repeat(end - np.cumsum(count), count)]
-        hit[q[np.sum((points[q] - targets[t])**2, axis=-1) <= cutoff**2]] = True
+        hit[q[np.sum((points[q] - targets[t])**2, axis=-1) <= cutoff * cutoff]] = True
     return hit
 
 

@@ -9,6 +9,7 @@ atoms carrying their three-letter code.
 from __future__ import annotations
 
 import datetime
+import math
 
 import numpy as np
 
@@ -60,51 +61,42 @@ def _parse_method(text: str) -> Method:
     return Method.OTHER
 
 
-def _field(line: str, start: int, end: int) -> str:
-    return line[start:end] if len(line) > start else ""
-
-
-def _parse_atom_line(line: str, line_no: int):
-    """Decode one ATOM/HETATM record; raises MalformedRecord on bad fields."""
+def _check_atom_line(line: str, line_no: int) -> None:
+    """Raise MalformedRecord for the first bad field of one ATOM/HETATM
+    record, in the order parse_pdb reads the columns."""
     if len(line) < 54:
         raise MalformedRecord(line_no, "record shorter than coordinate fields")
     try:
-        serial = int(line[6:11])
+        int(line[6:11])
     except ValueError as exc:
         raise MalformedRecord(line_no, f"bad serial: {exc}") from exc
-    name = line[12:16].strip()
-    if not name:
+    if not line[12:16].strip():
         raise MalformedRecord(line_no, "blank atom name")
-    altloc = line[16]
-    res_name = line[17:20].strip()
-    chain_id = line[21]
     try:
-        seq_index = int(line[22:26])
+        int(line[22:26])
     except ValueError as exc:
         raise MalformedRecord(line_no, f"bad residue number: {exc}") from exc
-    icode = line[26] if line[26] != " " else None
     try:
-        x = float(line[30:38])
-        y = float(line[38:46])
-        z = float(line[46:54])
+        xyz = [float(line[30:38]), float(line[38:46]), float(line[46:54])]
     except ValueError as exc:
         raise MalformedRecord(line_no, f"bad coordinates: {exc}") from exc
-    if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(z)):
+    if not all(map(math.isfinite, xyz)):
         raise MalformedRecord(line_no, "non-finite coordinates")
+
+
+def _floats(texts: list[str], default: float) -> list[float]:
+    """A column of floats; a blank or garbled entry reads as default."""
     try:
-        occupancy = float(_field(line, 54, 60) or 1.0)
+        return list(map(float, texts))
     except ValueError:
-        occupancy = 1.0
+        return [_float_or(text, default) for text in texts]
+
+
+def _float_or(text: str, default: float) -> float:
     try:
-        b_factor = float(_field(line, 60, 66) or 0.0)
+        return float(text)
     except ValueError:
-        b_factor = 0.0
-    element = _field(line, 76, 78).strip()
-    if not element:
-        element = next((c for c in name if c.isalpha()), "X")
-    occupancy = min(max(occupancy, 0.0), 1.0)
-    return (serial, name, altloc, res_name, chain_id, seq_index, icode,
-            np.array([x, y, z]), occupancy, b_factor, element)
+        return default
 
 
 def parse_pdb(text: str, structure_id: str = "") -> Structure:
@@ -116,81 +108,100 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
     resolution = None
     dep_date = None
     method = None
-    # chain id -> residue key -> (res_name, [atoms])
-    chains: dict[str, dict] = {}
-    chain_order: list[str] = []
-    hetero: list[Atom] = []
-    seen_serials: set[int] = set()
+    lines: list[str] = []  # the ATOM/HETATM records of MODEL 1
+    line_nos: list[int] = []
     models_seen = 0
-
     for line_no, line in enumerate(text.splitlines(), start=1):
-        rec = line[:6]
-        tag = rec.strip()
-        if tag == "MODEL":
+        tag = line[:6].strip()
+        if tag == "ATOM" or tag == "HETATM":
+            lines.append(line)
+            line_nos.append(line_no)
+        elif tag == "MODEL":
             models_seen += 1
-            continue
-        if models_seen > 1:
-            continue  # MODEL 1 only
-        if tag == "HEADER":
-            parsed = _parse_pdb_date(_field(line, 50, 59))
+            if models_seen > 1:
+                break  # MODEL 1 only
+        elif tag == "HEADER":
+            parsed = _parse_pdb_date(line[50:59])
             if parsed is not None:
                 dep_date = parsed
-            header_id = _field(line, 62, 66).strip()
+            header_id = line[62:66].strip()
             if header_id:
                 structure_id = header_id  # HEADER id wins over the fallback
-            continue
-        if tag == "EXPDTA":
+        elif tag == "EXPDTA":
             method = _parse_method(line[10:].strip())
-            continue
-        if tag == "REMARK" and _field(line, 6, 10).strip() == "2":
+        elif tag == "REMARK" and line[6:10].strip() == "2":
             for token in line[10:].replace("RESOLUTION.", " ").split():
                 try:
                     resolution = float(token)
                     break
                 except ValueError:
                     continue
-            continue
-        if tag not in ("ATOM", "HETATM"):
-            continue
 
-        (serial, name, altloc, res_name, chain_id, seq_index, icode,
-         pos, occ, b, element) = _parse_atom_line(line, line_no)
-        if altloc not in (" ", "A"):
+    # The fields that can be malformed are parsed a whole column at a time;
+    # on any failure the per-line check finds the first bad record.
+    try:
+        if min(map(len, lines), default=54) < 54:
+            raise ValueError("short record")
+        serials = list(map(int, [line[6:11] for line in lines]))
+        names = [line[12:16].strip() for line in lines]
+        if not all(names):
+            raise ValueError("blank atom name")
+        seq_indices = list(map(int, [line[22:26] for line in lines]))
+        xyz = np.array([list(map(float, [line[c:c + 8] for line in lines]))
+                        for c in (30, 38, 46)], dtype=np.float64).T.copy()
+        if not np.isfinite(xyz).all():
+            raise ValueError("non-finite coordinates")
+    except ValueError:
+        for line_no, line in zip(line_nos, lines):
+            _check_atom_line(line, line_no)
+        raise
+    occupancies = _floats([line[54:60] for line in lines], 1.0)
+    b_factors = _floats([line[60:66] for line in lines], 0.0)
+    elements = [line[76:78].strip() for line in lines]
+
+    # chain id -> residue key -> (res_type, seq_index, icode, {name: atom})
+    chains: dict[str, dict] = {}
+    hetero: list[Atom] = []
+    seen_serials: set[int] = set()
+    for line, serial, name, seq_index, pos, occupancy, b_factor, element in zip(
+            lines, serials, names, seq_indices, xyz, occupancies, b_factors,
+            elements):
+        if line[16] not in (" ", "A"):
             continue
         while serial in seen_serials:
             serial += 1
         seen_serials.add(serial)
+        element = element or next((c for c in name if c.isalpha()), "X")
+        if not 0.0 <= occupancy <= 1.0:  # NaN stays NaN
+            occupancy = min(max(occupancy, 0.0), 1.0)
 
-        if tag == "HETATM":
-            if res_name == "HOH":
-                continue
-            hetero.append(Atom(name, element, pos, occ, b,
-                               is_hetero=True, serial=serial, het_code=res_name))
+        if line[0] == "H":  # of the two tags, only HETATM starts with H
+            res_name = line[17:20].strip()
+            if res_name != "HOH":
+                hetero.append(Atom(name, element, pos, occupancy, b_factor,
+                                   is_hetero=True, serial=serial,
+                                   het_code=res_name))
             continue
-
-        residues = chains.setdefault(chain_id, {})
-        if chain_id not in chain_order:
-            chain_order.append(chain_id)
+        icode = line[26] if line[26] != " " else None
+        residues = chains.setdefault(line[21], {})
         key = (seq_index, icode or "")
         if key not in residues:
+            res_name = line[17:20].strip()
             canonical = res_name if res_name in RESIDUE_INDEX else "UNK"
-            residues[key] = (canonical, seq_index, icode, [])
-        _, _, _, atoms = residues[key]
-        if any(a.name == name for a in atoms):
-            continue  # duplicate atom name after altloc resolution
-        atoms.append(Atom(name, element, pos, occ, b, is_hetero=False, serial=serial))
+            residues[key] = (canonical, seq_index, icode, {})
+        atoms = residues[key][3]
+        if name not in atoms:  # else a duplicate name after altloc resolution
+            atoms[name] = Atom(name, element, pos, occupancy, b_factor,
+                               is_hetero=False, serial=serial)
 
-    chain_objs = []
-    for cid in chain_order:
-        residues = []
-        for key in sorted(chains[cid]):
-            res_type, seq_index, icode, atoms = chains[cid][key]
-            residues.append(Residue(res_type, seq_index, icode, tuple(atoms)))
-        chain_objs.append(Chain(cid, tuple(residues)))
-
+    chain_objs = tuple(
+        Chain(cid, tuple(Residue(res_type, seq_index, icode, tuple(atoms.values()))
+                         for _, (res_type, seq_index, icode, atoms)
+                         in sorted(residues.items())))
+        for cid, residues in chains.items())
     if not chain_objs and not hetero:
         raise EmptyStructure("no ATOM or HETATM records parsed")
-    return Structure(structure_id, tuple(chain_objs), resolution,
+    return Structure(structure_id, chain_objs, resolution,
                      dep_date, method, tuple(hetero))
 
 
@@ -199,7 +210,7 @@ def _format_date(d: datetime.date) -> str:
 
 
 def _format_coord(value: float) -> str:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise CoordinateOverflow(f"non-finite coordinate {value}")
     text = f"{value:8.3f}"
     if len(text) > 8:
@@ -214,11 +225,12 @@ def _format_atom_name(name: str) -> str:
 
 def _atom_record(tag: str, atom: Atom, res_name: str, chain_id: str,
                  seq_index: int, icode: str) -> str:
+    x, y, z = atom.position.tolist()
     return (f"{tag:<6s}{atom.serial:5d} {_format_atom_name(atom.name)} "
             f"{res_name:>3s} {chain_id:1s}{seq_index:4d}{icode:1s}   "
-            f"{_format_coord(atom.position[0])}{_format_coord(atom.position[1])}"
-            f"{_format_coord(atom.position[2])}{atom.occupancy:6.2f}"
-            f"{atom.b_factor:6.2f}          {atom.element[:2]:>2s}")
+            f"{_format_coord(x)}{_format_coord(y)}{_format_coord(z)}"
+            f"{atom.occupancy:6.2f}{atom.b_factor:6.2f}"
+            f"          {atom.element[:2]:>2s}")
 
 
 def write_pdb(s: Structure) -> str:

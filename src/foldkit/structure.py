@@ -133,7 +133,8 @@ def select_granularity(s: Structure, level: Granularity) -> Structure:
         for res in chain.residues:
             atoms = tuple(a for name in wanted if (a := res.atom(name)) is not None)
             if len(atoms) == len(wanted):
-                kept.append(replace(res, atoms=atoms))
+                kept.append(Residue(res.res_type, res.seq_index,
+                                    res.insertion_code, atoms))
             else:
                 dropped += 1
         if kept:

@@ -9,7 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from foldkit.structure import Atom, Chain, Structure
+from foldkit.errors import EmptyStructure, MalformedRecord
+from foldkit.pdb import _parse_method, _parse_pdb_date
+from foldkit.residues import RESIDUE_INDEX
+from foldkit.structure import Atom, Chain, Residue, Structure
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -149,3 +152,140 @@ def atom_line(serial, name, res, chain, seq, x, y, z, altloc=" ", icode=" ",
     return (f"{record:<6s}{serial:5d} {name_field}{altloc}{res:>3s} "
             f"{chain}{seq:4d}{icode}   {x:8.3f}{y:8.3f}{z:8.3f}"
             f"{occ:6.2f}{b:6.2f}          {element:>2s}")
+
+
+# --- reference PDB parser ---
+
+def _field_oracle(line: str, start: int, end: int) -> str:
+    return line[start:end] if len(line) > start else ""
+
+
+def _parse_atom_line_oracle(line: str, line_no: int):
+    """Decode one ATOM/HETATM record; raises MalformedRecord on bad fields."""
+    if len(line) < 54:
+        raise MalformedRecord(line_no, "record shorter than coordinate fields")
+    try:
+        serial = int(line[6:11])
+    except ValueError as exc:
+        raise MalformedRecord(line_no, f"bad serial: {exc}") from exc
+    name = line[12:16].strip()
+    if not name:
+        raise MalformedRecord(line_no, "blank atom name")
+    altloc = line[16]
+    res_name = line[17:20].strip()
+    chain_id = line[21]
+    try:
+        seq_index = int(line[22:26])
+    except ValueError as exc:
+        raise MalformedRecord(line_no, f"bad residue number: {exc}") from exc
+    icode = line[26] if line[26] != " " else None
+    try:
+        x = float(line[30:38])
+        y = float(line[38:46])
+        z = float(line[46:54])
+    except ValueError as exc:
+        raise MalformedRecord(line_no, f"bad coordinates: {exc}") from exc
+    if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(z)):
+        raise MalformedRecord(line_no, "non-finite coordinates")
+    try:
+        occupancy = float(_field_oracle(line, 54, 60) or 1.0)
+    except ValueError:
+        occupancy = 1.0
+    try:
+        b_factor = float(_field_oracle(line, 60, 66) or 0.0)
+    except ValueError:
+        b_factor = 0.0
+    element = _field_oracle(line, 76, 78).strip()
+    if not element:
+        element = next((c for c in name if c.isalpha()), "X")
+    occupancy = min(max(occupancy, 0.0), 1.0)
+    return (serial, name, altloc, res_name, chain_id, seq_index, icode,
+            np.array([x, y, z]), occupancy, b_factor, element)
+
+
+def parse_pdb_oracle(text: str, structure_id: str = "") -> Structure:
+    """The per-line parser that `foldkit.pdb.parse_pdb` replaced, kept as its
+    reference: one record at a time, one numpy array per atom.
+
+    Raises MalformedRecord for an un-parseable ATOM/HETATM line and
+    EmptyStructure when neither polymer nor hetero atoms parse.
+    """
+    resolution = None
+    dep_date = None
+    method = None
+    # chain id -> residue key -> (res_name, [atoms])
+    chains: dict[str, dict] = {}
+    chain_order: list[str] = []
+    hetero: list[Atom] = []
+    seen_serials: set[int] = set()
+    models_seen = 0
+
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        rec = line[:6]
+        tag = rec.strip()
+        if tag == "MODEL":
+            models_seen += 1
+            continue
+        if models_seen > 1:
+            continue  # MODEL 1 only
+        if tag == "HEADER":
+            parsed = _parse_pdb_date(_field_oracle(line, 50, 59))
+            if parsed is not None:
+                dep_date = parsed
+            header_id = _field_oracle(line, 62, 66).strip()
+            if header_id:
+                structure_id = header_id  # HEADER id wins over the fallback
+            continue
+        if tag == "EXPDTA":
+            method = _parse_method(line[10:].strip())
+            continue
+        if tag == "REMARK" and _field_oracle(line, 6, 10).strip() == "2":
+            for token in line[10:].replace("RESOLUTION.", " ").split():
+                try:
+                    resolution = float(token)
+                    break
+                except ValueError:
+                    continue
+            continue
+        if tag not in ("ATOM", "HETATM"):
+            continue
+
+        (serial, name, altloc, res_name, chain_id, seq_index, icode,
+         pos, occ, b, element) = _parse_atom_line_oracle(line, line_no)
+        if altloc not in (" ", "A"):
+            continue
+        while serial in seen_serials:
+            serial += 1
+        seen_serials.add(serial)
+
+        if tag == "HETATM":
+            if res_name == "HOH":
+                continue
+            hetero.append(Atom(name, element, pos, occ, b,
+                               is_hetero=True, serial=serial, het_code=res_name))
+            continue
+
+        residues = chains.setdefault(chain_id, {})
+        if chain_id not in chain_order:
+            chain_order.append(chain_id)
+        key = (seq_index, icode or "")
+        if key not in residues:
+            canonical = res_name if res_name in RESIDUE_INDEX else "UNK"
+            residues[key] = (canonical, seq_index, icode, [])
+        _, _, _, atoms = residues[key]
+        if any(a.name == name for a in atoms):
+            continue  # duplicate atom name after altloc resolution
+        atoms.append(Atom(name, element, pos, occ, b, is_hetero=False, serial=serial))
+
+    chain_objs = []
+    for cid in chain_order:
+        residues = []
+        for key in sorted(chains[cid]):
+            res_type, seq_index, icode, atoms = chains[cid][key]
+            residues.append(Residue(res_type, seq_index, icode, tuple(atoms)))
+        chain_objs.append(Chain(cid, tuple(residues)))
+
+    if not chain_objs and not hetero:
+        raise EmptyStructure("no ATOM or HETATM records parsed")
+    return Structure(structure_id, tuple(chain_objs), resolution,
+                     dep_date, method, tuple(hetero))

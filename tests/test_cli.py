@@ -240,6 +240,15 @@ class TestLabel:
                   for r in out.read_text().splitlines()[1:]]
         assert sum(labels) >= 1
 
+    def test_huge_cutoff_labels_every_residue(self, tmp_path):
+        src = os.path.join(FIXTURES, "dimer.pdb")
+        out = tmp_path / "iface.csv"
+        assert run_cli("label", src, str(out), "--mode", "interface",
+                       "--cutoff", "1e200") == 0
+        labels = [int(r.split(",")[2])
+                  for r in out.read_text().splitlines()[1:]]
+        assert len(labels) == 40 and all(labels)
+
     def test_selector_empty_exits_2(self, tmp_path, fixture_file):
         assert run_cli("label", fixture_file, str(tmp_path / "x.csv"),
                        "--mode", "metal", "--ligands", "MG") == 2

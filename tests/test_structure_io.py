@@ -1,4 +1,5 @@
 import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from foldkit.structure import (FilterSpec, Granularity, Method, Structure,
 from foldkit.synth import helix_chain, random_chain, single_chain_structure
 from foldkit.rng import make_rng
 
-from helpers import atom_line
+from helpers import atom_line, parse_pdb_oracle
+
+FIXTURES = Path(__file__).parent / "fixtures" / "pdb"
 
 
 class TestParse:
@@ -149,6 +152,133 @@ class TestParse:
             parse_pdb(text)
         except FoldkitError:
             pass
+
+
+def _atom_bits(a):
+    return (a.name, a.element, a.position.dtype.str, a.position.shape,
+            a.position.tobytes(), a.occupancy.hex(), a.b_factor.hex(),
+            a.is_hetero, a.serial, a.het_code)
+
+
+def _parse_outcome(parse, text):
+    """Every field bit for bit (positions as bytes, NaN occupancies equal),
+    or the error's type, line number and message."""
+    try:
+        s = parse(text)
+    except FoldkitError as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return (s.id, s.resolution, s.deposition_date, s.method,
+            [(c.id, [(r.res_type, r.seq_index, r.insertion_code,
+                      [_atom_bits(a) for a in r.atoms]) for r in c.residues])
+             for c in s.chains],
+            [_atom_bits(a) for a in s.hetero_atoms])
+
+
+def _assert_matches_oracle(text):
+    assert (_parse_outcome(parse_pdb, text)
+            == _parse_outcome(parse_pdb_oracle, text))
+
+
+_NON_ATOM = ["MODEL        1", "MODEL        2", "ENDMDL", "TER", "END", "",
+             "EXPDTA    X-RAY DIFFRACTION",
+             "REMARK   2 RESOLUTION.    2.10 ANGSTROMS.",
+             "HEADER    HYDROLASE                               12-JAN-04   1ABC"]
+# (first column, replacement): malformed fields, then ones read leniently
+_MALFORMED = [(6, "  x12"), (12, "    "), (22, " 1a "), (30, " 1.2.3  "),
+              (38, "     nan"), (46, "    -inf")]
+_LENIENT = [(54, "      "), (54, "  x.xx"), (54, " -0.50"), (54, "  1.50"),
+            (54, "   nan"), (60, "      "), (60, "abcdef"), (60, "   inf"),
+            (76, "  ")]
+
+
+@st.composite
+def _pdb_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(_NON_ATOM)))
+            continue
+        line = atom_line(
+            draw(st.integers(1, 12)),
+            draw(st.sampled_from(["N", "CA", "C", "O", "CB", "ZN", "HG12"])),
+            draw(st.sampled_from(["ALA", "GLY", "MSE", "HOH", "ZN", "LIG"])),
+            draw(st.sampled_from("AB ")),
+            draw(st.sampled_from([-3, 1, 2, 5, 9])),
+            *(draw(st.floats(-999, 9999)) for _ in range(3)),
+            altloc=draw(st.sampled_from(" ABC")),
+            icode=draw(st.sampled_from("  AB")),
+            occ=draw(st.floats(-1, 2)), b=draw(st.floats(0, 99)),
+            element=draw(st.sampled_from([None, "", "ZN"])),
+            record=draw(st.sampled_from(["ATOM", "ATOM", "HETATM"])))
+        if draw(st.integers(0, 3)) == 0:
+            start, field = draw(st.sampled_from(_LENIENT))
+            line = line[:start] + field + line[start + len(field):]
+        if draw(st.integers(0, 40)) == 0:
+            start, field = draw(st.sampled_from(_MALFORMED))
+            line = line[:start] + field + line[start + len(field):]
+        if draw(st.integers(0, 20)) == 0:
+            line = line[:draw(st.integers(40, 79))]
+        lines.append(line)
+    return "\n".join(lines)
+
+
+class TestParseOracle:
+    """parse_pdb against the per-line parser it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pdb_texts())
+    def test_matches_oracle(self, text):
+        _assert_matches_oracle(text)
+
+    def test_fixtures_and_written_structures(self):
+        for path in sorted(FIXTURES.rglob("*.pdb")):
+            text = path.read_text()
+            _assert_matches_oracle(text)
+            assert parse_pdb(text) == parse_pdb_oracle(text)
+        chain = random_chain(40, make_rng(11))
+        _assert_matches_oracle(write_pdb(single_chain_structure(chain)))
+
+    def test_first_malformed_line_in_file_order_wins(self):
+        good = atom_line(1, "CA", "ALA", "A", 1, 1.0, 2.0, 3.0)
+        nan_coords = good[:30] + "     nan" + good[38:]
+        bad_serial = good[:6] + "  x12" + good[11:]
+        for first, second in ((nan_coords, bad_serial), (nan_coords, good[:50]),
+                              (bad_serial, nan_coords)):
+            text = "\n".join([good, first, second])
+            with pytest.raises(MalformedRecord) as err:
+                parse_pdb(text)
+            assert err.value.line_no == 2
+            _assert_matches_oracle(text)
+
+    def test_malformed_altloc_b_line_raises(self):
+        good = atom_line(1, "CA", "ALA", "A", 1, 1.0, 2.0, 3.0, altloc="A")
+        skipped = atom_line(2, "CA", "ALA", "A", 1, 9.0, 9.0, 9.0, altloc="B")
+        text = good + "\n" + skipped[:38] + "   x.xxx" + skipped[46:]
+        with pytest.raises(MalformedRecord) as err:
+            parse_pdb(text)
+        assert err.value.line_no == 2
+        _assert_matches_oracle(text)
+
+    def test_malformed_lines_after_model_2_ignored(self):
+        good = atom_line(1, "CA", "ALA", "A", 1, 1.0, 2.0, 3.0)
+        text = "\n".join(["MODEL        1", good, "ENDMDL", "MODEL        2",
+                          "ATOM  bad line", good[:30] + "     inf" + good[38:]])
+        assert parse_pdb(text).num_residues == 1
+        _assert_matches_oracle(text)
+
+    def test_hetatm_only_file(self):
+        lines = [atom_line(i, name, res, "Z", i, i * 2.0, 0.0, 0.0,
+                           element=element, record="HETATM")
+                 for i, (name, res, element) in enumerate(
+                     [("ZN", "ZN", "ZN"), ("O", "HOH", "O"), ("C1", "LIG", ""),
+                      ("ZN", "ZN", "ZN")], start=1)]
+        s = parse_pdb("\n".join(lines))
+        assert s.chains == ()
+        assert [(a.het_code, a.element) for a in s.hetero_atoms] == [
+            ("ZN", "ZN"), ("LIG", "C"), ("ZN", "ZN")]
+        _assert_matches_oracle("\n".join(lines))
+        with pytest.raises(EmptyStructure):
+            parse_pdb(lines[1])
 
 
 class TestWrite:

@@ -396,7 +396,8 @@ class TestInterfaceLabels:
                 for i in range(12))
             chains.append(Chain(chain_id, residues))
         s = Structure("TRI", tuple(chains))
-        for cutoff in (1.0, 3.0, 5.0, 100.0):
+        # 1e200 squared overflows to inf: every residue with a partner
+        for cutoff in (1e-200, 1.0, 3.0, 5.0, 100.0, 1e200):
             expected = []
             for chain, res in s.iter_residues():
                 others = [a.position for c in s.chains if c.id != chain.id
@@ -406,6 +407,7 @@ class TestInterfaceLabels:
             assert interface_labels(s, cutoff=cutoff).labels.tolist() == expected
         assert 0 < sum(interface_labels(s, cutoff=3.0).labels) < 36
         assert interface_labels(s, cutoff=100.0).labels.all()
+        assert interface_labels(s, cutoff=1e200).labels.all()
 
     def test_bad_cutoff_raises(self):
         s = _dimer(np.array([5.0, 0.5, 0.0]))
