@@ -4,8 +4,8 @@ denoising-task generation, with equivariant GNN forward kernels."""
 __version__ = "0.1.0"
 
 from .codec import (CanonicalGeometry, DEFAULT_GEOMETRY, EncodedProtein,
-                    InternalCoords, decode, encode, from_internal, nerf_place,
-                    to_internal)
+                    InternalCoords, backbone_walk, decode, encode,
+                    from_internal, nerf_place, to_internal)
 from .featurise import (FeatureScheme, ProteinGraph, build_graph, embed_angle,
                         positional_encoding, scalar_features, vector_features)
 from .geometry import (ChiSet, DihedralSet, GraphTopology, Superposition,

@@ -22,6 +22,7 @@ omega[-1], and the trailing bond angles) are stored as 0.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -29,10 +30,10 @@ import numpy as np
 
 from .errors import (BadMagic, ChainTooShort, DegenerateFrame,
                      TruncatedPayload, VersionMismatch)
-from .geometry import (backbone_array, backbone_frames, backbone_torsions,
-                       bond_angles, defined, wrap_angle)
+from .geometry import (TWO_PI, backbone_array, backbone_frames,
+                       backbone_torsions, bond_angles, defined)
 from .residues import UNK, VOCABULARY, residue_index
-from .structure import Atom, Chain, Residue
+from .structure import BACKBONE_ATOMS, Atom, Chain, Residue
 
 MAGIC = b"FKC1"
 VERSION = 1
@@ -44,9 +45,9 @@ _Q = 65535.0
 
 @dataclass(frozen=True)
 class CanonicalGeometry:
-    """Idealised backbone constants. Bond lengths are used for every
-    reconstruction; the bond angles only seed synthetic chains (decoding
-    uses the angles stored in the payload)."""
+    """Idealised backbone constants. FKC1 fixes the bond lengths and the
+    CA-C-O angle of every reconstruction; the other angles only seed
+    synthetic chains (decoding uses the angles stored in the payload)."""
     n_ca: float = 1.458
     ca_c: float = 1.525
     c_n: float = 1.329
@@ -98,36 +99,42 @@ class InternalCoords:
         return mask
 
 
+def _place(a, b, c, length: float, bond_angle_value: float,
+           torsion: float) -> tuple:
+    """One NeRF step on float triples (see nerf_place)."""
+    if length <= 0.0:
+        raise DegenerateFrame("bond length must be positive")
+    ux, uy, uz = b[0] - c[0], b[1] - c[1], b[2] - c[2]
+    nbc = math.sqrt(ux * ux + uy * uy + uz * uz)
+    if nbc < 1e-12:
+        raise DegenerateFrame("coincident frame atoms b and c")
+    ux, uy, uz = ux / nbc, uy / nbc, uz / nbc
+    wx, wy, wz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    nx, ny, nz = wy * uz - wz * uy, wz * ux - wx * uz, wx * uy - wy * ux
+    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+    if not math.isfinite(nn) or nn < 1e-12:
+        raise DegenerateFrame("collinear frame atoms")
+    nx, ny, nz = nx / nn, ny / nn, nz / nn
+    mx, my, mz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
+    s = math.sin(bond_angle_value)
+    d0 = length * math.cos(bond_angle_value)
+    d1, d2 = length * (s * math.cos(torsion)), length * (s * math.sin(torsion))
+    return (c[0] + d0 * ux + d1 * mx - d2 * nx,
+            c[1] + d0 * uy + d1 * my - d2 * ny,
+            c[2] + d0 * uz + d1 * mz - d2 * nz)
+
+
 def nerf_place(a, b, c, length: float, bond_angle_value: float,
                torsion: float) -> np.ndarray:
     """Place point d from three predecessors and internal coordinates.
 
     d satisfies |d-c| = length, angle(b,c,d) = bond_angle_value and
-    dihedral(a,b,c,d) = torsion. Raises DegenerateFrame when a,b,c are
-    collinear (or coincident) and cannot define a frame.
+    dihedral(a,b,c,d) = torsion: one step of backbone_walk(). Raises
+    DegenerateFrame when a,b,c are collinear (or coincident) and cannot
+    define a frame.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if length <= 0.0:
-        raise DegenerateFrame("bond length must be positive")
-    bc = b - c
-    nbc = np.linalg.norm(bc)
-    if nbc < 1e-12:
-        raise DegenerateFrame("coincident frame atoms b and c")
-    bc /= nbc
-    n = np.cross(b - a, bc)
-    nn = np.linalg.norm(n)
-    if not np.isfinite(nn) or nn < 1e-12:
-        raise DegenerateFrame("collinear frame atoms")
-    n /= nn
-    m = np.cross(n, bc)
-    d_local = length * np.array([
-        np.cos(bond_angle_value),
-        np.sin(bond_angle_value) * np.cos(torsion),
-        np.sin(bond_angle_value) * np.sin(torsion),
-    ])
-    return c + d_local[0] * bc + d_local[1] * m - d_local[2] * n
+    a, b, c = (np.asarray(p, dtype=np.float64).tolist() for p in (a, b, c))
+    return np.array(_place(a, b, c, length, bond_angle_value, torsion))
 
 
 def to_internal(chain: Chain) -> InternalCoords:
@@ -146,42 +153,40 @@ def to_internal(chain: Chain) -> InternalCoords:
                           *torsions.T, *theta.T, anchor=frames[0])
 
 
-def from_internal(ic: InternalCoords, geom: CanonicalGeometry = DEFAULT_GEOMETRY,
-                  chain_id: str = "A") -> Chain:
-    """Rebuild a backbone chain by sequential NeRF placement.
+def backbone_walk(ic: InternalCoords) -> np.ndarray:
+    """(n, 4, 3) N/CA/C/O positions rebuilt by sequential NeRF placement.
 
     The anchor fixes the first N, CA, C absolutely; every later backbone
-    atom uses the stored torsions/bond angles with geom's bond lengths.
-    Carbonyl O sits in the C frame at torsion psi + pi from N(i+1).
+    atom uses the stored torsions/bond angles with the canonical bond
+    lengths. Carbonyl O sits in the C frame at torsion psi + pi from N(i+1).
     """
-    n = ic.n_residues
     if not np.all(np.isfinite(ic.anchor)):
         raise DegenerateFrame("non-finite anchor")
-    N = np.empty((n, 3))
-    CA = np.empty((n, 3))
-    C = np.empty((n, 3))
-    N[0], CA[0], C[0] = ic.anchor
-    for i in range(n - 1):
-        N[i + 1] = nerf_place(N[i], CA[i], C[i], geom.c_n,
-                              ic.theta_ca[i], ic.psi[i])
-        CA[i + 1] = nerf_place(CA[i], C[i], N[i + 1], geom.n_ca,
-                               ic.theta_c[i], ic.omega[i])
-        C[i + 1] = nerf_place(C[i], N[i + 1], CA[i + 1], geom.ca_c,
-                              ic.theta_n[i + 1], ic.phi[i + 1])
+    g = DEFAULT_GEOMETRY
+    phi, psi, omega, theta_n, theta_ca, theta_c = (x.tolist() for x in (
+        ic.phi, ic.psi, ic.omega, ic.theta_n, ic.theta_ca, ic.theta_c))
+    N, CA, C = ic.anchor.tolist()
+    frames = [(N, CA, C)]
+    for i in range(ic.n_residues - 1):
+        N = _place(N, CA, C, g.c_n, theta_ca[i], psi[i])
+        CA = _place(CA, C, N, g.n_ca, theta_c[i], omega[i])
+        C = _place(C, N, CA, g.ca_c, theta_n[i + 1], phi[i + 1])
+        frames.append((N, CA, C))
+    # psi[-1] is stored as 0, so the last O uses torsion pi exactly.
+    return np.array([(N, CA, C, _place(N, CA, C, g.c_o, g.angle_ca_c_o,
+                                       (p + math.pi + math.pi) % TWO_PI - math.pi))
+                     for (N, CA, C), p in zip(frames, psi)])
 
+
+def from_internal(ic: InternalCoords, chain_id: str = "A") -> Chain:
+    """Rebuild a backbone chain from backbone_walk(), atoms serialised
+    from 1 and residues numbered from 1."""
     residues = []
-    serial = 1
-    for i in range(n):
-        # psi[-1] is stored as 0, so the last O uses torsion pi exactly.
-        O = nerf_place(N[i], CA[i], C[i], geom.c_o, geom.angle_ca_c_o,
-                       wrap_angle(ic.psi[i] + np.pi))
-        atoms = []
-        for name, p in (("N", N[i]), ("CA", CA[i]), ("C", C[i]), ("O", O)):
-            element = name[0]
-            atoms.append(Atom(name, element, p, serial=serial))
-            serial += 1
-        res_type = ic.res_types[i] if ic.res_types[i] in VOCABULARY else UNK
-        residues.append(Residue(res_type, i + 1, None, tuple(atoms)))
+    for i, (res_type, block) in enumerate(zip(ic.res_types, backbone_walk(ic))):
+        atoms = tuple(Atom(name, name[0], p, serial=4 * i + j + 1)
+                      for j, (name, p) in enumerate(zip(BACKBONE_ATOMS, block)))
+        residues.append(Residue(res_type if res_type in VOCABULARY else UNK,
+                                i + 1, None, atoms))
     return Chain(chain_id, tuple(residues))
 
 
@@ -283,16 +288,18 @@ class EncodedProtein:
 def encode(chain: Chain) -> EncodedProtein:
     """Quantise a backbone-complete chain into the 13-byte-per-residue form."""
     ic = to_internal(chain)
+    anchor = ic.anchor.astype(np.float32)
     torsions = np.stack([ic.phi, ic.psi, ic.omega], axis=1)
     angles = np.stack([ic.theta_n, ic.theta_ca, ic.theta_c], axis=1)
+    # residue 1's N-CA-C is the anchor's: measure it as the payload stores it
+    angles[0, 0] = defined(bond_angles, *anchor)[0]
     quantised = np.hstack([_quantise_torsions(torsions),
                            _quantise_bond_angles(angles)]).astype(np.uint16)
     codes = np.array([residue_index(t) for t in ic.res_types], dtype=np.uint8)
-    return EncodedProtein(VERSION, ic.anchor.astype(np.float32), codes, quantised)
+    return EncodedProtein(VERSION, anchor, codes, quantised)
 
 
-def decode(e: EncodedProtein, geom: CanonicalGeometry = DEFAULT_GEOMETRY,
-           chain_id: str = "A") -> Chain:
+def decode(e: EncodedProtein, chain_id: str = "A") -> Chain:
     """Dequantise and rebuild the chain."""
     ic = InternalCoords(
         tuple(VOCABULARY[c] if c < len(VOCABULARY) else UNK
@@ -300,4 +307,4 @@ def decode(e: EncodedProtein, geom: CanonicalGeometry = DEFAULT_GEOMETRY,
         *_dequantise_torsions(e.quantised[:, :3]).T,  # phi, psi, omega
         *_dequantise_bond_angles(e.quantised[:, 3:]).T,  # theta_n, _ca, _c
         anchor=e.anchor)
-    return from_internal(ic, geom, chain_id)
+    return from_internal(ic, chain_id)

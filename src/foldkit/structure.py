@@ -78,11 +78,6 @@ class Residue:
         return None
 
     @property
-    def backbone_complete(self) -> bool:
-        names = {a.name for a in self.atoms}
-        return all(n in names for n in BACKBONE_ATOMS)
-
-    @property
     def key(self) -> tuple[int, str]:
         return (self.seq_index, self.insertion_code or "")
 

@@ -1,73 +1,64 @@
 """Synthetic ideal-geometry chains for fixtures and demos.
 
-All builders go through the codec's NeRF reconstruction, so measured
-torsions of the result equal the requested ones (up to fp rounding).
+Every builder rebuilds its chain with the codec's backbone walk
+(codec.from_internal) from DEFAULT_GEOMETRY's bond lengths and angles,
+so measured torsions of the result equal the requested ones (up to fp
+rounding).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .codec import CanonicalGeometry, DEFAULT_GEOMETRY, InternalCoords, from_internal
+from .codec import DEFAULT_GEOMETRY, InternalCoords, from_internal
 from .residues import CANONICAL_RESIDUES
 from .structure import Chain, Structure
 
 
-def default_anchor(geom: CanonicalGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
+def default_anchor() -> np.ndarray:
     """First N, CA, C in the xy-plane with ideal bond geometry."""
-    n = np.zeros(3)
-    ca = np.array([geom.n_ca, 0.0, 0.0])
-    c = ca + geom.ca_c * np.array([-np.cos(geom.angle_n_ca_c),
-                                   np.sin(geom.angle_n_ca_c), 0.0])
-    return np.array([n, ca, c])
+    g = DEFAULT_GEOMETRY
+    ca = np.array([g.n_ca, 0.0, 0.0])
+    c = ca + g.ca_c * np.array([-np.cos(g.angle_n_ca_c),
+                                np.sin(g.angle_n_ca_c), 0.0])
+    return np.array([np.zeros(3), ca, c])
 
 
 def make_internal(phi, psi, omega, res_types=None,
-                  geom: CanonicalGeometry = DEFAULT_GEOMETRY,
                   anchor=None) -> InternalCoords:
     """Internal coordinates with the given torsions and ideal bond angles.
 
     Terminal entries of phi/psi/omega are overwritten with the 0.0
     placeholder the codec uses for undefined torsions.
     """
-    phi = np.array(phi, dtype=np.float64)
-    psi = np.array(psi, dtype=np.float64)
-    omega = np.array(omega, dtype=np.float64)
+    phi, psi, omega = (np.array(x, dtype=np.float64) for x in (phi, psi, omega))
+    phi[0] = psi[-1] = omega[-1] = 0.0
     n = len(phi)
-    phi[0] = 0.0
-    psi[-1] = 0.0
-    omega[-1] = 0.0
     if res_types is None:
         res_types = tuple(CANONICAL_RESIDUES[i % 20] for i in range(n))
-    if anchor is None:
-        anchor = default_anchor(geom)
-    theta_ca = np.full(n, geom.angle_ca_c_n)
-    theta_c = np.full(n, geom.angle_c_n_ca)
-    theta_ca[-1] = 0.0  # undefined trailing angles, codec convention
-    theta_c[-1] = 0.0
+    g = DEFAULT_GEOMETRY
+    theta_ca = np.full(n, g.angle_ca_c_n)
+    theta_c = np.full(n, g.angle_c_n_ca)
+    theta_ca[-1] = theta_c[-1] = 0.0  # undefined trailing angles, codec convention
     return InternalCoords(
         res_types=tuple(res_types), phi=phi, psi=psi, omega=omega,
-        theta_n=np.full(n, geom.angle_n_ca_c),
+        theta_n=np.full(n, g.angle_n_ca_c),
         theta_ca=theta_ca, theta_c=theta_c,
-        anchor=anchor)
+        anchor=default_anchor() if anchor is None else anchor)
 
 
 def random_chain(n: int, rng: np.random.Generator,
-                 geom: CanonicalGeometry = DEFAULT_GEOMETRY,
                  chain_id: str = "A") -> Chain:
     """Chain with uniform random torsions and canonical bond geometry."""
     torsions = rng.uniform(-np.pi, np.pi, size=(3, n))
-    ic = make_internal(*torsions, geom=geom)
-    return from_internal(ic, geom, chain_id)
+    return from_internal(make_internal(*torsions), chain_id)
 
 
 def helix_chain(n: int, phi: float = -1.047, psi: float = -0.820,
-                geom: CanonicalGeometry = DEFAULT_GEOMETRY,
                 chain_id: str = "A") -> Chain:
     """Idealised alpha-helix (trans peptide, omega = pi)."""
-    ic = make_internal(np.full(n, phi), np.full(n, psi), np.full(n, np.pi),
-                       geom=geom)
-    return from_internal(ic, geom, chain_id)
+    ic = make_internal(np.full(n, phi), np.full(n, psi), np.full(n, np.pi))
+    return from_internal(ic, chain_id)
 
 
 def single_chain_structure(chain: Chain, structure_id: str = "SYN",

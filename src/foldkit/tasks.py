@@ -12,14 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import (CanonicalGeometry, DEFAULT_GEOMETRY, from_internal,
-                    to_internal)
+from .codec import backbone_walk, to_internal
 from .errors import MissingConfidence, SelectorEmpty, SingleChain, TooFewNodes
 from .featurise import ProteinGraph
-from .geometry import bond_angles, defined, dihedrals, row_norms, within_cutoff
+from .geometry import (backbone_array, bond_angles, defined, dihedrals, kabsch,
+                       row_norms, within_cutoff)
 from .residues import MASK_INDEX, VOCAB_SIZE, VOCABULARY, residue_index
 from .rng import make_rng
-from .structure import Chain, Structure
+from .structure import BACKBONE_ATOMS, Chain, Structure
 
 # Sequence-denoising auxiliary loss weight; carried as metadata so
 # downstream consumers share one recorded constant.
@@ -155,14 +155,17 @@ def corrupt_coords_uniform(X, sigma: float,
     return CorruptionResult(noised, targets, np.ones(len(X), dtype=bool))
 
 
-def corrupt_torsions(chain: Chain, sigma: float, rng: np.random.Generator,
-                     geom: CanonicalGeometry = DEFAULT_GEOMETRY) -> CorruptionResult:
-    """Noise phi/psi/omega, keep bond angles, rebuild by NeRF.
+def corrupt_torsions(chain: Chain, sigma: float,
+                     rng: np.random.Generator) -> CorruptionResult:
+    """Noise phi/psi/omega, keep bond angles, rebuild the backbone by NeRF.
 
     Gaussian noise scaled by sigma is added to the defined backbone
-    torsions and wrapped into [-pi, pi); bond lengths come from geom and
-    bond angles stay at their measured values. Targets hold the per-residue
-    angular noise triplets (primary) and the original angles (auxiliary).
+    torsions and wrapped into [-pi, pi); backbone_walk() places N/CA/C/O
+    with canonical bond lengths and the measured bond angles. Every other
+    atom of a residue moves rigidly with its N-CA-C (the Kabsch motion of
+    the old frame onto the new one), and atoms, residues and their
+    metadata are the input's. Targets hold the per-residue angular noise
+    triplets (primary) and the original angles (auxiliary).
     """
     ic = to_internal(chain)
     n = ic.n_residues
@@ -171,11 +174,23 @@ def corrupt_torsions(chain: Chain, sigma: float, rng: np.random.Generator,
     original = np.stack([ic.phi, ic.psi, ic.omega], axis=1)
     noised = np.mod(original + noise + np.pi, 2.0 * np.pi) - np.pi
     noised[~ic.defined_torsions] = 0.0
-    rebuilt = from_internal(replace(ic, phi=noised[:, 0], psi=noised[:, 1],
-                                    omega=noised[:, 2]), geom, chain.id)
+    walked = backbone_walk(replace(ic, phi=noised[:, 0], psi=noised[:, 1],
+                                   omega=noised[:, 2]))
+    coords = []
+    for res, before, after in zip(chain.residues, backbone_array(chain)[0],
+                                  walked):
+        motion = None
+        for atom in res.atoms:
+            if atom.name in BACKBONE_ATOMS:
+                coords.append(after[BACKBONE_ATOMS.index(atom.name)])
+                continue
+            if motion is None:
+                motion = kabsch(before[:3], after[:3])
+            coords.append(motion.rotation @ atom.position + motion.translation)
     targets = DenoisingTargets(kind="torsional", angular_noise=noise,
                                original_angles=original, sigma=sigma)
-    return CorruptionResult(rebuilt, targets, np.ones(n, dtype=bool))
+    return CorruptionResult(_move_atoms(chain, coords),
+                            targets, np.ones(n, dtype=bool))
 
 
 def _onehot_rows(indices: np.ndarray) -> np.ndarray:
@@ -324,22 +339,20 @@ def interface_labels(complex_structure: Structure,
     return LabelSet((hits > 0).astype(np.int8), cutoff, "interface")
 
 
-def corrupt_structure(s: Structure, spec: CorruptionSpec,
-                      geom: CanonicalGeometry = DEFAULT_GEOMETRY
-                      ) -> CorruptionResult:
+def corrupt_structure(s: Structure, spec: CorruptionSpec) -> CorruptionResult:
     """Apply a CorruptionSpec to a whole Structure (the CLI entry point).
 
     Sequence kinds rewrite residue types; coordinate kinds noise every
-    polymer atom; the torsional kind rebuilds each chain through the
-    codec. CO_DENOISE composes SEQ_MUTATE and COORD_GAUSS with
-    independent sub-streams of spec.seed.
+    polymer atom; the torsional kind runs corrupt_torsions on each chain,
+    which keeps every atom and all metadata and moves only positions.
+    Hetero atoms are never changed. CO_DENOISE composes SEQ_MUTATE and
+    COORD_GAUSS with independent sub-streams of spec.seed.
     """
     if spec.kind is CorruptionKind.CO_DENOISE:
         seq_part = corrupt_structure(
-            s, replace(spec, kind=CorruptionKind.SEQ_MUTATE), geom)
+            s, replace(spec, kind=CorruptionKind.SEQ_MUTATE))
         struct_part = corrupt_structure(
-            seq_part.corrupted, replace(spec, kind=CorruptionKind.COORD_GAUSS),
-            geom)
+            seq_part.corrupted, replace(spec, kind=CorruptionKind.COORD_GAUSS))
         targets = DenoisingTargets(kind="co", sequence=seq_part.targets,
                                    structure=struct_part.targets)
         return CorruptionResult(struct_part.corrupted, targets,
@@ -370,21 +383,15 @@ def corrupt_structure(s: Structure, spec: CorruptionSpec,
 
     if spec.kind is CorruptionKind.TORSION_GAUSS:
         rng = make_rng(spec.seed, stream=1)
-        new_chains = []
-        noises = []
-        originals = []
-        for chain in s.chains:
-            result = corrupt_torsions(chain, spec.sigma, rng, geom)
-            new_chains.append(result.corrupted)
-            noises.append(result.targets.angular_noise)
-            originals.append(result.targets.original_angles)
-        corrupted = replace(s, chains=tuple(new_chains))
-        targets = DenoisingTargets(kind="torsional",
-                                   angular_noise=np.concatenate(noises),
-                                   original_angles=np.concatenate(originals),
-                                   sigma=spec.sigma)
-        return CorruptionResult(corrupted, targets,
-                                np.ones(s.num_residues, dtype=bool))
+        parts = [corrupt_torsions(chain, spec.sigma, rng) for chain in s.chains]
+        targets = DenoisingTargets(
+            kind="torsional", sigma=spec.sigma,
+            angular_noise=np.concatenate([p.targets.angular_noise for p in parts]),
+            original_angles=np.concatenate([p.targets.original_angles
+                                            for p in parts]))
+        return CorruptionResult(
+            replace(s, chains=tuple(p.corrupted for p in parts)), targets,
+            np.ones(s.num_residues, dtype=bool))
 
     raise ValueError(f"unhandled corruption kind {spec.kind}")
 
@@ -398,16 +405,15 @@ def _rewrite_residue_types(s: Structure, new_types) -> Structure:
     return replace(s, chains=tuple(chains))
 
 
+def _move_atoms(chain: Chain, rows) -> Chain:
+    """chain with each of its atoms, in order, at the next row of rows."""
+    rows = iter(rows)
+    return Chain(chain.id, tuple(
+        replace(res, atoms=tuple(replace(atom, position=next(rows))
+                                 for atom in res.atoms))
+        for res in chain.residues))
+
+
 def _rewrite_coordinates(s: Structure, coords: np.ndarray) -> Structure:
-    at = 0
-    chains = []
-    for chain in s.chains:
-        residues = []
-        for res in chain.residues:
-            atoms = []
-            for atom in res.atoms:
-                atoms.append(replace(atom, position=coords[at]))
-                at += 1
-            residues.append(replace(res, atoms=tuple(atoms)))
-        chains.append(Chain(chain.id, tuple(residues)))
-    return replace(s, chains=tuple(chains))
+    rows = iter(coords)
+    return replace(s, chains=tuple(_move_atoms(c, rows) for c in s.chains))

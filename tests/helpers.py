@@ -4,15 +4,20 @@ Oracles here deliberately avoid the library's own code paths (pure-Python
 arithmetic, different formulas) so they can arbitrate correctness.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 
-from foldkit.errors import EmptyStructure, MalformedRecord
+from foldkit.codec import DEFAULT_GEOMETRY, nerf_place
+from foldkit.errors import DegenerateFrame, EmptyStructure, MalformedRecord
+from foldkit.geometry import wrap_angle
 from foldkit.pdb import _parse_method, _parse_pdb_date
 from foldkit.residues import RESIDUE_INDEX
+from foldkit.rng import make_rng
 from foldkit.structure import Atom, Chain, Residue, Structure
+from foldkit.synth import random_chain
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -134,6 +139,94 @@ def proximity_oracle(residue_atom_positions, target_positions, cutoff):
                 break
         labels.append(hit)
     return labels
+
+
+def nerf_place_oracle(a, b, c, length: float, bond_angle_value: float,
+                      torsion: float) -> np.ndarray:
+    """The numpy-on-3-vectors NeRF step that `foldkit.codec.nerf_place`
+    replaced, kept as its reference."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    if length <= 0.0:
+        raise DegenerateFrame("bond length must be positive")
+    bc = b - c
+    nbc = np.linalg.norm(bc)
+    if nbc < 1e-12:
+        raise DegenerateFrame("coincident frame atoms b and c")
+    bc /= nbc
+    n = np.cross(b - a, bc)
+    nn = np.linalg.norm(n)
+    if not np.isfinite(nn) or nn < 1e-12:
+        raise DegenerateFrame("collinear frame atoms")
+    n /= nn
+    m = np.cross(n, bc)
+    d_local = length * np.array([
+        np.cos(bond_angle_value),
+        np.sin(bond_angle_value) * np.cos(torsion),
+        np.sin(bond_angle_value) * np.sin(torsion),
+    ])
+    return c + d_local[0] * bc + d_local[1] * m - d_local[2] * n
+
+
+def backbone_walk_oracle(ic) -> np.ndarray:
+    """(n, 4, 3) N/CA/C/O placed one nerf_place_oracle call at a time, as
+    the codec's reconstruction loop did before backbone_walk."""
+    g = DEFAULT_GEOMETRY
+    n = ic.n_residues
+    N, CA, C = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
+    N[0], CA[0], C[0] = ic.anchor
+    for i in range(n - 1):
+        N[i + 1] = nerf_place_oracle(N[i], CA[i], C[i], g.c_n,
+                                     ic.theta_ca[i], ic.psi[i])
+        CA[i + 1] = nerf_place_oracle(CA[i], C[i], N[i + 1], g.n_ca,
+                                      ic.theta_c[i], ic.omega[i])
+        C[i + 1] = nerf_place_oracle(C[i], N[i + 1], CA[i + 1], g.ca_c,
+                                     ic.theta_n[i + 1], ic.phi[i + 1])
+    O = [nerf_place_oracle(N[i], CA[i], C[i], g.c_o, g.angle_ca_c_o,
+                           wrap_angle(ic.psi[i] + np.pi)) for i in range(n)]
+    return np.stack([N, CA, C, np.asarray(O)], axis=1)
+
+
+def full_atom_dimer() -> Structure:
+    """Two-chain full-atom structure with every kind of metadata a
+    corruption must keep: side chains grown by nerf_place (CB, CG, CD),
+    numbering from 5 with one insertion code, distinct non-zero
+    occupancies and b-factors, serials with a gap between the chains,
+    one residue without O, an OXT and a ZN hetero atom."""
+    chains = []
+    for chain_id, n, seed, first_serial in (("A", 9, 301, 1), ("B", 7, 302, 501)):
+        serial = itertools.count(first_serial)
+        residues = []
+        for i, res in enumerate(random_chain(n, make_rng(seed),
+                                             chain_id=chain_id).residues):
+            xyz = {a.name: a.position for a in res.atoms}
+            if chain_id == "A" and i == 4:
+                del xyz["O"]
+            if res.res_type != "GLY":
+                xyz["CB"] = nerf_place(xyz["C"], xyz["N"], xyz["CA"],
+                                       1.53, 1.92, 2.14)
+            if res.res_type not in ("GLY", "ALA"):
+                xyz["CG"] = nerf_place(xyz["N"], xyz["CA"], xyz["CB"],
+                                       1.52, 1.94, -1.1 + 0.3 * i)
+                xyz["CD"] = nerf_place(xyz["CA"], xyz["CB"], xyz["CG"],
+                                       1.52, 1.94, 2.9 - 0.2 * i)
+            if chain_id == "B" and i == n - 1:
+                xyz["OXT"] = nerf_place(xyz["N"], xyz["CA"], xyz["C"],
+                                        1.25, 2.05, 0.4)
+            atoms = tuple(
+                Atom(name, name[0], p, occupancy=round(0.3 + 0.07 * j, 2),
+                     b_factor=round(11.5 + 3.0 * i + 0.25 * j, 2),
+                     serial=next(serial))
+                for j, (name, p) in enumerate(xyz.items()))
+            # chain A numbers 5 6 7 7A 8 ..., chain B 5 6 7 8 ...
+            seq = 5 + i - (chain_id == "A" and i >= 3)
+            icode = "A" if (chain_id, i) == ("A", 3) else None
+            residues.append(Residue(res.res_type, seq, icode, atoms))
+        chains.append(Chain(chain_id, tuple(residues)))
+    zn = Atom("ZN", "ZN", np.array([1.5, -2.0, 3.25]), occupancy=0.9,
+              b_factor=42.0, is_hetero=True, serial=900, het_code="ZN")
+    return Structure("FULL", tuple(chains), hetero_atoms=(zn,))
 
 
 def angle_close(a, b, tol):

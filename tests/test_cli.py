@@ -195,6 +195,27 @@ class TestCorrupt:
         noise = read_tensor(out / "angular_noise.fkt")
         assert noise.shape == (60, 3)
 
+    def test_torsional_kind_keeps_every_record(self, tmp_path):
+        from foldkit.pdb import write_pdb
+        from helpers import full_atom_dimer
+        src = tmp_path / "full.pdb"
+        src.write_text(write_pdb(full_atom_dimer()))
+        out = tmp_path / "t"
+        assert run_cli("corrupt", str(src), str(out), "--kind",
+                       "torsion_gauss", "--sigma", "0.3") == 0
+
+        def records(path, kind):
+            return [line for line in path.read_text().splitlines()
+                    if line.startswith(kind)]
+
+        before, after = records(src, "ATOM"), records(out / "corrupted.pdb", "ATOM")
+        assert len(after) == len(before) == 105
+        assert after != before
+        # columns 31-54 hold x, y, z; the rest of each record is the input's
+        assert [line[:30] + line[54:] for line in after] == \
+            [line[:30] + line[54:] for line in before]
+        assert records(out / "corrupted.pdb", "HETATM") == records(src, "HETATM")
+
     def test_torsional_on_short_chain_exits_2(self, tmp_path):
         from foldkit.pdb import write_pdb
         from foldkit.rng import make_rng

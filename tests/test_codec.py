@@ -1,20 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldkit.codec import (DEFAULT_GEOMETRY, EncodedProtein, decode,
-                           dequantise_bond_angle, dequantise_torsion, encode,
-                           from_internal, nerf_place, quantise_bond_angle,
-                           quantise_torsion, to_internal)
+from foldkit.codec import (DEFAULT_GEOMETRY, EncodedProtein, backbone_walk,
+                           decode, dequantise_bond_angle, dequantise_torsion,
+                           encode, from_internal, nerf_place,
+                           quantise_bond_angle, quantise_torsion, to_internal)
 from foldkit.errors import (BadMagic, ChainTooShort, DegenerateFrame,
                             DegenerateGeometry, FoldkitError, TruncatedPayload,
                             VersionMismatch)
 from foldkit.geometry import backbone_dihedrals, bond_angle, dihedral, kabsch
 from foldkit.rng import make_rng
+from foldkit.structure import Chain
 from foldkit.synth import helix_chain, make_internal, random_chain
 
-from helpers import angle_close, with_atom
+from helpers import (angle_close, backbone_walk_oracle, nerf_place_oracle,
+                     random_rotation, with_atom)
 
 
 def backbone_coords(chain):
@@ -47,6 +51,51 @@ class TestNerfPlace:
     def test_collinear_frame_raises(self):
         with pytest.raises(DegenerateFrame):
             nerf_place((0, 0, 0), (1, 0, 0), (2, 0, 0), 1.5, 2.0, 0.0)
+
+    def test_matches_oracle_on_1000_random_frames(self):
+        rng = make_rng(100)  # the frames of test_measure_back_1000_random
+        for _ in range(1000):
+            a, b, c = rng.normal(size=(3, 3)) * 3.0
+            args = (rng.uniform(0.8, 2.0), rng.uniform(0.2, np.pi - 0.2),
+                    rng.uniform(-np.pi, np.pi))
+            d = nerf_place(a, b, c, *args)
+            assert np.max(np.abs(d - nerf_place_oracle(a, b, c, *args))) <= 1e-12
+
+    @pytest.mark.parametrize("a, b, c, length", [
+        ((0, 1, 0), (0, 0, 0), (1, 0, 0), 0.0),          # zero length
+        ((0, 1, 0), (0, 0, 0), (1, 0, 0), -1.5),         # negative length
+        ((0, 1, 0), (1, 0, 0), (1, 0, 0), 1.5),          # b and c coincide
+        ((0, 0, 0), (1, 0, 0), (2, 0, 0), 1.5),          # collinear
+        ((np.nan, 1, 0), (0, 0, 0), (1, 0, 0), 1.5),     # non-finite a
+        ((0, 1, 0), (0, np.inf, 0), (1, 0, 0), 1.5),     # non-finite b
+    ])
+    def test_degenerate_frames_raise_as_in_the_oracle(self, a, b, c, length):
+        for place in (nerf_place, nerf_place_oracle):
+            with pytest.raises(DegenerateFrame), np.errstate(invalid="ignore"):
+                place(a, b, c, length, 2.0, 0.5)
+
+
+class TestBackboneWalk:
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_from_internal_matches_oracle_walk(self, n):
+        rng = make_rng(600 + n)
+        chain = random_chain(n, rng)
+        # jittered, so no bond length or angle is canonical
+        jittered = Chain("A", tuple(
+            dataclasses.replace(res, atoms=tuple(dataclasses.replace(
+                a, position=a.position + rng.normal(0.0, 0.05, 3))
+                for a in res.atoms)) for res in chain.residues))
+        ic = to_internal(jittered)
+        walked = backbone_coords(from_internal(ic)).reshape(n, 4, 3)
+        assert np.array_equal(walked, backbone_walk(ic))
+        assert np.max(np.abs(walked - backbone_walk_oracle(ic))) <= 1e-9
+
+    def test_non_finite_or_collinear_anchor_raises(self):
+        ic = make_internal(np.full(5, 0.5), np.full(5, 0.5), np.full(5, 0.5))
+        for anchor in ([[0, 0, 0], [1, 0, 0], [np.inf, 0, 0]],
+                       [[0, 0, 0], [1, 0, 0], [2, 0, 0]]):
+            with pytest.raises(DegenerateFrame):
+                backbone_walk(dataclasses.replace(ic, anchor=anchor))
 
 
 class TestInternalRoundTrip:
@@ -170,6 +219,22 @@ class TestBinaryFormat:
     def test_size_formula_property(self, n):
         chain = random_chain(n, make_rng(n))
         assert len(encode(chain).to_bytes()) == 41 + 13 * n
+
+    def test_fixed_point_on_jittered_moved_chains(self):
+        """Residue 1's theta_n lies inside the anchor, so it is measured on
+        the f32 anchor the payload stores; re-encoding a decoded payload
+        then reproduces it on chains far from the origin."""
+        rng = make_rng(500)
+        for _ in range(400):
+            chain = random_chain(30, rng)
+            R, t = random_rotation(rng), rng.uniform(-80.0, 80.0, size=3)
+            moved = Chain("A", tuple(dataclasses.replace(res, atoms=tuple(
+                dataclasses.replace(a, position=R @ (
+                    a.position + rng.normal(0.0, 0.02, 3)) + t)
+                for a in res.atoms)) for res in chain.residues))
+            payload = encode(moved).to_bytes()
+            again = encode(decode(EncodedProtein.from_bytes(payload)))
+            assert again.to_bytes() == payload
 
     def test_encode_decode_encode_fixed_point(self):
         for seed in range(5):

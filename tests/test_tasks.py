@@ -7,7 +7,7 @@ from foldkit.codec import to_internal
 from foldkit.errors import (DegenerateConfiguration, MissingConfidence,
                             SelectorEmpty, SingleChain, TooFewNodes)
 from foldkit.featurise import FeatureScheme, build_graph
-from foldkit.geometry import kabsch
+from foldkit.geometry import dihedral, kabsch
 from foldkit.residues import MASK_INDEX, RESIDUE_INDEX
 from foldkit.rng import make_rng
 from foldkit.structure import Atom, Chain, Residue, Structure
@@ -20,7 +20,8 @@ from foldkit.tasks import (CorruptionKind, CorruptionSpec, MaskedAttribute,
                            interface_labels, masked_attribute_targets,
                            plddt_targets)
 
-from helpers import angle_close, proximity_oracle, random_rotation, transform_structure
+from helpers import (angle_close, full_atom_dimer, proximity_oracle,
+                     random_rotation, transform_structure)
 
 
 class TestSequenceMutate:
@@ -170,6 +171,93 @@ class TestTorsionNoise:
         out = corrupt_torsions(chain, 0.2, make_rng(25))
         ic0 = to_internal(chain)
         assert np.array_equal(out.targets.original_angles[:, 0], ic0.phi)
+
+
+class TestTorsionNoiseKeepsAtoms:
+    """corrupt_structure(TORSION_GAUSS) on a full-atom two-chain structure
+    moves positions only: every atom, residue and hetero atom keeps its
+    metadata, side chains move rigidly with their residue's backbone."""
+
+    @pytest.fixture(scope="class", params=[0.0, 0.3])
+    def case(self, request):
+        s = full_atom_dimer()
+        spec = CorruptionSpec(CorruptionKind.TORSION_GAUSS,
+                              sigma=request.param, seed=5)
+        return s, corrupt_structure(s, spec)
+
+    def test_atoms_and_residues_keep_their_metadata(self, case):
+        s, out = case
+        assert [c.id for c in out.corrupted.chains] == ["A", "B"]
+        for (_, res), (_, new) in zip(s.iter_residues(),
+                                      out.corrupted.iter_residues()):
+            assert (new.res_type, new.seq_index, new.insertion_code) == \
+                (res.res_type, res.seq_index, res.insertion_code)
+            assert [(a.name, a.serial, a.element, a.occupancy, a.b_factor,
+                     a.is_hetero, a.het_code) for a in new.atoms] == \
+                [(a.name, a.serial, a.element, a.occupancy, a.b_factor,
+                  a.is_hetero, a.het_code) for a in res.atoms]
+        assert out.corrupted.hetero_atoms == s.hetero_atoms
+        assert out.corrupted.num_residues == s.num_residues == 16
+
+    def test_side_chains_move_rigidly(self, case):
+        s, out = case
+        for (_, res), (_, new) in zip(s.iter_residues(),
+                                      out.corrupted.iter_residues()):
+            rigid = [a.name for a in res.atoms
+                     if a.name not in ("N", "CA", "C", "O")] + ["CA"]
+            old = np.array([res.atom(x).position for x in rigid])
+            moved = np.array([new.atom(x).position for x in rigid])
+            # distances among the side-chain atoms and to their CA
+            assert np.max(np.abs(
+                np.linalg.norm(old[:, None] - old[None], axis=-1)
+                - np.linalg.norm(moved[:, None] - moved[None], axis=-1))) <= 1e-9
+
+    def test_backbone_bonds_are_canonical(self, case):
+        from foldkit.codec import DEFAULT_GEOMETRY as g
+        _, out = case
+        for chain in out.corrupted.chains:
+            for i, res in enumerate(chain.residues):
+                n, ca, c = (res.atom(x).position for x in ("N", "CA", "C"))
+                assert abs(np.linalg.norm(ca - n) - g.n_ca) <= 1e-9
+                assert abs(np.linalg.norm(c - ca) - g.ca_c) <= 1e-9
+                if res.atom("O") is not None:
+                    o = res.atom("O").position
+                    assert abs(np.linalg.norm(o - c) - g.c_o) <= 1e-9
+                if i + 1 < len(chain.residues):
+                    n_next = chain.residues[i + 1].atom("N").position
+                    assert abs(np.linalg.norm(n_next - c) - g.c_n) <= 1e-9
+
+    def test_torsions_are_original_plus_noise(self, case):
+        s, out = case
+        measured = np.concatenate([
+            np.stack([ic.phi, ic.psi, ic.omega], axis=1)
+            for ic in map(to_internal, out.corrupted.chains)])
+        originals = out.targets.original_angles
+        noise = out.targets.angular_noise
+        assert noise.shape == originals.shape == (16, 3)
+        mask = np.concatenate([to_internal(c).defined_torsions
+                               for c in s.chains])
+        assert np.all(noise[~mask] == 0.0)
+        for got, want in zip(measured[mask], (originals + noise)[mask]):
+            assert angle_close(got, want, 1e-6)
+        # carbonyl O is rebuilt at torsion psi + pi (psi of the last residue
+        # counts as 0), as the codec places it
+        psi = np.where(mask[:, 1], originals[:, 1] + noise[:, 1], 0.0)
+        residues = [res for _, res in out.corrupted.iter_residues()]
+        for res, p in zip(residues, psi):
+            if res.atom("O") is not None:
+                got = dihedral(*(res.atom(x).position
+                                 for x in ("N", "CA", "C", "O")))
+                assert angle_close(got, p + np.pi, 1e-6)
+
+    def test_sigma_zero_keeps_positions(self):
+        s = full_atom_dimer()
+        out = corrupt_structure(
+            s, CorruptionSpec(CorruptionKind.TORSION_GAUSS, sigma=0.0))
+        for (_, res), (_, new) in zip(s.iter_residues(),
+                                      out.corrupted.iter_residues()):
+            for a, b in zip(res.atoms, new.atoms):
+                assert np.max(np.abs(a.position - b.position)) <= 1e-9
 
 
 class TestCoCorrupt:
