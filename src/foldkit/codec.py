@@ -131,8 +131,10 @@ def nerf_place(a, b, c, length: float, bond_angle_value: float,
     d satisfies |d-c| = length, angle(b,c,d) = bond_angle_value and
     dihedral(a,b,c,d) = torsion: one step of backbone_walk(). Raises
     DegenerateFrame when a,b,c are collinear (or coincident) and cannot
-    define a frame.
+    define a frame, or the length or an angle is not finite.
     """
+    if not np.isfinite([length, bond_angle_value, torsion]).all():
+        raise DegenerateFrame("non-finite bond length, angle or torsion")
     a, b, c = (np.asarray(p, dtype=np.float64).tolist() for p in (a, b, c))
     return np.array(_place(a, b, c, length, bond_angle_value, torsion))
 
@@ -160,11 +162,12 @@ def backbone_walk(ic: InternalCoords) -> np.ndarray:
     atom uses the stored torsions/bond angles with the canonical bond
     lengths. Carbonyl O sits in the C frame at torsion psi + pi from N(i+1).
     """
-    if not np.all(np.isfinite(ic.anchor)):
-        raise DegenerateFrame("non-finite anchor")
+    angles = np.stack([ic.phi, ic.psi, ic.omega, ic.theta_n, ic.theta_ca,
+                       ic.theta_c])
+    if not (np.isfinite(ic.anchor).all() and np.isfinite(angles).all()):
+        raise DegenerateFrame("non-finite anchor, bond angle or torsion")
     g = DEFAULT_GEOMETRY
-    phi, psi, omega, theta_n, theta_ca, theta_c = (x.tolist() for x in (
-        ic.phi, ic.psi, ic.omega, ic.theta_n, ic.theta_ca, ic.theta_c))
+    phi, psi, omega, theta_n, theta_ca, theta_c = angles.tolist()
     N, CA, C = ic.anchor.tolist()
     frames = [(N, CA, C)]
     for i in range(ic.n_residues - 1):

@@ -328,33 +328,38 @@ class Superposition:
     rmsd: float
 
 
-def kabsch(A, B) -> Superposition:
-    """Optimal proper-rotation superposition of A onto B.
-
-    Returns the rigid motion minimising RMSD of (R @ a + t) against B;
-    the reflection branch of the SVD is corrected so det(R) = +1.
-    Raises DegenerateConfiguration for fewer than 3 points or a collinear
-    reference set.
-    """
-    A = np.asarray(A, dtype=np.float64).reshape(-1, 3)
-    B = np.asarray(B, dtype=np.float64).reshape(-1, 3)
-    if len(A) != len(B):
+def superpose(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """Kabsch superposition of each row of the (r, m, 3) stack A onto the
+    same row of B: (r, 3, 3) proper rotations R (the reflection branch of
+    the SVD corrected, so det(R) = +1) and (r, 3) translations t
+    minimising the RMSD of R @ a + t against B. Raises
+    DegenerateConfiguration for stacks of different shape, fewer than 3
+    points or a collinear reference row."""
+    A, B = (np.asarray(p, dtype=np.float64) for p in (A, B))
+    if A.shape != B.shape:
         raise DegenerateConfiguration("point sets differ in length")
-    if len(A) < 3:
+    if A.shape[1] < 3:
         raise DegenerateConfiguration("need at least 3 points")
-    a_mean = A.mean(axis=0)
-    b_mean = B.mean(axis=0)
-    Ac = A - a_mean
-    Bc = B - b_mean
+    a_mean = A.mean(axis=1)
+    b_mean = B.mean(axis=1)
+    Ac = A - a_mean[:, None]
+    Bc = B - b_mean[:, None]
     sv = np.linalg.svd(Ac, compute_uv=False)
-    if sv[1] < 1e-9 * max(sv[0], 1.0):
+    if np.any(sv[:, 1] < 1e-9 * np.maximum(sv[:, 0], 1.0)):
         raise DegenerateConfiguration("reference points are collinear")
-    H = Ac.T @ Bc
-    U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    D = np.diag([1.0, 1.0, d])
-    R = Vt.T @ D @ U.T
-    t = b_mean - R @ a_mean
+    U, _, Vt = np.linalg.svd(np.swapaxes(Ac, 1, 2) @ Bc)
+    V, Ut = np.swapaxes(Vt, 1, 2), np.swapaxes(U, 1, 2)
+    D = np.tile(np.eye(3), (len(A), 1, 1))
+    D[:, 2, 2] = np.sign(np.linalg.det(V @ Ut))
+    R = V @ D @ Ut
+    return R, b_mean - (R @ a_mean[..., None])[..., 0]
+
+
+def kabsch(A, B) -> Superposition:
+    """Optimal proper-rotation superposition of A onto B: one row of
+    superpose(), with the RMSD of the motion."""
+    A, B = (np.asarray(p, dtype=np.float64).reshape(-1, 3) for p in (A, B))
+    (R,), (t,) = superpose(A[None], B[None])
     residual = (A @ R.T + t) - B
     rmsd = float(np.sqrt(np.mean(np.sum(residual**2, axis=1))))
     return Superposition(R, t, rmsd)

@@ -31,12 +31,8 @@ class Activation(enum.Enum):
 
 def _activate(kind: Activation, x: np.ndarray) -> np.ndarray:
     if kind is Activation.SILU:
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = x[pos] / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])  # split keeps exp from overflowing
-        out[~pos] = x[~pos] * ex / (1.0 + ex)
-        return out
+        e = np.exp(-np.abs(x))  # at most 1, so it never overflows
+        return np.where(x >= 0, x, x * e) / (1.0 + e)
     if kind is Activation.RELU:
         return np.maximum(x, 0.0)
     return x
@@ -222,10 +218,11 @@ class GcpFrame:
 def gcp_frames(X, topology: GraphTopology) -> GcpFrame:
     """Geometry-complete frames for every stored edge (receiver = target)."""
     X = np.asarray(X, dtype=np.float64)
-    src = topology.edges[:, 0]
-    dst = topology.edges[:, 1]
-    rel = X[dst] - X[src]
-    rel_norm = np.linalg.norm(rel, axis=1)
+    return _frames(X, *_edge_geometry(X, topology))
+
+
+def _frames(X, src, dst, rel, rel_norm) -> GcpFrame:
+    """gcp_frames() from the edge geometry of X."""
     if np.any(rel_norm < _EPS):
         raise DegenerateFrame("coincident node positions on an edge")
     cross = np.cross(X[dst], X[src])
@@ -269,8 +266,8 @@ def gcp_layer(S, V, X, topology: GraphTopology, p: GcpParams):
     V = np.asarray(V, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     n, n_vec = V.shape[0], V.shape[1]
-    frames = gcp_frames(X, topology)
-    src, dst, _, dist = _edge_geometry(X, topology)
+    src, dst, diff, dist = _edge_geometry(X, topology)
+    frames = _frames(X, src, dst, diff, dist)
 
     def project(vecs):  # (E, n_vec, 3) onto the three frame axes
         return np.stack([np.einsum("evk,ek->ev", vecs, ax)

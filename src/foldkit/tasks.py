@@ -15,8 +15,8 @@ import numpy as np
 from .codec import backbone_walk, to_internal
 from .errors import MissingConfidence, SelectorEmpty, SingleChain, TooFewNodes
 from .featurise import ProteinGraph
-from .geometry import (backbone_array, bond_angles, defined, dihedrals, kabsch,
-                       row_norms, within_cutoff)
+from .geometry import (backbone_array, bond_angles, defined, dihedrals,
+                       row_norms, superpose, within_cutoff)
 from .residues import MASK_INDEX, VOCAB_SIZE, VOCABULARY, residue_index
 from .rng import make_rng
 from .structure import BACKBONE_ATOMS, Chain, Structure
@@ -49,8 +49,8 @@ class CorruptionSpec:
     def __post_init__(self):
         if not 0.0 <= self.nu <= 1.0:
             raise ValueError(f"nu must be in [0, 1], got {self.nu}")
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -138,18 +138,17 @@ def corrupt_coords_gaussian(X, sigma: float,
     eps and sigma are stored separately so sigma = 0 leaves X bit-identical
     and x = x~ - sigma * eps recovers the input exactly.
     """
-    X = np.asarray(X, dtype=np.float64)
-    eps = rng.standard_normal(X.shape)
-    noised = X if sigma == 0.0 else X + sigma * eps
-    targets = DenoisingTargets(kind="coordinate", noise=eps, sigma=sigma)
-    return CorruptionResult(noised, targets, np.ones(len(X), dtype=bool))
+    return _noise_coords(X, sigma, rng.standard_normal(np.shape(X)))
 
 
 def corrupt_coords_uniform(X, sigma: float,
                            rng: np.random.Generator) -> CorruptionResult:
     """As the Gaussian variant with eps components ~ Uniform(-1, 1)."""
+    return _noise_coords(X, sigma, rng.uniform(-1.0, 1.0, size=np.shape(X)))
+
+
+def _noise_coords(X, sigma: float, eps: np.ndarray) -> CorruptionResult:
     X = np.asarray(X, dtype=np.float64)
-    eps = rng.uniform(-1.0, 1.0, size=X.shape)
     noised = X if sigma == 0.0 else X + sigma * eps
     targets = DenoisingTargets(kind="coordinate", noise=eps, sigma=sigma)
     return CorruptionResult(noised, targets, np.ones(len(X), dtype=bool))
@@ -176,20 +175,19 @@ def corrupt_torsions(chain: Chain, sigma: float,
     noised[~ic.defined_torsions] = 0.0
     walked = backbone_walk(replace(ic, phi=noised[:, 0], psi=noised[:, 1],
                                    omega=noised[:, 2]))
-    coords = []
-    for res, before, after in zip(chain.residues, backbone_array(chain)[0],
-                                  walked):
-        motion = None
-        for atom in res.atoms:
-            if atom.name in BACKBONE_ATOMS:
-                coords.append(after[BACKBONE_ATOMS.index(atom.name)])
-                continue
-            if motion is None:
-                motion = kabsch(before[:3], after[:3])
-            coords.append(motion.rotation @ atom.position + motion.translation)
+    xyz, owner = _gather(chain.residues)
+    names = np.array([a.name for res in chain.residues for a in res.atoms])
+    slots = names[:, None] == np.array(BACKBONE_ATOMS)  # (m, 4)
+    has_side = np.bincount(owner, ~slots.any(axis=1), n) > 0
+    R, t = np.zeros((n, 3, 3)), np.zeros((n, 3))
+    R[has_side], t[has_side] = superpose(
+        backbone_array(chain)[0][has_side, :3], walked[has_side, :3])
+    xyz = (R[owner] @ xyz[..., None])[..., 0] + t[owner]
+    atom, slot = np.nonzero(slots)
+    xyz[atom] = walked[owner[atom], slot]
     targets = DenoisingTargets(kind="torsional", angular_noise=noise,
                                original_angles=original, sigma=sigma)
-    return CorruptionResult(_move_atoms(chain, coords),
+    return CorruptionResult(_move_atoms(chain, xyz),
                             targets, np.ones(n, dtype=bool))
 
 
@@ -300,13 +298,13 @@ def plddt_targets(s: Structure) -> DenoisingTargets:
     return DenoisingTargets(kind="plddt", values=np.clip(values / 100.0, 0.0, 1.0))
 
 
-def _residue_atoms(s: Structure):
-    """Positions, residue indices and chain ids of the residue atoms."""
-    pairs = list(s.iter_residues())  # (chain, residue)
-    xyz = np.reshape([a.position for _, r in pairs for a in r.atoms], (-1, 3))
-    owner = np.repeat(np.arange(len(pairs)), [len(r.atoms) for _, r in pairs])
-    chains = np.asarray([c.id for c, r in pairs for _ in r.atoms], dtype=str)
-    return xyz, owner, chains
+def _gather(residues) -> tuple[np.ndarray, np.ndarray]:
+    """(m, 3) positions of the atoms of a residue sequence, in order, and
+    the (m,) index of each atom's residue."""
+    residues = list(residues)
+    xyz = np.reshape([a.position for r in residues for a in r.atoms], (-1, 3))
+    owner = np.repeat(np.arange(len(residues)), [len(r.atoms) for r in residues])
+    return xyz, owner
 
 
 def binding_site_labels(s: Structure, selector, cutoff: float = DEFAULT_CUTOFF) -> LabelSet:
@@ -317,7 +315,7 @@ def binding_site_labels(s: Structure, selector, cutoff: float = DEFAULT_CUTOFF) 
                           if a.het_code in selector], dtype=np.float64)
     if targets.size == 0:
         raise SelectorEmpty(f"no hetero atom matches {sorted(selector)}")
-    positions, owner, _ = _residue_atoms(s)
+    positions, owner = _gather(res for _, res in s.iter_residues())
     hits = np.bincount(owner, within_cutoff(positions, targets, cutoff),
                        s.num_residues)
     return LabelSet((hits > 0).astype(np.int8), cutoff,
@@ -330,7 +328,9 @@ def interface_labels(complex_structure: Structure,
     atom of a chain with another id."""
     if len(complex_structure.chains) < 2:
         raise SingleChain("interface labels need at least 2 chains")
-    positions, owner, chains = _residue_atoms(complex_structure)
+    pairs = list(complex_structure.iter_residues())  # (chain, residue)
+    positions, owner = _gather(res for _, res in pairs)
+    chains = np.asarray([c.id for c, _ in pairs], dtype=str)[owner]
     hit = np.zeros(len(positions), dtype=bool)
     for chain_id in np.unique(chains):
         mine = chains == chain_id
@@ -371,15 +371,15 @@ def corrupt_structure(s: Structure, spec: CorruptionSpec) -> CorruptionResult:
 
     if spec.kind in (CorruptionKind.COORD_GAUSS, CorruptionKind.COORD_UNIFORM):
         rng = make_rng(spec.seed, stream=1)
-        coords = np.asarray([a.position for _, res in s.iter_residues()
-                             for a in res.atoms])
+        coords, _ = _gather(res for _, res in s.iter_residues())
         op = (corrupt_coords_gaussian if spec.kind is CorruptionKind.COORD_GAUSS
               else corrupt_coords_uniform)
         result = op(coords, spec.sigma, rng)
-        corrupted = _rewrite_coordinates(s, np.asarray(result.corrupted))
-        n_res = s.num_residues
+        rows = iter(result.corrupted)
+        corrupted = replace(s, chains=tuple(_move_atoms(chain, rows)
+                                            for chain in s.chains))
         return CorruptionResult(corrupted, result.targets,
-                                np.ones(n_res, dtype=bool))
+                                np.ones(s.num_residues, dtype=bool))
 
     if spec.kind is CorruptionKind.TORSION_GAUSS:
         rng = make_rng(spec.seed, stream=1)
@@ -412,8 +412,3 @@ def _move_atoms(chain: Chain, rows) -> Chain:
         replace(res, atoms=tuple(replace(atom, position=next(rows))
                                  for atom in res.atoms))
         for res in chain.residues))
-
-
-def _rewrite_coordinates(s: Structure, coords: np.ndarray) -> Structure:
-    rows = iter(coords)
-    return replace(s, chains=tuple(_move_atoms(c, rows) for c in s.chains))

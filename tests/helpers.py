@@ -10,9 +10,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from foldkit.codec import DEFAULT_GEOMETRY, nerf_place
-from foldkit.errors import DegenerateFrame, EmptyStructure, MalformedRecord
-from foldkit.geometry import wrap_angle
+from foldkit.codec import (DEFAULT_GEOMETRY, backbone_walk, nerf_place,
+                           to_internal)
+from foldkit.errors import (DegenerateConfiguration, DegenerateFrame,
+                            EmptyStructure, MalformedRecord)
+from foldkit.geometry import Superposition, backbone_array, wrap_angle
 from foldkit.pdb import _parse_method, _parse_pdb_date
 from foldkit.residues import RESIDUE_INDEX
 from foldkit.rng import make_rng
@@ -186,6 +188,71 @@ def backbone_walk_oracle(ic) -> np.ndarray:
     O = [nerf_place_oracle(N[i], CA[i], C[i], g.c_o, g.angle_ca_c_o,
                            wrap_angle(ic.psi[i] + np.pi)) for i in range(n)]
     return np.stack([N, CA, C, np.asarray(O)], axis=1)
+
+
+def kabsch_oracle(A, B) -> Superposition:
+    """The one-pair Kabsch superposition that `foldkit.geometry.superpose`
+    replaced, kept as its reference."""
+    A = np.asarray(A, dtype=np.float64).reshape(-1, 3)
+    B = np.asarray(B, dtype=np.float64).reshape(-1, 3)
+    if len(A) != len(B):
+        raise DegenerateConfiguration("point sets differ in length")
+    if len(A) < 3:
+        raise DegenerateConfiguration("need at least 3 points")
+    a_mean = A.mean(axis=0)
+    b_mean = B.mean(axis=0)
+    Ac = A - a_mean
+    Bc = B - b_mean
+    sv = np.linalg.svd(Ac, compute_uv=False)
+    if sv[1] < 1e-9 * max(sv[0], 1.0):
+        raise DegenerateConfiguration("reference points are collinear")
+    H = Ac.T @ Bc
+    U, _, Vt = np.linalg.svd(H)
+    d = np.sign(np.linalg.det(Vt.T @ U.T))
+    D = np.diag([1.0, 1.0, d])
+    R = Vt.T @ D @ U.T
+    t = b_mean - R @ a_mean
+    residual = (A @ R.T + t) - B
+    rmsd = float(np.sqrt(np.mean(np.sum(residual**2, axis=1))))
+    return Superposition(R, t, rmsd)
+
+
+def corrupt_torsions_oracle(chain: Chain, sigma: float, rng) -> np.ndarray:
+    """(m, 3) atom positions of `foldkit.tasks.corrupt_torsions`, placed one
+    atom at a time with one kabsch_oracle call per residue that has a
+    non-backbone atom, as the per-residue loop did before superpose."""
+    ic = to_internal(chain)
+    noise = rng.standard_normal((ic.n_residues, 3)) * sigma
+    noise[~ic.defined_torsions] = 0.0
+    original = np.stack([ic.phi, ic.psi, ic.omega], axis=1)
+    noised = np.mod(original + noise + np.pi, 2.0 * np.pi) - np.pi
+    noised[~ic.defined_torsions] = 0.0
+    walked = backbone_walk(replace(ic, phi=noised[:, 0], psi=noised[:, 1],
+                                   omega=noised[:, 2]))
+    names = ("N", "CA", "C", "O")
+    coords = []
+    for res, before, after in zip(chain.residues, backbone_array(chain)[0],
+                                  walked):
+        motion = None
+        for atom in res.atoms:
+            if atom.name in names:
+                coords.append(after[names.index(atom.name)])
+                continue
+            if motion is None:
+                motion = kabsch_oracle(before[:3], after[:3])
+            coords.append(motion.rotation @ atom.position + motion.translation)
+    return np.asarray(coords)
+
+
+def silu_oracle(x: np.ndarray) -> np.ndarray:
+    """The two-branch masked SiLU that `foldkit.gnn._activate` replaced,
+    kept as its reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = x[pos] / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])  # split keeps exp from overflowing
+    out[~pos] = x[~pos] * ex / (1.0 + ex)
+    return out
 
 
 def full_atom_dimer() -> Structure:

@@ -74,6 +74,14 @@ class TestNerfPlace:
             with pytest.raises(DegenerateFrame), np.errstate(invalid="ignore"):
                 place(a, b, c, length, 2.0, 0.5)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_length_or_angle_raises(self, value, slot):
+        values = [1.5, 2.0, 0.5]  # length, bond angle, torsion
+        values[slot] = value
+        with pytest.raises(DegenerateFrame, match="non-finite"):
+            nerf_place((0, 1, 0), (0, 0, 0), (1, 0, 0), *values)
+
 
 class TestBackboneWalk:
     @pytest.mark.parametrize("n", [10, 100, 1000])
@@ -96,6 +104,16 @@ class TestBackboneWalk:
                        [[0, 0, 0], [1, 0, 0], [2, 0, 0]]):
             with pytest.raises(DegenerateFrame):
                 backbone_walk(dataclasses.replace(ic, anchor=anchor))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["phi", "psi", "omega", "theta_n",
+                                      "theta_ca", "theta_c"])
+    def test_non_finite_angle_raises(self, name, value):
+        ic = make_internal(np.full(5, 0.5), np.full(5, 0.5), np.full(5, 0.5))
+        angles = getattr(ic, name).copy()
+        angles[2] = value
+        with pytest.raises(DegenerateFrame, match="non-finite"):
+            backbone_walk(dataclasses.replace(ic, **{name: angles}))
 
 
 class TestInternalRoundTrip:

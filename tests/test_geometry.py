@@ -9,8 +9,8 @@ from foldkit.errors import (DegenerateConfiguration, DegenerateGeometry,
                             TooFewNodes)
 from foldkit.geometry import (KNN_BLOCK, backbone_dihedrals, bond_angle,
                               bond_angles, dihedral, dihedrals, kabsch,
-                              knn_graph, sidechain_torsions, virtual_angles,
-                              wrap_angle)
+                              knn_graph, sidechain_torsions, superpose,
+                              virtual_angles, wrap_angle)
 from foldkit.residues import CHI_ATOMS
 from foldkit.codec import nerf_place
 from foldkit.rng import make_rng
@@ -18,7 +18,8 @@ from foldkit.structure import Atom, Residue
 from foldkit.synth import random_chain
 
 from helpers import (angle_close, bond_angle_oracle, dihedral_oracle,
-                     knn_oracle, random_reflection, random_rotation, with_atom)
+                     kabsch_oracle, knn_oracle, random_reflection,
+                     random_rotation, with_atom)
 
 
 class TestDihedral:
@@ -342,6 +343,48 @@ class TestKabsch:
     def test_short_input_raises(self):
         with pytest.raises(DegenerateConfiguration):
             kabsch([(0, 0, 0), (1, 1, 1)], [(0, 0, 0), (1, 1, 1)])
+
+
+class TestSuperpose:
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_matches_oracle_bit_for_bit(self, m):
+        rng = make_rng(700 + m)
+        A = rng.normal(size=(400, m, 3)) * 4.0
+        # half the rows a noisy proper motion of A, half a noisy mirror
+        # image, so both branches of the SVD sign correction are taken
+        M = np.stack([random_rotation(rng) if i % 2 else random_reflection(rng)
+                      for i in range(len(A))])
+        B = (A @ np.swapaxes(M, 1, 2) + rng.normal(size=(len(A), 1, 3)) * 8.0
+             + rng.normal(size=A.shape) * 0.3)
+        R, t = superpose(A, B)
+        reflected = 0
+        for a, b, r, tt in zip(A, B, R, t):
+            want = kabsch_oracle(a, b)
+            assert np.array_equal(r, want.rotation)
+            assert np.array_equal(tt, want.translation)
+            ac, bc = a - a.mean(axis=0), b - b.mean(axis=0)
+            U, _, Vt = np.linalg.svd(ac.T @ bc)
+            reflected += np.linalg.det(Vt.T @ U.T) < 0
+        assert 100 < reflected < 300
+
+    def test_kabsch_is_one_row(self):
+        rng = make_rng(710)
+        A, B = rng.normal(size=(2, 6, 3))
+        sup, want = kabsch(A, B), kabsch_oracle(A, B)
+        assert np.array_equal(sup.rotation, want.rotation)
+        assert np.array_equal(sup.translation, want.translation)
+        assert sup.rmsd == want.rmsd
+
+    def test_degenerate_stacks_raise(self):
+        rng = make_rng(711)
+        A = rng.normal(size=(4, 5, 3))
+        with pytest.raises(DegenerateConfiguration, match="length"):
+            superpose(A, A[:, :4])
+        with pytest.raises(DegenerateConfiguration, match="3 points"):
+            superpose(A[:, :2], A[:, :2])
+        A[2] = np.arange(5)[:, None] * [1.0, 2.0, -0.5]  # one collinear row
+        with pytest.raises(DegenerateConfiguration, match="collinear"):
+            superpose(A, A)
 
 
 class TestBondAngle:

@@ -9,7 +9,7 @@ from foldkit.geometry import GraphTopology, knn_graph
 from foldkit.rng import make_rng
 from foldkit.synth import random_chain, single_chain_structure
 
-from helpers import random_reflection, random_rotation
+from helpers import random_reflection, random_rotation, silu_oracle
 
 
 def small_graph(n=12, seed=0, k=4):
@@ -44,6 +44,12 @@ class TestMlp:
             y = [sum(W_row[j] * h[j] for j in range(7)) + b
                  for W_row, b in zip(p.weights[1], p.biases[1])]
             assert np.max(np.abs(gnn.mlp_forward(p, x) - y)) < 1e-12
+
+    def test_silu_matches_two_branch_oracle_bit_for_bit(self):
+        x = make_rng(7).normal(size=(7040, 32)) * 6.0
+        x[0, :8] = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 5e-324, -5e-324]
+        got = gnn._activate(gnn.Activation.SILU, x)
+        assert np.array_equal(got.view(np.int64), silu_oracle(x).view(np.int64))
 
     def test_dimension_mismatch(self):
         p = gnn.seeded_init((5, 3), seed=4)

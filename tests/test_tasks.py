@@ -20,8 +20,8 @@ from foldkit.tasks import (CorruptionKind, CorruptionSpec, MaskedAttribute,
                            interface_labels, masked_attribute_targets,
                            plddt_targets)
 
-from helpers import (angle_close, full_atom_dimer, proximity_oracle,
-                     random_rotation, transform_structure)
+from helpers import (angle_close, corrupt_torsions_oracle, full_atom_dimer,
+                     proximity_oracle, random_rotation, transform_structure)
 
 
 class TestSequenceMutate:
@@ -198,6 +198,14 @@ class TestTorsionNoiseKeepsAtoms:
                   a.is_hetero, a.het_code) for a in res.atoms]
         assert out.corrupted.hetero_atoms == s.hetero_atoms
         assert out.corrupted.num_residues == s.num_residues == 16
+
+    def test_positions_match_the_per_residue_oracle(self):
+        for chain in full_atom_dimer().chains:
+            out = corrupt_torsions(chain, 0.3, make_rng(8))
+            got = np.array([a.position for res in out.corrupted.residues
+                            for a in res.atoms])
+            assert np.array_equal(
+                got, corrupt_torsions_oracle(chain, 0.3, make_rng(8)))
 
     def test_side_chains_move_rigidly(self, case):
         s, out = case
@@ -553,3 +561,5 @@ class TestStructureCorruption:
             CorruptionSpec(CorruptionKind.COORD_GAUSS, sigma=-0.1)
         with pytest.raises(ValueError):
             CorruptionSpec(CorruptionKind.COORD_GAUSS, sigma=float("nan"))
+        with pytest.raises(ValueError):
+            CorruptionSpec(CorruptionKind.TORSION_GAUSS, sigma=float("inf"))
