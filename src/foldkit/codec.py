@@ -141,10 +141,16 @@ def nerf_place(a, b, c, length: float, bond_angle_value: float,
 
 def to_internal(chain: Chain) -> InternalCoords:
     """Measure the internal-coordinate state of a backbone-complete chain."""
+    return measure_backbone(chain, *backbone_array(chain))
+
+
+def measure_backbone(chain: Chain, xyz: np.ndarray,
+                     present: np.ndarray) -> InternalCoords:
+    """to_internal of a chain from its backbone array and presence mask."""
     n = len(chain.residues)
     if n < 3:
         raise ChainTooShort(f"need >= 3 residues, got {n}")
-    frames = backbone_frames(chain, *backbone_array(chain))
+    frames = backbone_frames(chain, xyz, present)
     torsions = np.nan_to_num(backbone_torsions(frames))
     # consecutive triples of N0 CA0 C0 N1 ... are theta_n(0), theta_ca(0),
     # theta_c(0), theta_n(1), ...; the last two are undefined (0)

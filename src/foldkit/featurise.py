@@ -17,6 +17,7 @@ feature matrix ever contains NaN.
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 from dataclasses import dataclass
@@ -24,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, OddDimension
-from .geometry import (GraphTopology, backbone_array, backbone_frames,
-                       backbone_torsions, chi_angles, knn_graph, row_norms,
+from .geometry import (GraphTopology, backbone_frames, backbone_torsions,
+                       knn_graph, row_norms, table_backbone, table_chi,
                        virtual_angle_array)
 from .residues import MAX_CHI, VOCAB_SIZE, residue_index
-from .structure import Chain, Granularity, Structure, select_granularity
+from .structure import Chain, Structure, complete_residues
 
 POSITION_DIM = 16
 DEFAULT_K = 16
@@ -94,50 +95,50 @@ def embed_angle(theta) -> tuple[float, float]:
     return (float(sin), float(cos))
 
 
+# One chain's graph nodes: the chain of the node residues, the AtomTable
+# of the whole chain, the node rows of the table and their (n, 4, 3)
+# backbone array and (n, 4) presence mask.
+_NodeChain = collections.namedtuple("_NodeChain", "chain table rows xyz present")
+
+
 def _nodes(s: Structure):
-    """The graph nodes, CA-bearing residues (full atom sets kept): per
-    chain (chain, xyz, present) with its (n, 4, 3) backbone array and
-    presence mask, then the (n, 3) CA coordinates and (n,) chain index."""
-    reduced = select_granularity(s, Granularity.CA_ONLY)
-    kept = {(c.id, r.key) for c in reduced.chains for r in c.residues}
+    """The graph nodes, the residues with a CA (complete_residues): one
+    _NodeChain per chain, then the (n, 3) CA coordinates and (n,) chain
+    index."""
     chains = []
-    for chain in s.chains:
-        residues = tuple(r for r in chain.residues if (chain.id, r.key) in kept)
-        if residues:
-            node_chain = Chain(chain.id, residues)
-            chains.append((node_chain, *backbone_array(node_chain)))
-    coords = np.concatenate([xyz[:, 1] for _, xyz, _ in chains])
+    for chain, table, rows, _ in complete_residues(s, ("CA",)):
+        chains.append(_NodeChain(
+            Chain(chain.id, tuple(chain.residues[i] for i in rows)), table,
+            rows, *table_backbone(table, rows)))
+    coords = np.concatenate([node.xyz[:, 1] for node in chains])
     chain_index = np.repeat(np.arange(len(chains), dtype=np.int64),
-                            [len(xyz) for _, xyz, _ in chains])
+                            [len(node.rows) for node in chains])
     return chains, coords, chain_index
 
 
-def _scalar_blocks(chain: Chain, xyz: np.ndarray, present: np.ndarray,
-                   first_position: int):
+def _scalar_blocks(node: _NodeChain, first_position: int):
     """One chain's scalar feature blocks in the normative order, each
     computed only when asked for."""
+    chain, table, rows, xyz, present = node
     n = len(chain.residues)
     yield np.eye(VOCAB_SIZE)[[residue_index(r.res_type) for r in chain.residues]]
     yield _positional_block(first_position + np.arange(n))
     yield _embed(virtual_angle_array(xyz[:, 1]) if n >= 2
                  else np.full((n, 2), np.nan))
     yield _embed(backbone_torsions(backbone_frames(chain, xyz, present)))
-    yield _embed(chi_angles(chain.residues))
+    yield _embed(table_chi(table, rows))
 
 
 def _scalar_features(chains, scheme: FeatureScheme,
                      global_positions: bool) -> np.ndarray:
     rows = []
     offset = 0
-    for chain, xyz, present in chains:
-        blocks = []
-        for block in _scalar_blocks(chain, xyz, present,
-                                    offset if global_positions else 0):
-            blocks.append(block)
-            if sum(b.shape[1] for b in blocks) >= scheme.dim:
-                break
-        rows.append(np.concatenate(blocks, axis=1)[:, :scheme.dim])
-        offset += len(chain.residues)
+    for node in chains:
+        blocks = itertools.islice(  # the scheme ends at its own block
+            _scalar_blocks(node, offset if global_positions else 0),
+            list(FeatureScheme).index(scheme) + 1)
+        rows.append(np.concatenate(list(blocks), axis=1))
+        offset += len(node.rows)
     return np.concatenate(rows)
 
 
@@ -233,6 +234,6 @@ def build_graph(s: Structure, scheme: FeatureScheme = FeatureScheme.CA_BB,
         topology=topology, coords=coords, scalars=scalars,
         node_vectors=node_vectors, edge_vectors=edge_vectors, scheme=scheme,
         res_types=tuple(residue_index(r.res_type)
-                        for chain, _, _ in chains for r in chain.residues),
+                        for node in chains for r in node.chain.residues),
         chain_index=chain_index,
-        chain_ids=tuple(chain.id for chain, _, _ in chains))
+        chain_ids=tuple(node.chain.id for node in chains))

@@ -12,14 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateConfiguration, DegenerateGeometry, MissingAtom,
-                     TooFewNodes)
-from .residues import CHI_ATOMS, MAX_CHI
-from .structure import BACKBONE_ATOMS, Chain, Residue
+from .errors import (DegenerateConfiguration, DegenerateGeometry,
+                     MalformedRecord, MissingAtom, TooFewNodes)
+from .residues import CHI_ATOMS, MAX_CHI, RESIDUE_INDEX, VOCAB_SIZE, residue_index
+from .structure import BACKBONE_ATOMS, AtomTable, Chain, Residue, atom_table
 
 _EPS = 1e-12
 TWO_PI = 2.0 * np.pi
 KNN_BLOCK = 256
+
+# Every atom name of a chi quadruple, and per vocabulary index the
+# (chi, atom) columns of its quadruples among them; -1 (no atom) past the
+# type's last torsion.
+_CHI_NAMES = tuple(dict.fromkeys(
+    name for quads in CHI_ATOMS.values() for quad in quads for name in quad))
+_CHI_COLUMNS = np.full((VOCAB_SIZE, MAX_CHI, 4), -1)
+for _type, _quads in CHI_ATOMS.items():
+    _CHI_COLUMNS[RESIDUE_INDEX[_type], :len(_quads)] = np.reshape(
+        [_CHI_NAMES.index(name) for quad in _quads for name in quad], (-1, 4))
 
 
 def wrap_angle(theta: float) -> float:
@@ -125,14 +135,14 @@ class ChiSet:
 def backbone_array(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
     """(n, 4, 3) N/CA/C/O positions of a chain and their (n, 4) presence
     mask; absent atoms hold zero rows."""
-    xyz = np.zeros((len(chain.residues), len(BACKBONE_ATOMS), 3))
-    present = np.zeros(xyz.shape[:2], dtype=bool)
-    for i, res in enumerate(chain.residues):
-        for j, name in enumerate(BACKBONE_ATOMS):
-            atom = res.atom(name)
-            if atom is not None:
-                xyz[i, j] = atom.position
-                present[i, j] = True
+    return table_backbone(atom_table(chain.residues))
+
+
+def table_backbone(table: AtomTable, rows=slice(None)):
+    """backbone_array of the residues rows of an AtomTable."""
+    slots = table.slots(BACKBONE_ATOMS)[rows]
+    xyz, present = np.zeros(slots.shape + (3,)), slots >= 0
+    xyz[present] = table.xyz[slots[present]]
     return xyz, present
 
 
@@ -196,18 +206,24 @@ def virtual_angles(ca_trace) -> VirtualAngleSet:
 
 def chi_angles(residues) -> np.ndarray:
     """(n, 4) chi1..chi4 per residue from the per-type atom quadruples,
-    gathered as (n, 4, 4, 3); NaN where the type defines fewer torsions
-    or atoms are absent. Raises DegenerateGeometry on collinear atoms."""
-    quads = np.zeros((len(residues), MAX_CHI, 4, 3))
-    present = np.zeros((len(residues), MAX_CHI), dtype=bool)
-    for i, res in enumerate(residues):
-        for k, names in enumerate(CHI_ATOMS.get(res.res_type, ())):
-            atoms = [res.atom(name) for name in names]
-            if all(a is not None for a in atoms):
-                quads[i, k] = [a.position for a in atoms]
-                present[i, k] = True
+    found by name in one AtomTable; NaN where the type defines fewer
+    torsions or atoms are absent. Raises DegenerateGeometry on collinear
+    atoms."""
+    return table_chi(atom_table(residues))
+
+
+def table_chi(table: AtomTable, rows=slice(None)) -> np.ndarray:
+    """chi_angles of the residues rows of an AtomTable."""
+    slots = table.slots(_CHI_NAMES)[rows]
+    types = np.array([residue_index(r.res_type) for r in table.residues],
+                     dtype=np.int64)[rows]
+    columns = _CHI_COLUMNS[types]  # (n, 4, 4)
+    quads = np.where(columns >= 0,
+                     slots[np.arange(len(slots))[:, None, None], columns], -1)
+    present = (quads >= 0).all(axis=2)
     out = np.full(present.shape, np.nan)
-    out[present] = defined(dihedrals, *quads[present].transpose(1, 0, 2))
+    out[present] = defined(dihedrals,
+                           *table.xyz[quads[present]].transpose(1, 0, 2))
     return out
 
 
@@ -307,13 +323,17 @@ def within_cutoff(points: np.ndarray, targets: np.ndarray,
 
 
 def edges_from_text(text: str, num_nodes: int | None = None) -> GraphTopology:
+    """Parse edges_to_text() lines, skipping blank ones; raises
+    MalformedRecord for a line that is not two tab-separated integers."""
     pairs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        s, t = line.split("\t")
-        pairs.append((int(s), int(t)))
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            try:
+                s, t = map(int, line.strip().split("\t"))
+            except ValueError as exc:
+                raise MalformedRecord(
+                    line_no, f"expected two tab-separated integers: {exc}") from exc
+            pairs.append((s, t))
     edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if num_nodes is None:
         num_nodes = int(edges.max()) + 1 if len(edges) else 0

@@ -85,18 +85,23 @@ def _check_atom_line(line: str, line_no: int) -> None:
 
 
 def _floats(texts: list[str], default: float) -> list[float]:
-    """A column of floats; a blank or garbled entry reads as default."""
+    """A column of floats; a blank, garbled or non-finite entry reads as
+    default."""
     try:
-        return list(map(float, texts))
+        values = list(map(float, texts))
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        return [_float_or(text, default) for text in texts]
+        pass
+    return [_float_or(text, default) for text in texts]
 
 
 def _float_or(text: str, default: float) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return default
+    return value if math.isfinite(value) else default
 
 
 def parse_pdb(text: str, structure_id: str = "") -> Structure:
@@ -172,7 +177,7 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
             serial += 1
         seen_serials.add(serial)
         element = element or next((c for c in name if c.isalpha()), "X")
-        if not 0.0 <= occupancy <= 1.0:  # NaN stays NaN
+        if not 0.0 <= occupancy <= 1.0:
             occupancy = min(max(occupancy, 0.0), 1.0)
 
         if line[0] == "H":  # of the two tags, only HETATM starts with H

@@ -111,6 +111,67 @@ class Structure:
         return {a.het_code for a in self.hetero_atoms if a.het_code}
 
 
+@dataclass(frozen=True, eq=False)
+class AtomTable:
+    """The atoms of a residue sequence, flat and in order, with their
+    positions xyz (m, 3), owner (m,), the index of each atom's residue,
+    and names (m,), each atom's name as its code in codes."""
+    residues: tuple[Residue, ...]
+    atoms: tuple[Atom, ...]
+    xyz: np.ndarray
+    owner: np.ndarray
+    names: np.ndarray
+    codes: dict[str, int]
+
+    def named(self, names) -> np.ndarray:
+        """(m, len(names)) mask: True where atom i is named names[j]."""
+        return self.names[:, None] == [self.codes.get(n, -1) for n in names]
+
+    def slots(self, names) -> np.ndarray:
+        """(n, len(names)) index of the first atom of each name in each
+        residue (Residue.atom's rule), -1 where there is none."""
+        atom, column = np.nonzero(self.named(names))  # atom-major order
+        cells, first = np.unique(self.owner[atom] * len(names) + column,
+                                 return_index=True)
+        out = np.full((len(self.residues), len(names)), -1)
+        out.flat[cells] = atom[first]
+        return out
+
+
+def atom_table(residues) -> AtomTable:
+    """Gather the atoms of a residue sequence into one AtomTable."""
+    residues = tuple(residues)
+    atoms = tuple(a for r in residues for a in r.atoms)
+    codes: dict[str, int] = {}
+    names = [codes.setdefault(a.name, len(codes)) for a in atoms]
+    return AtomTable(
+        residues, atoms, np.array([a.position for a in atoms]).reshape(-1, 3),
+        np.repeat(np.arange(len(residues)), [len(r.atoms) for r in residues]),
+        np.array(names, dtype=np.int64), codes)
+
+
+def complete_residues(s: Structure, wanted: tuple[str, ...]) -> list:
+    """Per chain that keeps any: (chain, its AtomTable, the indices of the
+    residues holding every wanted atom, their slots). Logs one warning
+    naming s.id if any residue is dropped; raises NoCompleteResidues if
+    none is kept."""
+    found = []
+    dropped = 0
+    for chain in s.chains:
+        table = atom_table(chain.residues)
+        slots = table.slots(wanted)
+        rows = np.flatnonzero((slots >= 0).all(axis=1))
+        dropped += len(slots) - len(rows)
+        if len(rows):
+            found.append((chain, table, rows, slots[rows]))
+    if dropped:
+        logger.warning("structure %r: dropped %d residues lacking one of %s",
+                       s.id, dropped, ", ".join(wanted))
+    if not found:
+        raise NoCompleteResidues(f"no residue has all of {wanted}")
+    return found
+
+
 def select_granularity(s: Structure, level: Granularity) -> Structure:
     """Project a structure down to CA-only or backbone atoms.
 
@@ -120,26 +181,11 @@ def select_granularity(s: Structure, level: Granularity) -> Structure:
     if level is Granularity.ALL_ATOM:
         return s
     wanted = ("CA",) if level is Granularity.CA_ONLY else BACKBONE_ATOMS
-
-    dropped = 0
-    new_chains = []
-    for chain in s.chains:
-        kept = []
-        for res in chain.residues:
-            atoms = tuple(a for name in wanted if (a := res.atom(name)) is not None)
-            if len(atoms) == len(wanted):
-                kept.append(Residue(res.res_type, res.seq_index,
-                                    res.insertion_code, atoms))
-            else:
-                dropped += 1
-        if kept:
-            new_chains.append(Chain(chain.id, tuple(kept)))
-    if dropped:
-        logger.warning("select_granularity(%s): dropped %d incomplete residues",
-                       level.value, dropped)
-    if not new_chains:
-        raise NoCompleteResidues(f"no residue has all of {wanted}")
-    return replace(s, chains=tuple(new_chains))
+    return replace(s, chains=tuple(
+        Chain(chain.id, tuple(
+            replace(table.residues[i], atoms=tuple(table.atoms[j] for j in row))
+            for i, row in zip(rows.tolist(), slots.tolist())))
+        for chain, table, rows, slots in complete_residues(s, wanted)))
 
 
 @dataclass(frozen=True)

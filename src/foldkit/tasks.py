@@ -12,14 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import backbone_walk, to_internal
+from .codec import backbone_walk, measure_backbone
 from .errors import MissingConfidence, SelectorEmpty, SingleChain, TooFewNodes
 from .featurise import ProteinGraph
-from .geometry import (backbone_array, bond_angles, defined, dihedrals,
-                       row_norms, superpose, within_cutoff)
+from .geometry import (bond_angles, defined, dihedrals, row_norms, superpose,
+                       table_backbone, within_cutoff)
 from .residues import MASK_INDEX, VOCAB_SIZE, VOCABULARY, residue_index
 from .rng import make_rng
-from .structure import BACKBONE_ATOMS, Chain, Structure
+from .structure import BACKBONE_ATOMS, Chain, Structure, atom_table
 
 # Sequence-denoising auxiliary loss weight; carried as metadata so
 # downstream consumers share one recorded constant.
@@ -154,6 +154,13 @@ def _noise_coords(X, sigma: float, eps: np.ndarray) -> CorruptionResult:
     return CorruptionResult(noised, targets, np.ones(len(X), dtype=bool))
 
 
+# The stand-alone op of each sequence and coordinate kind.
+_OPS = {CorruptionKind.SEQ_MUTATE: corrupt_sequence_mutate,
+        CorruptionKind.SEQ_MASK: corrupt_sequence_mask,
+        CorruptionKind.COORD_GAUSS: corrupt_coords_gaussian,
+        CorruptionKind.COORD_UNIFORM: corrupt_coords_uniform}
+
+
 def corrupt_torsions(chain: Chain, sigma: float,
                      rng: np.random.Generator) -> CorruptionResult:
     """Noise phi/psi/omega, keep bond angles, rebuild the backbone by NeRF.
@@ -166,7 +173,9 @@ def corrupt_torsions(chain: Chain, sigma: float,
     metadata are the input's. Targets hold the per-residue angular noise
     triplets (primary) and the original angles (auxiliary).
     """
-    ic = to_internal(chain)
+    table = atom_table(chain.residues)
+    backbone, present = table_backbone(table)
+    ic = measure_backbone(chain, backbone, present)
     n = ic.n_residues
     noise = rng.standard_normal((n, 3)) * sigma
     noise[~ic.defined_torsions] = 0.0
@@ -175,26 +184,19 @@ def corrupt_torsions(chain: Chain, sigma: float,
     noised[~ic.defined_torsions] = 0.0
     walked = backbone_walk(replace(ic, phi=noised[:, 0], psi=noised[:, 1],
                                    omega=noised[:, 2]))
-    xyz, owner = _gather(chain.residues)
-    names = np.array([a.name for res in chain.residues for a in res.atoms])
-    slots = names[:, None] == np.array(BACKBONE_ATOMS)  # (m, 4)
+    owner = table.owner
+    slots = table.named(BACKBONE_ATOMS)  # (m, 4)
     has_side = np.bincount(owner, ~slots.any(axis=1), n) > 0
     R, t = np.zeros((n, 3, 3)), np.zeros((n, 3))
-    R[has_side], t[has_side] = superpose(
-        backbone_array(chain)[0][has_side, :3], walked[has_side, :3])
-    xyz = (R[owner] @ xyz[..., None])[..., 0] + t[owner]
+    R[has_side], t[has_side] = superpose(backbone[has_side, :3],
+                                         walked[has_side, :3])
+    xyz = (R[owner] @ table.xyz[..., None])[..., 0] + t[owner]
     atom, slot = np.nonzero(slots)
     xyz[atom] = walked[owner[atom], slot]
     targets = DenoisingTargets(kind="torsional", angular_noise=noise,
                                original_angles=original, sigma=sigma)
     return CorruptionResult(_move_atoms(chain, xyz),
                             targets, np.ones(n, dtype=bool))
-
-
-def _onehot_rows(indices: np.ndarray) -> np.ndarray:
-    rows = np.zeros((len(indices), VOCAB_SIZE))
-    rows[np.arange(len(indices)), indices] = 1.0
-    return rows
 
 
 def co_corrupt(graph: ProteinGraph, seq_spec: CorruptionSpec,
@@ -207,28 +209,18 @@ def co_corrupt(graph: ProteinGraph, seq_spec: CorruptionSpec,
     angle-derived scalar columns are not recomputed here - callers wanting
     consistent features re-featurise from the corrupted coordinates.
     """
-    seq_rng = make_rng(seed, stream=0)
-    struct_rng = make_rng(seed, stream=1)
-
-    if seq_spec.kind is CorruptionKind.SEQ_MASK:
-        seq_result = corrupt_sequence_mask(graph.res_types, seq_spec.nu, seq_rng)
-    elif seq_spec.kind is CorruptionKind.SEQ_MUTATE:
-        seq_result = corrupt_sequence_mutate(graph.res_types, seq_spec.nu, seq_rng)
-    else:
+    if seq_spec.kind not in (CorruptionKind.SEQ_MUTATE, CorruptionKind.SEQ_MASK):
         raise ValueError(f"co_corrupt sequence stage got {seq_spec.kind}")
-
-    if struct_spec.kind is CorruptionKind.COORD_GAUSS:
-        struct_result = corrupt_coords_gaussian(graph.coords, struct_spec.sigma,
-                                                struct_rng)
-    elif struct_spec.kind is CorruptionKind.COORD_UNIFORM:
-        struct_result = corrupt_coords_uniform(graph.coords, struct_spec.sigma,
-                                               struct_rng)
-    else:
+    if struct_spec.kind not in (CorruptionKind.COORD_GAUSS,
+                                CorruptionKind.COORD_UNIFORM):
         raise ValueError(f"co_corrupt structure stage got {struct_spec.kind}")
-
+    seq_result = _OPS[seq_spec.kind](graph.res_types, seq_spec.nu,
+                                     make_rng(seed, stream=0))
+    struct_result = _OPS[struct_spec.kind](graph.coords, struct_spec.sigma,
+                                           make_rng(seed, stream=1))
     new_types = np.asarray(seq_result.corrupted, dtype=np.int64)
     scalars = graph.scalars.copy()
-    scalars[:, :VOCAB_SIZE] = _onehot_rows(new_types)
+    scalars[:, :VOCAB_SIZE] = np.eye(VOCAB_SIZE)[new_types]
     corrupted_graph = replace(graph, coords=struct_result.corrupted,
                               scalars=scalars, res_types=tuple(new_types))
     targets = DenoisingTargets(kind="co", sequence=seq_result.targets,
@@ -267,10 +259,7 @@ def masked_attribute_targets(graph: ProteinGraph, kind: MaskedAttribute,
         candidates = _consecutive_tuples(graph, kind.value)
     if len(candidates) == 0:
         raise TooFewNodes(f"no candidate tuples for {kind.name}")
-    m = int(np.floor(fraction * len(candidates)))
-    chosen = (np.sort(rng.choice(len(candidates), size=m, replace=False))
-              if m else np.empty(0, dtype=np.int64))
-    tuples = candidates[chosen]
+    tuples = candidates[_pick_positions(len(candidates), fraction, rng)]
     points = graph.coords[tuples.T]
     if kind is MaskedAttribute.DISTANCE:
         values = row_norms(points[0] - points[1])
@@ -288,23 +277,16 @@ def plddt_targets(s: Structure) -> DenoisingTargets:
     to the residue's first atom. Raises MissingConfidence when every
     value is zero or absent.
     """
-    values = []
-    for _, res in s.iter_residues():
-        atom = res.atom("CA") or (res.atoms[0] if res.atoms else None)
-        values.append(atom.b_factor if atom is not None else 0.0)
-    values = np.asarray(values, dtype=np.float64)
+    table = atom_table(res for _, res in s.iter_residues())
+    n = len(table.residues)
+    first = np.searchsorted(table.owner, np.arange(n))
+    first[np.bincount(table.owner, minlength=n) == 0] = -1
+    ca = table.slots(("CA",))[:, 0]
+    values = np.array([a.b_factor for a in table.atoms] + [0.0],
+                      dtype=np.float64)[np.where(ca >= 0, ca, first)]
     if not len(values) or np.all(values == 0.0):
         raise MissingConfidence("no b-factor confidence values present")
     return DenoisingTargets(kind="plddt", values=np.clip(values / 100.0, 0.0, 1.0))
-
-
-def _gather(residues) -> tuple[np.ndarray, np.ndarray]:
-    """(m, 3) positions of the atoms of a residue sequence, in order, and
-    the (m,) index of each atom's residue."""
-    residues = list(residues)
-    xyz = np.reshape([a.position for r in residues for a in r.atoms], (-1, 3))
-    owner = np.repeat(np.arange(len(residues)), [len(r.atoms) for r in residues])
-    return xyz, owner
 
 
 def binding_site_labels(s: Structure, selector, cutoff: float = DEFAULT_CUTOFF) -> LabelSet:
@@ -315,8 +297,8 @@ def binding_site_labels(s: Structure, selector, cutoff: float = DEFAULT_CUTOFF) 
                           if a.het_code in selector], dtype=np.float64)
     if targets.size == 0:
         raise SelectorEmpty(f"no hetero atom matches {sorted(selector)}")
-    positions, owner = _gather(res for _, res in s.iter_residues())
-    hits = np.bincount(owner, within_cutoff(positions, targets, cutoff),
+    table = atom_table(res for _, res in s.iter_residues())
+    hits = np.bincount(table.owner, within_cutoff(table.xyz, targets, cutoff),
                        s.num_residues)
     return LabelSet((hits > 0).astype(np.int8), cutoff,
                     "het:" + ",".join(sorted(selector)))
@@ -329,7 +311,8 @@ def interface_labels(complex_structure: Structure,
     if len(complex_structure.chains) < 2:
         raise SingleChain("interface labels need at least 2 chains")
     pairs = list(complex_structure.iter_residues())  # (chain, residue)
-    positions, owner = _gather(res for _, res in pairs)
+    table = atom_table(res for _, res in pairs)
+    positions, owner = table.xyz, table.owner
     chains = np.asarray([c.id for c, _ in pairs], dtype=str)[owner]
     hit = np.zeros(len(positions), dtype=bool)
     for chain_id in np.unique(chains):
@@ -362,19 +345,15 @@ def corrupt_structure(s: Structure, spec: CorruptionSpec) -> CorruptionResult:
         rng = make_rng(spec.seed, stream=0)
         indices = np.asarray([  # vocabulary index per residue, chain order
             residue_index(res.res_type) for _, res in s.iter_residues()])
-        op = (corrupt_sequence_mutate if spec.kind is CorruptionKind.SEQ_MUTATE
-              else corrupt_sequence_mask)
-        result = op(indices, spec.nu, rng)
+        result = _OPS[spec.kind](indices, spec.nu, rng)
         new_types = [VOCABULARY[i] for i in result.corrupted]
         corrupted = _rewrite_residue_types(s, new_types)
         return CorruptionResult(corrupted, result.targets, result.corrupted_mask)
 
     if spec.kind in (CorruptionKind.COORD_GAUSS, CorruptionKind.COORD_UNIFORM):
         rng = make_rng(spec.seed, stream=1)
-        coords, _ = _gather(res for _, res in s.iter_residues())
-        op = (corrupt_coords_gaussian if spec.kind is CorruptionKind.COORD_GAUSS
-              else corrupt_coords_uniform)
-        result = op(coords, spec.sigma, rng)
+        coords = atom_table(res for _, res in s.iter_residues()).xyz
+        result = _OPS[spec.kind](coords, spec.sigma, rng)
         rows = iter(result.corrupted)
         corrupted = replace(s, chains=tuple(_move_atoms(chain, rows)
                                             for chain in s.chains))

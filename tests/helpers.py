@@ -13,12 +13,15 @@ import numpy as np
 from foldkit.codec import (DEFAULT_GEOMETRY, backbone_walk, nerf_place,
                            to_internal)
 from foldkit.errors import (DegenerateConfiguration, DegenerateFrame,
-                            EmptyStructure, MalformedRecord)
-from foldkit.geometry import Superposition, backbone_array, wrap_angle
+                            EmptyStructure, MalformedRecord,
+                            NoCompleteResidues)
+from foldkit.geometry import (Superposition, backbone_array, defined,
+                              dihedrals, wrap_angle)
 from foldkit.pdb import _parse_method, _parse_pdb_date
-from foldkit.residues import RESIDUE_INDEX
+from foldkit.residues import CHI_ATOMS, MAX_CHI, RESIDUE_INDEX
 from foldkit.rng import make_rng
-from foldkit.structure import Atom, Chain, Residue, Structure
+from foldkit.structure import (BACKBONE_ATOMS, Atom, Chain, Granularity,
+                               Residue, Structure)
 from foldkit.synth import random_chain
 
 
@@ -244,6 +247,68 @@ def corrupt_torsions_oracle(chain: Chain, sigma: float, rng) -> np.ndarray:
     return np.asarray(coords)
 
 
+def backbone_array_oracle(chain: Chain):
+    """The per-residue Residue.atom loop that `foldkit.geometry.backbone_array`
+    replaced, kept as its reference."""
+    xyz = np.zeros((len(chain.residues), len(BACKBONE_ATOMS), 3))
+    present = np.zeros(xyz.shape[:2], dtype=bool)
+    for i, res in enumerate(chain.residues):
+        for j, name in enumerate(BACKBONE_ATOMS):
+            atom = res.atom(name)
+            if atom is not None:
+                xyz[i, j] = atom.position
+                present[i, j] = True
+    return xyz, present
+
+
+def chi_angles_oracle(residues) -> np.ndarray:
+    """The per-residue Residue.atom loop that `foldkit.geometry.chi_angles`
+    replaced, kept as its reference."""
+    quads = np.zeros((len(residues), MAX_CHI, 4, 3))
+    present = np.zeros((len(residues), MAX_CHI), dtype=bool)
+    for i, res in enumerate(residues):
+        for k, names in enumerate(CHI_ATOMS.get(res.res_type, ())):
+            atoms = [res.atom(name) for name in names]
+            if all(a is not None for a in atoms):
+                quads[i, k] = [a.position for a in atoms]
+                present[i, k] = True
+    out = np.full(present.shape, np.nan)
+    out[present] = defined(dihedrals, *quads[present].transpose(1, 0, 2))
+    return out
+
+
+def select_granularity_oracle(s: Structure, level: Granularity) -> Structure:
+    """The per-residue Residue.atom loop that
+    `foldkit.structure.select_granularity` replaced, kept as its reference
+    (without the warning)."""
+    if level is Granularity.ALL_ATOM:
+        return s
+    wanted = ("CA",) if level is Granularity.CA_ONLY else BACKBONE_ATOMS
+    new_chains = []
+    for chain in s.chains:
+        kept = []
+        for res in chain.residues:
+            atoms = tuple(a for name in wanted if (a := res.atom(name)) is not None)
+            if len(atoms) == len(wanted):
+                kept.append(Residue(res.res_type, res.seq_index,
+                                    res.insertion_code, atoms))
+        if kept:
+            new_chains.append(Chain(chain.id, tuple(kept)))
+    if not new_chains:
+        raise NoCompleteResidues(f"no residue has all of {wanted}")
+    return replace(s, chains=tuple(new_chains))
+
+
+def plddt_values_oracle(s: Structure) -> np.ndarray:
+    """The per-residue values loop that `foldkit.tasks.plddt_targets`
+    replaced (before scaling), kept as its reference."""
+    values = []
+    for _, res in s.iter_residues():
+        atom = res.atom("CA") or (res.atoms[0] if res.atoms else None)
+        values.append(atom.b_factor if atom is not None else 0.0)
+    return np.asarray(values, dtype=np.float64)
+
+
 def silu_oracle(x: np.ndarray) -> np.ndarray:
     """The two-branch masked SiLU that `foldkit.gnn._activate` replaced,
     kept as its reference."""
@@ -354,6 +419,12 @@ def _parse_atom_line_oracle(line: str, line_no: int):
     try:
         b_factor = float(_field_oracle(line, 60, 66) or 0.0)
     except ValueError:
+        b_factor = 0.0
+    # a non-finite occupancy or b-factor reads as its default, like a
+    # garbled one
+    if not math.isfinite(occupancy):
+        occupancy = 1.0
+    if not math.isfinite(b_factor):
         b_factor = 0.0
     element = _field_oracle(line, 76, 78).strip()
     if not element:

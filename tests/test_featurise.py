@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from foldkit.errors import (DegenerateGeometry, DimensionMismatch, MissingAtom,
-                            OddDimension, BadMagic, TruncatedPayload)
+                            MalformedRecord, OddDimension, BadMagic,
+                            TruncatedPayload)
 from foldkit.featurise import (FeatureScheme, build_graph, embed_angle,
                                positional_encoding, scalar_features,
                                vector_features)
@@ -218,10 +219,11 @@ class TestBuildGraph:
                 a for a in res.atoms if a.name != "CA")),)
             + chain.residues[5:]))
         with caplog.at_level(logging.WARNING, logger="foldkit"):
-            g = build_graph(single_chain_structure(chain), FeatureScheme.CA_SC,
-                            k=4)
+            g = build_graph(single_chain_structure(chain, "1ABC"),
+                            FeatureScheme.CA_SC, k=4)
         assert g.num_nodes == 9
         assert len(caplog.records) == 1
+        assert "1ABC" in caplog.records[0].getMessage()
 
     def test_mis_shaped_graph_raises(self):
         g = build_graph(single_chain_structure(random_chain(6, make_rng(24))),
@@ -252,6 +254,13 @@ class TestEdgeTextFormat:
         topo = knn_graph(make_rng(9).normal(size=(10, 3)), 3)
         back = edges_from_text(edges_to_text(topo), num_nodes=10)
         assert np.array_equal(topo.edges, back.edges)
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("1\t2\t3\n", 1), ("0\t1\n\na\tb\n", 3), ("0\t1\n1 2\n", 2)])
+    def test_malformed_line_raises_typed_error(self, text, line_no):
+        with pytest.raises(MalformedRecord) as err:
+            edges_from_text(text)
+        assert err.value.line_no == line_no
 
 
 class TestTensorContainer:

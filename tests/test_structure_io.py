@@ -191,6 +191,9 @@ _LENIENT = [(54, "      "), (54, "  x.xx"), (54, " -0.50"), (54, "  1.50"),
             (76, "  ")]
 
 
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
 @st.composite
 def _pdb_texts(draw):
     lines = []
@@ -207,7 +210,8 @@ def _pdb_texts(draw):
             *(draw(st.floats(-999, 9999)) for _ in range(3)),
             altloc=draw(st.sampled_from(" ABC")),
             icode=draw(st.sampled_from("  AB")),
-            occ=draw(st.floats(-1, 2)), b=draw(st.floats(0, 99)),
+            occ=draw(st.floats(-1, 2) | _NON_FINITE),
+            b=draw(st.floats(0, 99) | _NON_FINITE),
             element=draw(st.sampled_from([None, "", "ZN"])),
             record=draw(st.sampled_from(["ATOM", "ATOM", "HETATM"])))
         if draw(st.integers(0, 3)) == 0:
@@ -265,6 +269,23 @@ class TestParseOracle:
                           "ATOM  bad line", good[:30] + "     inf" + good[38:]])
         assert parse_pdb(text).num_residues == 1
         _assert_matches_oracle(text)
+
+    def test_non_finite_occupancy_and_b_factor_read_as_defaults(self):
+        zn = ("HETATM    1 ZN    ZN A   1       1.000   2.000   3.000"
+              "   nan   nan          ZN")
+        good = atom_line(2, "CA", "ALA", "A", 1, 1.0, 2.0, 3.0, occ=0.5, b=7.0)
+        cases = [(zn, 0.0)] + [(good[:54] + occ + b + good[66:], expected_b)
+                               for occ, b, expected_b in (
+                                   ("   inf", "  -inf", 0.0),
+                                   ("  -inf", " 1e999", 0.0),
+                                   ("   nan", "  7.00", 7.0))]
+        for line, expected_b in cases:
+            s = parse_pdb(line)
+            assert s == parse_pdb(line)
+            (atom,) = s.hetero_atoms or s.chains[0].residues[0].atoms
+            assert (atom.occupancy, atom.b_factor) == (1.0, expected_b)
+            assert "nan" not in write_pdb(s) and "inf" not in write_pdb(s)
+            _assert_matches_oracle(line)
 
     def test_hetatm_only_file(self):
         lines = [atom_line(i, name, res, "Z", i, i * 2.0, 0.0, 0.0,
