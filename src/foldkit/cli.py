@@ -79,11 +79,13 @@ def _plan(input_path: str, output_path: str, in_suffix: str,
 
 def _run_jobs(args, in_suffix: str, out_suffix: str | None, worker) -> int:
     """Run worker on every planned file, with --jobs threads; print
-    per-file errors in input order. Returns 2 if any file failed."""
+    per-file errors, of any Exception type, in input order. Returns 2 if
+    any file failed."""
     def attempt(plan):
         try:
             worker(plan)
-        except FoldkitError as exc:
+        except Exception as exc:  # one file's failure stops no other file
+            logging.getLogger(__name__).debug("%s", plan[0], exc_info=exc)
             return f"{plan[0]}: {type(exc).__name__}: {exc}"
         return None
 
@@ -97,17 +99,11 @@ def _run_jobs(args, in_suffix: str, out_suffix: str | None, worker) -> int:
     return 2 if failed else 0
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, mode: str = "r"):
+    """The text (mode "r", undecodable bytes replaced) or bytes ("rb") of
+    a file."""
     try:
-        with open(path, "r", errors="replace") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise FoldkitError(f"{path}: {exc}") from exc
-
-
-def _read_bytes(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
+        with open(path, mode, errors=None if mode == "rb" else "replace") as fh:
             return fh.read()
     except OSError as exc:
         raise FoldkitError(f"{path}: {exc}") from exc
@@ -120,7 +116,7 @@ def _ensure_parent(path: str) -> None:
 
 
 def _parse_file(path: str):
-    return parse_pdb(_read_text(path),
+    return parse_pdb(_read(path),
                      os.path.splitext(os.path.basename(path))[0])
 
 
@@ -151,7 +147,7 @@ def run_encode(args) -> int:
         in_path, out_path, _ = plan
         structure = _parse_file(in_path)
         chain = _pick_chain(structure, args.chain, in_path)
-        encoded = encode(chain)
+        encoded = encode(chain)  # measures the backbone array read below
         _ensure_parent(out_path)
         with open(out_path, "wb") as fh:
             fh.write(encoded.to_bytes())
@@ -166,7 +162,7 @@ def run_encode(args) -> int:
 def run_decode(args) -> int:
     def worker(plan):
         in_path, out_path, _ = plan
-        encoded = EncodedProtein.from_bytes(_read_bytes(in_path))
+        encoded = EncodedProtein.from_bytes(_read(in_path, "rb"))
         chain = decode(encoded)
         _ensure_parent(out_path)
         with open(out_path, "w") as fh:
@@ -265,9 +261,11 @@ def run_label(args) -> int:
             labels = binding_site_labels(structure, ligands, args.cutoff)
         else:
             labels = interface_labels(structure, args.cutoff)
-        rows = [f"{chain.id},{res.seq_index},{label}"
-                for (chain, res), label in
-                zip(structure.iter_residues(), labels.labels)]
+        table = structure.table
+        rows = [f"{chain_id},{seq_index},{label}"
+                for chain_id, seq_index, label in zip(
+                    table.chain.tolist(), table.seq_index.tolist(),
+                    labels.labels)]
         _ensure_parent(out_path)
         with open(out_path, "w") as fh:
             fh.write("chain,seq_index,label\n")
@@ -277,7 +275,7 @@ def run_label(args) -> int:
 
 
 def run_filter(args) -> int:
-    spec = load_filter_spec(_read_text(args.spec))
+    spec = load_filter_spec(_read(args.spec))
     if not os.path.isdir(args.input):
         raise FoldkitError(f"{args.input}: not a directory")
     accepted = []

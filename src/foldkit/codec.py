@@ -30,10 +30,10 @@ import numpy as np
 
 from .errors import (BadMagic, ChainTooShort, DegenerateFrame,
                      TruncatedPayload, VersionMismatch)
-from .geometry import (TWO_PI, backbone_array, backbone_frames,
+from .geometry import (TWO_PI, backbone_frames,
                        backbone_torsions, bond_angles, defined)
 from .residues import UNK, VOCABULARY, residue_index
-from .structure import BACKBONE_ATOMS, Atom, Chain, Residue
+from .structure import BACKBONE_ATOMS, AtomTable, Chain, object_array
 
 MAGIC = b"FKC1"
 VERSION = 1
@@ -141,23 +141,18 @@ def nerf_place(a, b, c, length: float, bond_angle_value: float,
 
 def to_internal(chain: Chain) -> InternalCoords:
     """Measure the internal-coordinate state of a backbone-complete chain."""
-    return measure_backbone(chain, *backbone_array(chain))
-
-
-def measure_backbone(chain: Chain, xyz: np.ndarray,
-                     present: np.ndarray) -> InternalCoords:
-    """to_internal of a chain from its backbone array and presence mask."""
-    n = len(chain.residues)
+    table = chain.table
+    n = len(table.res_type)
     if n < 3:
         raise ChainTooShort(f"need >= 3 residues, got {n}")
-    frames = backbone_frames(chain, xyz, present)
+    frames = backbone_frames(table)
     torsions = np.nan_to_num(backbone_torsions(frames))
     # consecutive triples of N0 CA0 C0 N1 ... are theta_n(0), theta_ca(0),
     # theta_c(0), theta_n(1), ...; the last two are undefined (0)
     atoms = frames.reshape(-1, 3)
     theta = np.append(defined(bond_angles, atoms[:-2], atoms[1:-1], atoms[2:]),
                       [0.0, 0.0]).reshape(n, 3)
-    return InternalCoords(tuple(r.res_type for r in chain.residues),
+    return InternalCoords(tuple(table.res_type.tolist()),
                           *torsions.T, *theta.T, anchor=frames[0])
 
 
@@ -190,13 +185,15 @@ def backbone_walk(ic: InternalCoords) -> np.ndarray:
 def from_internal(ic: InternalCoords, chain_id: str = "A") -> Chain:
     """Rebuild a backbone chain from backbone_walk(), atoms serialised
     from 1 and residues numbered from 1."""
-    residues = []
-    for i, (res_type, block) in enumerate(zip(ic.res_types, backbone_walk(ic))):
-        atoms = tuple(Atom(name, name[0], p, serial=4 * i + j + 1)
-                      for j, (name, p) in enumerate(zip(BACKBONE_ATOMS, block)))
-        residues.append(Residue(res_type if res_type in VOCABULARY else UNK,
-                                i + 1, None, atoms))
-    return Chain(chain_id, tuple(residues))
+    n = ic.n_residues
+    return Chain.from_table(chain_id, AtomTable(
+        backbone_walk(ic).reshape(-1, 3), np.tile(np.arange(4), n),
+        {name: j for j, name in enumerate(BACKBONE_ATOMS)},
+        object_array(name[0] for name in BACKBONE_ATOMS * n), np.ones(4 * n),
+        np.zeros(4 * n), np.arange(1, 4 * n + 1), np.repeat(np.arange(n), 4),
+        object_array(t if t in VOCABULARY else UNK for t in ic.res_types),
+        np.arange(1, n + 1), object_array([None] * n),
+        object_array([chain_id] * n)))
 
 
 def _quantise_torsions(theta):

@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import DegenerateGeometry, DimensionMismatch, OddDimension
 from .geometry import (GraphTopology, backbone_frames, backbone_torsions,
-                       knn_graph, row_norms, table_backbone, table_chi,
+                       knn_graph, row_norms, table_chi,
                        virtual_angle_array)
 from .residues import MAX_CHI, VOCAB_SIZE, residue_index
-from .structure import Chain, Structure, complete_residues
+from .structure import Structure, complete_residues
 
 POSITION_DIM = 16
 DEFAULT_K = 16
@@ -95,10 +95,10 @@ def embed_angle(theta) -> tuple[float, float]:
     return (float(sin), float(cos))
 
 
-# One chain's graph nodes: the chain of the node residues, the AtomTable
-# of the whole chain, the node rows of the table and their (n, 4, 3)
-# backbone array and (n, 4) presence mask.
-_NodeChain = collections.namedtuple("_NodeChain", "chain table rows xyz present")
+# One chain's graph nodes: the chain id, the AtomTable of the whole
+# chain, the node rows of the table, their (n, 3) CA positions and their
+# vocabulary indices.
+_NodeChain = collections.namedtuple("_NodeChain", "id table rows ca types")
 
 
 def _nodes(s: Structure):
@@ -106,11 +106,11 @@ def _nodes(s: Structure):
     _NodeChain per chain, then the (n, 3) CA coordinates and (n,) chain
     index."""
     chains = []
-    for chain, table, rows, _ in complete_residues(s, ("CA",)):
+    for chain, table, rows, slots in complete_residues(s, ("CA",)):
         chains.append(_NodeChain(
-            Chain(chain.id, tuple(chain.residues[i] for i in rows)), table,
-            rows, *table_backbone(table, rows)))
-    coords = np.concatenate([node.xyz[:, 1] for node in chains])
+            chain.id, table, rows, table.xyz[slots[:, 0]],
+            [residue_index(t) for t in table.res_type[rows]]))
+    coords = np.concatenate([node.ca for node in chains])
     chain_index = np.repeat(np.arange(len(chains), dtype=np.int64),
                             [len(node.rows) for node in chains])
     return chains, coords, chain_index
@@ -119,13 +119,13 @@ def _nodes(s: Structure):
 def _scalar_blocks(node: _NodeChain, first_position: int):
     """One chain's scalar feature blocks in the normative order, each
     computed only when asked for."""
-    chain, table, rows, xyz, present = node
-    n = len(chain.residues)
-    yield np.eye(VOCAB_SIZE)[[residue_index(r.res_type) for r in chain.residues]]
+    _, table, rows, ca, types = node
+    n = len(rows)
+    yield np.eye(VOCAB_SIZE)[types]
     yield _positional_block(first_position + np.arange(n))
-    yield _embed(virtual_angle_array(xyz[:, 1]) if n >= 2
+    yield _embed(virtual_angle_array(ca) if n >= 2
                  else np.full((n, 2), np.nan))
-    yield _embed(backbone_torsions(backbone_frames(chain, xyz, present)))
+    yield _embed(backbone_torsions(backbone_frames(table, rows)))
     yield _embed(table_chi(table, rows))
 
 
@@ -233,7 +233,6 @@ def build_graph(s: Structure, scheme: FeatureScheme = FeatureScheme.CA_BB,
     return ProteinGraph(
         topology=topology, coords=coords, scalars=scalars,
         node_vectors=node_vectors, edge_vectors=edge_vectors, scheme=scheme,
-        res_types=tuple(residue_index(r.res_type)
-                        for node in chains for r in node.chain.residues),
+        res_types=tuple(i for node in chains for i in node.types),
         chain_index=chain_index,
-        chain_ids=tuple(node.chain.id for node in chains))
+        chain_ids=tuple(node.id for node in chains))

@@ -134,28 +134,22 @@ class ChiSet:
 
 def backbone_array(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
     """(n, 4, 3) N/CA/C/O positions of a chain and their (n, 4) presence
-    mask; absent atoms hold zero rows."""
-    return table_backbone(atom_table(chain.residues))
+    mask; absent atoms hold zero rows. Both are read-only."""
+    return chain.table.backbone
 
 
-def table_backbone(table: AtomTable, rows=slice(None)):
-    """backbone_array of the residues rows of an AtomTable."""
-    slots = table.slots(BACKBONE_ATOMS)[rows]
-    xyz, present = np.zeros(slots.shape + (3,)), slots >= 0
-    xyz[present] = table.xyz[slots[present]]
-    return xyz, present
-
-
-def backbone_frames(chain: Chain, xyz: np.ndarray,
-                    present: np.ndarray) -> np.ndarray:
-    """The (n, 3, 3) N/CA/C block of a backbone array; raises MissingAtom
-    for the first absent atom in residue order."""
-    missing = np.argwhere(~present[:, :3])
+def backbone_frames(table: AtomTable, rows=slice(None)) -> np.ndarray:
+    """The (n, 3, 3) N/CA/C block of the backbone array of the residues
+    rows of a table; raises MissingAtom for the first absent atom in
+    residue order."""
+    xyz, present = table.backbone
+    missing = np.argwhere(~present[rows, :3])
     if len(missing):
         i, j = missing[0]
-        res = chain.residues[i]
-        raise MissingAtom(f"{res.res_type} {res.seq_index}", BACKBONE_ATOMS[j])
-    return xyz[:, :3]
+        i = np.arange(len(present))[rows][i]
+        raise MissingAtom(f"{table.res_type[i]} {table.seq_index[i]}",
+                          BACKBONE_ATOMS[j])
+    return xyz[rows, :3]
 
 
 def backbone_torsions(frames: np.ndarray) -> np.ndarray:
@@ -177,7 +171,7 @@ def backbone_dihedrals(chain: Chain) -> DihedralSet:
     phi_i uses C(i-1)-N(i)-CA(i)-C(i); psi_i uses N(i)-CA(i)-C(i)-N(i+1);
     omega_i uses CA(i)-C(i)-N(i+1)-CA(i+1). Termini are None.
     """
-    torsions = backbone_torsions(backbone_frames(chain, *backbone_array(chain)))
+    torsions = backbone_torsions(backbone_frames(chain.table))
     return DihedralSet(*(_optional(column) for column in torsions.T))
 
 
@@ -215,8 +209,8 @@ def chi_angles(residues) -> np.ndarray:
 def table_chi(table: AtomTable, rows=slice(None)) -> np.ndarray:
     """chi_angles of the residues rows of an AtomTable."""
     slots = table.slots(_CHI_NAMES)[rows]
-    types = np.array([residue_index(r.res_type) for r in table.residues],
-                     dtype=np.int64)[rows]
+    types = np.array([residue_index(t) for t in table.res_type[rows]],
+                     dtype=np.int64)
     columns = _CHI_COLUMNS[types]  # (n, 4, 4)
     quads = np.where(columns >= 0,
                      slots[np.arange(len(slots))[:, None, None], columns], -1)
@@ -324,12 +318,15 @@ def within_cutoff(points: np.ndarray, targets: np.ndarray,
 
 def edges_from_text(text: str, num_nodes: int | None = None) -> GraphTopology:
     """Parse edges_to_text() lines, skipping blank ones; raises
-    MalformedRecord for a line that is not two tab-separated integers."""
+    MalformedRecord for a line that is not two tab-separated int64
+    integers."""
     pairs = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             try:
                 s, t = map(int, line.strip().split("\t"))
+                if not (-2**63 <= s < 2**63 and -2**63 <= t < 2**63):
+                    raise ValueError("integer outside int64")
             except ValueError as exc:
                 raise MalformedRecord(
                     line_no, f"expected two tab-separated integers: {exc}") from exc

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CoordinateOverflow, EmptyStructure, MalformedRecord
 from .residues import RESIDUE_INDEX
-from .structure import Atom, Chain, Method, Residue, Structure
+from .structure import Atom, AtomTable, Chain, Method, Structure, object_array
 
 _MONTHS = ("JAN", "FEB", "MAR", "APR", "MAY", "JUN",
            "JUL", "AUG", "SEP", "OCT", "NOV", "DEC")
@@ -84,24 +84,21 @@ def _check_atom_line(line: str, line_no: int) -> None:
         raise MalformedRecord(line_no, "non-finite coordinates")
 
 
-def _floats(texts: list[str], default: float) -> list[float]:
+def _floats(texts: list[str], default: float) -> np.ndarray:
     """A column of floats; a blank, garbled or non-finite entry reads as
     default."""
     try:
-        values = list(map(float, texts))
-        if all(map(math.isfinite, values)):
-            return values
+        values = np.array(list(map(float, texts)))
     except ValueError:
-        pass
-    return [_float_or(text, default) for text in texts]
+        values = np.array([_float_or(text, default) for text in texts])
+    return np.where(np.isfinite(values), values, default)
 
 
 def _float_or(text: str, default: float) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         return default
-    return value if math.isfinite(value) else default
 
 
 def parse_pdb(text: str, structure_id: str = "") -> Structure:
@@ -160,54 +157,81 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
         for line_no, line in zip(line_nos, lines):
             _check_atom_line(line, line_no)
         raise
-    occupancies = _floats([line[54:60] for line in lines], 1.0)
-    b_factors = _floats([line[60:66] for line in lines], 0.0)
-    elements = [line[76:78].strip() for line in lines]
+    occupancy = _floats([line[54:60] for line in lines], 1.0)
+    occupancy = np.where(occupancy < 0.0, 0.0,
+                         np.where(occupancy > 1.0, 1.0, occupancy))
+    b_factor = _floats([line[60:66] for line in lines], 0.0)
+    elements = [line[76:78].strip() or next(
+        (c for c in name if c.isalpha()), "X")
+        for line, name in zip(lines, names)]
 
-    # chain id -> residue key -> (res_type, seq_index, icode, {name: atom})
-    chains: dict[str, dict] = {}
-    hetero: list[Atom] = []
-    seen_serials: set[int] = set()
-    for line, serial, name, seq_index, pos, occupancy, b_factor, element in zip(
-            lines, serials, names, seq_indices, xyz, occupancies, b_factors,
-            elements):
-        if line[16] not in (" ", "A"):
-            continue
-        while serial in seen_serials:
-            serial += 1
-        seen_serials.add(serial)
-        element = element or next((c for c in name if c.isalpha()), "X")
-        if not 0.0 <= occupancy <= 1.0:
-            occupancy = min(max(occupancy, 0.0), 1.0)
-
-        if line[0] == "H":  # of the two tags, only HETATM starts with H
-            res_name = line[17:20].strip()
-            if res_name != "HOH":
-                hetero.append(Atom(name, element, pos, occupancy, b_factor,
-                                   is_hetero=True, serial=serial,
-                                   het_code=res_name))
-            continue
-        icode = line[26] if line[26] != " " else None
-        residues = chains.setdefault(line[21], {})
-        key = (seq_index, icode or "")
-        if key not in residues:
-            res_name = line[17:20].strip()
-            canonical = res_name if res_name in RESIDUE_INDEX else "UNK"
-            residues[key] = (canonical, seq_index, icode, {})
-        atoms = residues[key][3]
-        if name not in atoms:  # else a duplicate name after altloc resolution
-            atoms[name] = Atom(name, element, pos, occupancy, b_factor,
-                               is_hetero=False, serial=serial)
-
-    chain_objs = tuple(
-        Chain(cid, tuple(Residue(res_type, seq_index, icode, tuple(atoms.values()))
-                         for _, (res_type, seq_index, icode, atoms)
-                         in sorted(residues.items())))
-        for cid, residues in chains.items())
-    if not chain_objs and not hetero:
+    altloc = _chars(lines, 16)
+    keep = (altloc == ord(" ")) | (altloc == ord("A"))
+    hetero_record = _chars(lines, 0) == ord("H")  # only HETATM starts with H
+    serial = np.array(serials, dtype=np.int64)
+    kept = serial[keep]
+    if len(np.unique(kept)) < len(kept):  # move each repeat past those seen
+        seen: set[int] = set()
+        for i, value in enumerate(kept.tolist()):
+            while value in seen:
+                value += 1
+            seen.add(value)
+            kept[i] = value
+        serial[keep] = kept
+    hetero = [Atom(names[i], elements[i], xyz[i], occupancy[i].item(),
+                   b_factor[i].item(), is_hetero=True, serial=serial[i].item(),
+                   het_code=lines[i][17:20].strip())
+              for i in np.flatnonzero(keep & hetero_record).tolist()
+              if lines[i][17:20].strip() != "HOH"]
+    chains = _polymer_chains(np.flatnonzero(keep & ~hetero_record), lines,
+                             names, np.array(seq_indices, dtype=np.int64),
+                             xyz, elements, occupancy, b_factor, serial)
+    if not chains and not hetero:
         raise EmptyStructure("no ATOM or HETATM records parsed")
-    return Structure(structure_id, chain_objs, resolution,
+    return Structure(structure_id, chains, resolution,
                      dep_date, method, tuple(hetero))
+
+
+def _chars(lines: list[str], column: int) -> np.ndarray:
+    """The code point of one character column of every line."""
+    return np.frombuffer("".join([line[column] for line in lines])
+                         .encode("utf-32-le"), dtype=np.uint32)
+
+
+def _polymer_chains(records, lines, names, seq_index, xyz, elements,
+                    occupancy, b_factor, serial) -> tuple[Chain, ...]:
+    """The chains of the polymer records (indices in file order): chains in
+    first-seen order, residues sorted by (seq_index, insertion code) with
+    file order kept inside each, the first atom of each name kept."""
+    _, first, chain = np.unique(_chars(lines, 21)[records], return_index=True,
+                                return_inverse=True)
+    icode = _chars(lines, 26)[records].astype(np.int64)
+    icode[icode == ord(" ")] = -1  # no insertion code sorts first
+    key = np.stack([first[chain], seq_index[records], icode])
+    by_key = np.lexsort(key[::-1])  # stable: file order within a key
+    records, key = records[by_key], key[:, by_key]
+    head = np.ones(len(records), dtype=bool)
+    head[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
+    residue = np.cumsum(head) - 1
+    codes: dict[str, int] = {}
+    name = np.array([codes.setdefault(names[i], len(codes))
+                     for i in records.tolist()], dtype=np.int64)
+    # the first atom of each name in each residue
+    kept = np.sort(np.unique(residue * len(codes) + name, return_index=True)[1])
+    atoms = records[kept]
+    heads = [lines[i] for i in records[head].tolist()]
+    res_names = [line[17:20].strip() for line in heads]
+    table = AtomTable(
+        xyz[atoms], name[kept], codes, object_array(elements)[atoms],
+        occupancy[atoms], b_factor[atoms], serial[atoms], residue[kept],
+        object_array(r if r in RESIDUE_INDEX else "UNK" for r in res_names),
+        seq_index[records[head]],
+        object_array(None if line[26] == " " else line[26] for line in heads),
+        object_array(line[21] for line in heads))
+    bounds = np.flatnonzero(np.diff(key[0, head], prepend=-1)).tolist()
+    bounds.append(len(heads))
+    return tuple(Chain.from_table(heads[start][21], table.rows(start, stop))
+                 for start, stop in zip(bounds, bounds[1:]))
 
 
 def _format_date(d: datetime.date) -> str:
@@ -228,14 +252,15 @@ def _format_atom_name(name: str) -> str:
     return name[:4].ljust(4) if len(name) >= 4 else f" {name:<3s}"
 
 
-def _atom_record(tag: str, atom: Atom, res_name: str, chain_id: str,
-                 seq_index: int, icode: str) -> str:
-    x, y, z = atom.position.tolist()
-    return (f"{tag:<6s}{atom.serial:5d} {_format_atom_name(atom.name)} "
+def _atom_record(tag: str, serial: int, name: str, res_name: str,
+                 chain_id: str, seq_index: int, icode: str, x: float,
+                 y: float, z: float, occupancy: float, b_factor: float,
+                 element: str) -> str:
+    return (f"{tag:<6s}{serial:5d} {_format_atom_name(name)} "
             f"{res_name:>3s} {chain_id:1s}{seq_index:4d}{icode:1s}   "
             f"{_format_coord(x)}{_format_coord(y)}{_format_coord(z)}"
-            f"{atom.occupancy:6.2f}{atom.b_factor:6.2f}"
-            f"          {atom.element[:2]:>2s}")
+            f"{occupancy:6.2f}{b_factor:6.2f}"
+            f"          {element[:2]:>2s}")
 
 
 def write_pdb(s: Structure) -> str:
@@ -252,16 +277,26 @@ def write_pdb(s: Structure) -> str:
     if s.resolution is not None:
         lines.append(f"REMARK   2 RESOLUTION. {s.resolution:7.2f} ANGSTROMS.")
     for chain in s.chains:
-        for res in chain.residues:
-            icode = res.insertion_code or " "
-            # MASK has no PDB code; written as MSK (re-parses as UNK).
-            res_name = "MSK" if res.res_type == "MASK" else res.res_type[:3]
-            for atom in res.atoms:
-                lines.append(_atom_record("ATOM", atom, res_name,
-                                          chain.id, res.seq_index, icode))
+        t = chain.table
+        names = list(t.codes)
+        # MASK has no PDB code; written as MSK (re-parses as UNK).
+        residues = [("MSK" if res_type == "MASK" else res_type[:3], seq_index,
+                     icode or " ") for res_type, seq_index, icode in zip(
+                         t.res_type.tolist(), t.seq_index.tolist(),
+                         t.icode.tolist())]
+        for owner, serial, code, xyz, occupancy, b_factor, element in zip(
+                t.owner.tolist(), t.serial.tolist(), t.names.tolist(),
+                t.xyz.tolist(), t.occupancy.tolist(), t.b_factor.tolist(),
+                t.element.tolist()):
+            res_name, seq_index, icode = residues[owner]
+            lines.append(_atom_record("ATOM", serial, names[code], res_name,
+                                      chain.id, seq_index, icode, *xyz,
+                                      occupancy, b_factor, element))
         lines.append("TER")
     for atom in s.hetero_atoms:
-        lines.append(_atom_record("HETATM", atom, atom.het_code or "LIG",
-                                  "Z", 1, " "))
+        lines.append(_atom_record("HETATM", atom.serial, atom.name,
+                                  atom.het_code or "LIG", "Z", 1, " ",
+                                  *atom.position.tolist(), atom.occupancy,
+                                  atom.b_factor, atom.element))
     lines.append("END")
     return "\n".join(lines) + "\n"

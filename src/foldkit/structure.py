@@ -10,6 +10,7 @@ import datetime
 import enum
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -77,15 +78,31 @@ class Residue:
                 return a
         return None
 
-    @property
-    def key(self) -> tuple[int, str]:
-        return (self.seq_index, self.insertion_code or "")
-
 
 @dataclass(frozen=True)
 class Chain:
+    """A chain of residues. A chain made by from_table builds its residues
+    from the table on first access; any other chain builds its table from
+    its residues on first access."""
     id: str
     residues: tuple[Residue, ...]
+
+    @classmethod
+    def from_table(cls, chain_id: str, table: AtomTable) -> Chain:
+        chain = object.__new__(cls)
+        chain.__dict__.update(id=chain_id, table=table)
+        return chain
+
+    def __getattr__(self, name):  # reached only for an unset attribute
+        if name == "residues" and "table" in self.__dict__:
+            return self.table.residues
+        raise AttributeError(name)
+
+    @cached_property
+    def table(self) -> AtomTable:
+        table = atom_table(self.residues)
+        table.chain[:] = self.id
+        return table
 
 
 @dataclass(frozen=True)
@@ -99,7 +116,7 @@ class Structure:
 
     @property
     def num_residues(self) -> int:
-        return sum(len(c.residues) for c in self.chains)
+        return len(self.table.res_type)
 
     def iter_residues(self):
         for chain in self.chains:
@@ -110,18 +127,77 @@ class Structure:
     def hetero_codes(self) -> set[str]:
         return {a.het_code for a in self.hetero_atoms if a.het_code}
 
+    @cached_property
+    def table(self) -> AtomTable:
+        """The AtomTable of every chain's residues, in chain order."""
+        tables = [chain.table for chain in self.chains] or [atom_table(())]
+        columns = {k: np.concatenate([getattr(t, k) for t in tables])
+                   for k in _ATOM_COLUMNS + _RESIDUE_COLUMNS}
+        starts = np.cumsum([0] + [len(t.res_type) for t in tables])
+        columns["owner"] = np.concatenate(
+            [t.owner + start for t, start in zip(tables, starts)])
+        codes: dict[str, int] = {}  # one code per name across the chains
+        columns["names"] = np.concatenate([np.array(
+            [codes.setdefault(name, len(codes)) for name in t.codes],
+            dtype=np.int64)[t.names] for t in tables])
+        return AtomTable(codes=codes, **columns)
+
+
+_ATOM_COLUMNS = ("xyz", "names", "element", "occupancy", "b_factor", "serial",
+                 "owner")
+_RESIDUE_COLUMNS = ("res_type", "seq_index", "icode", "chain")
+
 
 @dataclass(frozen=True, eq=False)
 class AtomTable:
-    """The atoms of a residue sequence, flat and in order, with their
-    positions xyz (m, 3), owner (m,), the index of each atom's residue,
-    and names (m,), each atom's name as its code in codes."""
-    residues: tuple[Residue, ...]
-    atoms: tuple[Atom, ...]
+    """Polymer atoms as columns, in output order. Per atom: positions xyz
+    (m, 3), names (each atom's name as its code in codes, codes numbered
+    in insertion order), element, occupancy, b_factor, serial and owner
+    (the row of its residue, non-decreasing). Per residue: res_type,
+    seq_index, icode (insertion code or None) and chain id."""
     xyz: np.ndarray
-    owner: np.ndarray
     names: np.ndarray
     codes: dict[str, int]
+    element: np.ndarray
+    occupancy: np.ndarray
+    b_factor: np.ndarray
+    serial: np.ndarray
+    owner: np.ndarray
+    res_type: np.ndarray
+    seq_index: np.ndarray
+    icode: np.ndarray
+    chain: np.ndarray
+
+    @cached_property
+    def residues(self) -> tuple[Residue, ...]:
+        """Residue and Atom views of the rows, built on first access; each
+        position is a row view of xyz."""
+        names = list(self.codes)
+        atoms = [Atom(names[code], *fields, serial=serial)
+                 for code, *fields, serial in zip(
+                     self.names.tolist(), self.element.tolist(), self.xyz,
+                     self.occupancy.tolist(), self.b_factor.tolist(),
+                     self.serial.tolist())]
+        ends = np.searchsorted(self.owner, np.arange(len(self.res_type)),
+                               "right").tolist()
+        return tuple(Residue(*fields, tuple(atoms[start:end]))
+                     for *fields, start, end in zip(
+                         self.res_type.tolist(), self.seq_index.tolist(),
+                         self.icode.tolist(), [0] + ends, ends))
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        return tuple(a for r in self.residues for a in r.atoms)
+
+    @cached_property
+    def backbone(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (n, 4, 3) N/CA/C/O positions, zero rows where absent,
+        and their (n, 4) presence mask."""
+        slots = self.slots(BACKBONE_ATOMS)
+        xyz, present = np.zeros(slots.shape + (3,)), slots >= 0
+        xyz[present] = self.xyz[slots[present]]
+        xyz.flags.writeable = present.flags.writeable = False
+        return xyz, present
 
     def named(self, names) -> np.ndarray:
         """(m, len(names)) mask: True where atom i is named names[j]."""
@@ -133,21 +209,46 @@ class AtomTable:
         atom, column = np.nonzero(self.named(names))  # atom-major order
         cells, first = np.unique(self.owner[atom] * len(names) + column,
                                  return_index=True)
-        out = np.full((len(self.residues), len(names)), -1)
+        out = np.full((len(self.res_type), len(names)), -1)
         out.flat[cells] = atom[first]
         return out
 
+    def rows(self, start: int, stop: int) -> AtomTable:
+        """The table of residue rows start..stop; it shares codes."""
+        first, last = np.searchsorted(self.owner, [start, stop]).tolist()
+        columns = {k: getattr(self, k)[first:last] for k in _ATOM_COLUMNS}
+        columns.update((k, getattr(self, k)[start:stop])
+                       for k in _RESIDUE_COLUMNS)
+        columns["owner"] = columns["owner"] - start
+        return AtomTable(codes=self.codes, **columns)
+
+
+def object_array(values) -> np.ndarray:
+    """A 1-d object array of values (strings or None)."""
+    return np.array(list(values), dtype=object)
+
 
 def atom_table(residues) -> AtomTable:
-    """Gather the atoms of a residue sequence into one AtomTable."""
+    """Gather the atoms of a residue sequence into one AtomTable whose
+    views are those residues and atoms; its chain column is blank."""
     residues = tuple(residues)
-    atoms = tuple(a for r in residues for a in r.atoms)
+    atoms = [a for r in residues for a in r.atoms]
     codes: dict[str, int] = {}
-    names = [codes.setdefault(a.name, len(codes)) for a in atoms]
-    return AtomTable(
-        residues, atoms, np.array([a.position for a in atoms]).reshape(-1, 3),
+    table = AtomTable(
+        np.array([a.position for a in atoms]).reshape(-1, 3),
+        np.array([codes.setdefault(a.name, len(codes)) for a in atoms],
+                 dtype=np.int64),
+        codes, object_array(a.element for a in atoms),
+        np.array([a.occupancy for a in atoms], dtype=np.float64),
+        np.array([a.b_factor for a in atoms], dtype=np.float64),
+        np.array([a.serial for a in atoms], dtype=np.int64),
         np.repeat(np.arange(len(residues)), [len(r.atoms) for r in residues]),
-        np.array(names, dtype=np.int64), codes)
+        object_array(r.res_type for r in residues),
+        np.array([r.seq_index for r in residues], dtype=np.int64),
+        object_array(r.insertion_code for r in residues),
+        object_array("" for _ in residues))
+    table.__dict__["residues"] = residues  # its views are the residues given
+    return table
 
 
 def complete_residues(s: Structure, wanted: tuple[str, ...]) -> list:
@@ -158,7 +259,7 @@ def complete_residues(s: Structure, wanted: tuple[str, ...]) -> list:
     found = []
     dropped = 0
     for chain in s.chains:
-        table = atom_table(chain.residues)
+        table = chain.table
         slots = table.slots(wanted)
         rows = np.flatnonzero((slots >= 0).all(axis=1))
         dropped += len(slots) - len(rows)

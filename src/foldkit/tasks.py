@@ -12,14 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import backbone_walk, measure_backbone
+from .codec import backbone_walk, to_internal
 from .errors import MissingConfidence, SelectorEmpty, SingleChain, TooFewNodes
 from .featurise import ProteinGraph
 from .geometry import (bond_angles, defined, dihedrals, row_norms, superpose,
-                       table_backbone, within_cutoff)
+                       within_cutoff)
 from .residues import MASK_INDEX, VOCAB_SIZE, VOCABULARY, residue_index
 from .rng import make_rng
-from .structure import BACKBONE_ATOMS, Chain, Structure, atom_table
+from .structure import BACKBONE_ATOMS, Chain, Structure
 
 # Sequence-denoising auxiliary loss weight; carried as metadata so
 # downstream consumers share one recorded constant.
@@ -99,8 +99,7 @@ def corrupt_sequence_mutate(residues, nu: float,
     when the original is itself non-canonical).
     """
     residues = np.asarray(residues, dtype=np.int64)
-    n = len(residues)
-    positions = _pick_positions(n, nu, rng)
+    positions = _pick_positions(len(residues), nu, rng)
     corrupted = residues.copy()
     for p in positions:
         original = residues[p]
@@ -109,22 +108,22 @@ def corrupt_sequence_mutate(residues, nu: float,
             corrupted[p] = draw if draw < original else draw + 1
         else:
             corrupted[p] = int(rng.integers(0, 20))
-    mask = np.zeros(n, dtype=bool)
-    mask[positions] = True
-    targets = DenoisingTargets(kind="sequence", positions=positions,
-                               original_residues=residues[positions])
-    return CorruptionResult(corrupted, targets, mask)
+    return _sequence_result(residues, positions, corrupted)
 
 
 def corrupt_sequence_mask(residues, nu: float,
                           rng: np.random.Generator) -> CorruptionResult:
     """Replace floor(nu*n) residues with the MASK vocabulary symbol."""
     residues = np.asarray(residues, dtype=np.int64)
-    n = len(residues)
-    positions = _pick_positions(n, nu, rng)
+    positions = _pick_positions(len(residues), nu, rng)
     corrupted = residues.copy()
     corrupted[positions] = MASK_INDEX
-    mask = np.zeros(n, dtype=bool)
+    return _sequence_result(residues, positions, corrupted)
+
+
+def _sequence_result(residues: np.ndarray, positions: np.ndarray,
+                     corrupted: np.ndarray) -> CorruptionResult:
+    mask = np.zeros(len(residues), dtype=bool)
     mask[positions] = True
     targets = DenoisingTargets(kind="sequence", positions=positions,
                                original_residues=residues[positions])
@@ -173,9 +172,9 @@ def corrupt_torsions(chain: Chain, sigma: float,
     metadata are the input's. Targets hold the per-residue angular noise
     triplets (primary) and the original angles (auxiliary).
     """
-    table = atom_table(chain.residues)
-    backbone, present = table_backbone(table)
-    ic = measure_backbone(chain, backbone, present)
+    ic = to_internal(chain)
+    table = chain.table
+    backbone = table.backbone[0]
     n = ic.n_residues
     noise = rng.standard_normal((n, 3)) * sigma
     noise[~ic.defined_torsions] = 0.0
@@ -195,7 +194,7 @@ def corrupt_torsions(chain: Chain, sigma: float,
     xyz[atom] = walked[owner[atom], slot]
     targets = DenoisingTargets(kind="torsional", angular_noise=noise,
                                original_angles=original, sigma=sigma)
-    return CorruptionResult(_move_atoms(chain, xyz),
+    return CorruptionResult(Chain.from_table(chain.id, replace(table, xyz=xyz)),
                             targets, np.ones(n, dtype=bool))
 
 
@@ -277,13 +276,12 @@ def plddt_targets(s: Structure) -> DenoisingTargets:
     to the residue's first atom. Raises MissingConfidence when every
     value is zero or absent.
     """
-    table = atom_table(res for _, res in s.iter_residues())
-    n = len(table.residues)
+    table = s.table
+    n = len(table.res_type)
     first = np.searchsorted(table.owner, np.arange(n))
     first[np.bincount(table.owner, minlength=n) == 0] = -1
     ca = table.slots(("CA",))[:, 0]
-    values = np.array([a.b_factor for a in table.atoms] + [0.0],
-                      dtype=np.float64)[np.where(ca >= 0, ca, first)]
+    values = np.append(table.b_factor, 0.0)[np.where(ca >= 0, ca, first)]
     if not len(values) or np.all(values == 0.0):
         raise MissingConfidence("no b-factor confidence values present")
     return DenoisingTargets(kind="plddt", values=np.clip(values / 100.0, 0.0, 1.0))
@@ -297,9 +295,9 @@ def binding_site_labels(s: Structure, selector, cutoff: float = DEFAULT_CUTOFF) 
                           if a.het_code in selector], dtype=np.float64)
     if targets.size == 0:
         raise SelectorEmpty(f"no hetero atom matches {sorted(selector)}")
-    table = atom_table(res for _, res in s.iter_residues())
+    table = s.table
     hits = np.bincount(table.owner, within_cutoff(table.xyz, targets, cutoff),
-                       s.num_residues)
+                       len(table.res_type))
     return LabelSet((hits > 0).astype(np.int8), cutoff,
                     "het:" + ",".join(sorted(selector)))
 
@@ -310,15 +308,15 @@ def interface_labels(complex_structure: Structure,
     atom of a chain with another id."""
     if len(complex_structure.chains) < 2:
         raise SingleChain("interface labels need at least 2 chains")
-    pairs = list(complex_structure.iter_residues())  # (chain, residue)
-    table = atom_table(res for _, res in pairs)
+    table = complex_structure.table
     positions, owner = table.xyz, table.owner
-    chains = np.asarray([c.id for c, _ in pairs], dtype=str)[owner]
+    ids, group = np.unique(table.chain, return_inverse=True)
+    group = group[owner]
     hit = np.zeros(len(positions), dtype=bool)
-    for chain_id in np.unique(chains):
-        mine = chains == chain_id
+    for g in range(len(ids)):
+        mine = group == g
         hit[mine] = within_cutoff(positions[mine], positions[~mine], cutoff)
-    hits = np.bincount(owner, hit, complex_structure.num_residues)
+    hits = np.bincount(owner, hit, len(table.res_type))
     return LabelSet((hits > 0).astype(np.int8), cutoff, "interface")
 
 
@@ -344,19 +342,15 @@ def corrupt_structure(s: Structure, spec: CorruptionSpec) -> CorruptionResult:
     if spec.kind in (CorruptionKind.SEQ_MUTATE, CorruptionKind.SEQ_MASK):
         rng = make_rng(spec.seed, stream=0)
         indices = np.asarray([  # vocabulary index per residue, chain order
-            residue_index(res.res_type) for _, res in s.iter_residues()])
+            residue_index(t) for t in s.table.res_type])
         result = _OPS[spec.kind](indices, spec.nu, rng)
-        new_types = [VOCABULARY[i] for i in result.corrupted]
-        corrupted = _rewrite_residue_types(s, new_types)
+        corrupted = _with_column(s, "res_type", np.array(VOCABULARY, dtype=object)[result.corrupted])
         return CorruptionResult(corrupted, result.targets, result.corrupted_mask)
 
     if spec.kind in (CorruptionKind.COORD_GAUSS, CorruptionKind.COORD_UNIFORM):
         rng = make_rng(spec.seed, stream=1)
-        coords = atom_table(res for _, res in s.iter_residues()).xyz
-        result = _OPS[spec.kind](coords, spec.sigma, rng)
-        rows = iter(result.corrupted)
-        corrupted = replace(s, chains=tuple(_move_atoms(chain, rows)
-                                            for chain in s.chains))
+        result = _OPS[spec.kind](s.table.xyz, spec.sigma, rng)
+        corrupted = _with_column(s, "xyz", result.corrupted)
         return CorruptionResult(corrupted, result.targets,
                                 np.ones(s.num_residues, dtype=bool))
 
@@ -375,19 +369,13 @@ def corrupt_structure(s: Structure, spec: CorruptionSpec) -> CorruptionResult:
     raise ValueError(f"unhandled corruption kind {spec.kind}")
 
 
-def _rewrite_residue_types(s: Structure, new_types) -> Structure:
-    it = iter(new_types)
-    chains = []
+def _with_column(s: Structure, column: str, values) -> Structure:
+    """s with the column of every chain's table taken, in chain order, from
+    values (one entry per atom or residue of s.table)."""
+    chains, start = [], 0
     for chain in s.chains:
-        chains.append(Chain(chain.id, tuple(
-            replace(res, res_type=next(it)) for res in chain.residues)))
+        stop = start + len(getattr(chain.table, column))
+        chains.append(Chain.from_table(chain.id, replace(
+            chain.table, **{column: values[start:stop]})))
+        start = stop
     return replace(s, chains=tuple(chains))
-
-
-def _move_atoms(chain: Chain, rows) -> Chain:
-    """chain with each of its atoms, in order, at the next row of rows."""
-    rows = iter(rows)
-    return Chain(chain.id, tuple(
-        replace(res, atoms=tuple(replace(atom, position=next(rows))
-                                 for atom in res.atoms))
-        for res in chain.residues))

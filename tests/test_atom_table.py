@@ -1,18 +1,26 @@
 """The one atom gather (structure.atom_table) and its consumers against
-the per-residue Residue.atom loops they replaced."""
+the per-residue Residue.atom loops they replaced, and the table-backed
+chains the parser makes."""
+
+import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldkit.codec import encode
 from foldkit.errors import MissingConfidence, NoCompleteResidues
+from foldkit.featurise import FeatureScheme, build_graph
 from foldkit.geometry import backbone_array, chi_angles
+from foldkit.pdb import parse_pdb, write_pdb
 from foldkit.residues import CHI_ATOMS
 from foldkit.structure import (BACKBONE_ATOMS, Atom, Chain, Granularity,
                                Residue, Structure, atom_table,
                                select_granularity)
-from foldkit.tasks import plddt_targets
+from foldkit.tasks import (CorruptionKind, CorruptionSpec, binding_site_labels,
+                           corrupt_structure, interface_labels, plddt_targets)
 
 from helpers import (backbone_array_oracle, chi_angles_oracle,
                      plddt_values_oracle, select_granularity_oracle)
@@ -130,3 +138,58 @@ class TestConsumersMatchOracles:
         else:
             assert np.array_equal(plddt_targets(s).values,
                                   np.clip(want / 100.0, 0.0, 1.0))
+
+
+FIXTURES = Path(__file__).parent / "fixtures" / "pdb"
+
+
+def _built_views(s):
+    """The tables of s whose Residue/Atom views have been built."""
+    tables = [c.table for c in s.chains] + [s.table]
+    return [t for t in tables if "residues" in vars(t)]
+
+
+class TestTableBackedChains:
+    def test_hot_consumers_never_build_views(self):
+        dimer = parse_pdb((FIXTURES / "dimer.pdb").read_text())
+        helix = parse_pdb((FIXTURES / "helix_zn.pdb").read_text())
+        build_graph(dimer, FeatureScheme.CA_SC)
+        interface_labels(dimer)
+        build_graph(helix, FeatureScheme.CA_BB)
+        binding_site_labels(helix, {"ZN"})
+        with pytest.raises(MissingConfidence):  # the fixtures hold no pLDDT
+            plddt_targets(helix)
+        encode(helix.chains[0])
+        write_pdb(dimer)
+        assert _built_views(dimer) == [] and _built_views(helix) == []
+        for kind in CorruptionKind:
+            out = corrupt_structure(dimer, CorruptionSpec(kind, seed=3))
+            write_pdb(out.corrupted)
+            assert _built_views(out.corrupted) == [], kind
+        assert _built_views(dimer) == []
+
+    def test_views_behave_as_hand_built_chains(self):
+        s = parse_pdb((FIXTURES / "dimer.pdb").read_text())
+        chain = s.chains[0]
+        built = Chain(chain.id, tuple(
+            Residue(r.res_type, r.seq_index, r.insertion_code, tuple(
+                Atom(a.name, a.element, a.position.copy(), a.occupancy,
+                     a.b_factor, a.is_hetero, a.serial) for a in r.atoms))
+            for r in chain.residues))
+        assert chain == built and built == chain
+        assert repr(chain) == repr(built)
+        assert chain.residues is chain.residues  # built once
+        atom = chain.residues[0].atoms[0]
+        assert np.shares_memory(atom.position, chain.table.xyz)
+        moved = dataclasses.replace(chain, id="Z")
+        assert moved.id == "Z" and moved.residues == chain.residues
+        assert moved.table is not chain.table
+        assert write_pdb(Structure("X", (built,))) == write_pdb(
+            Structure("X", (chain,)))
+
+    def test_backbone_is_read_only(self):
+        chain = parse_pdb((FIXTURES / "chain_a.pdb").read_text()).chains[0]
+        xyz, present = backbone_array(chain)
+        assert backbone_array(chain)[0] is xyz
+        with pytest.raises(ValueError):
+            xyz[0, 0, 0] = 1.0

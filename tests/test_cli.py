@@ -105,6 +105,29 @@ class TestEncodeDecode:
         assert lines == [f"{src / name}: BadMagic: expected b'FKC1', got b'XXXX'"
                          for name in sorted(names[:8]) + ["sub/a.fkc", "sub/z.fkc"]]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unexpected_error_is_contained_per_file(self, tmp_path, capsys,
+                                                     monkeypatch, jobs):
+        import foldkit.cli
+        src = tmp_path / "in"
+        src.mkdir()
+        for name in ("a.pdb", "b.pdb", "c.pdb"):
+            shutil.copy(os.path.join(FIXTURES, "chain_a.pdb"), src / name)
+        real = foldkit.cli.parse_pdb
+
+        def parse(text, structure_id=""):
+            if structure_id == "b":
+                raise RuntimeError("disk on fire")
+            return real(text, structure_id)
+
+        monkeypatch.setattr(foldkit.cli, "parse_pdb", parse)
+        out = tmp_path / "out"
+        assert run_cli("encode", str(src), str(out), "--jobs", jobs) == 2
+        assert sorted(os.listdir(out)) == ["a.fkc", "c.fkc"]
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "RMSD" not in line] == [
+            f"{src / 'b.pdb'}: RuntimeError: disk on fire"]
+
     def test_rmsd_over_present_backbone_atoms(self, tmp_path, capsys):
         from foldkit.pdb import write_pdb
         from foldkit.rng import make_rng
@@ -335,6 +358,17 @@ class TestDirectoryJobs:
         assert (out / "sub" / "nested.fkc").exists()
         payload = (out / "chain_a.fkc").read_bytes()
         assert EncodedProtein.from_bytes(payload).n_residues == 60
+
+
+class TestFixtureDigests:
+    def test_cli_trees_match_committed_digests(self):
+        """Every fixture CLI tree is byte-identical to the committed digests
+        (regenerate digests.txt with tests/fixtures/digests.py only when an
+        output is meant to change)."""
+        script = Path(__file__).parent / "fixtures" / "digests.py"
+        proc = subprocess.run([sys.executable, str(script)],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == (script.parent / "digests.txt").read_text()
 
 
 class TestSubprocessEntry:

@@ -256,7 +256,9 @@ class TestEdgeTextFormat:
         assert np.array_equal(topo.edges, back.edges)
 
     @pytest.mark.parametrize("text, line_no", [
-        ("1\t2\t3\n", 1), ("0\t1\n\na\tb\n", 3), ("0\t1\n1 2\n", 2)])
+        ("1\t2\t3\n", 1), ("0\t1\n\na\tb\n", 3), ("0\t1\n1 2\n", 2),
+        ("99999999999999999999\t1\n", 1),
+        ("0\t1\n1\t-9223372036854775809\n", 2)])
     def test_malformed_line_raises_typed_error(self, text, line_no):
         with pytest.raises(MalformedRecord) as err:
             edges_from_text(text)

@@ -10,8 +10,8 @@ from foldkit.errors import (CoordinateOverflow, EmptyStructure, FoldkitError,
                             InvalidFilterSpec, MalformedRecord,
                             NoCompleteResidues)
 from foldkit.pdb import parse_pdb, write_pdb
-from foldkit.structure import (FilterSpec, Granularity, Method, Structure,
-                               filter_structures, load_filter_spec,
+from foldkit.structure import (Chain, FilterSpec, Granularity, Method,
+                               Structure, filter_structures, load_filter_spec,
                                select_granularity)
 from foldkit.synth import helix_chain, random_chain, single_chain_structure
 from foldkit.rng import make_rng
@@ -300,6 +300,41 @@ class TestParseOracle:
         _assert_matches_oracle("\n".join(lines))
         with pytest.raises(EmptyStructure):
             parse_pdb(lines[1])
+
+
+def _columns(table):
+    """Every column of an AtomTable: names as strings, floats as bits."""
+    names = list(table.codes)
+    return (table.xyz.dtype.str, table.xyz.shape, table.xyz.tobytes(),
+            [names[code] for code in table.names.tolist()],
+            table.element.tolist(), table.occupancy.tobytes(),
+            table.b_factor.tobytes(), table.serial.tolist(),
+            table.owner.tolist(), table.res_type.tolist(),
+            table.seq_index.tolist(), table.icode.tolist(),
+            table.chain.tolist())
+
+
+class TestParsedTable:
+    """The parser's columns against the object model built from them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pdb_texts())
+    def test_table_equals_gather_of_its_residues(self, text):
+        try:
+            s, oracle = parse_pdb(text), parse_pdb_oracle(text)
+        except FoldkitError:
+            return
+        assert len(s.chains) == len(oracle.chains)
+        for chain, want in zip(s.chains, oracle.chains):
+            table = _columns(chain.table)
+            assert table == _columns(Chain(chain.id, chain.residues).table)
+            assert table == _columns(want.table)
+        assert _columns(s.table) == _columns(
+            Structure(s.id, oracle.chains).table)
+
+    def test_chains_share_one_name_code_dict(self):
+        s = parse_pdb((FIXTURES / "dimer.pdb").read_text())
+        assert s.chains[0].table.codes is s.chains[1].table.codes
 
 
 class TestWrite:
