@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextvars
 import json
 import logging
 import os
@@ -27,7 +28,7 @@ from .geometry import backbone_array, check_cutoff, edges_to_text, kabsch
 from .pdb import parse_pdb, write_pdb
 from .residues import vocabulary_sha256
 from .rng import path_seed
-from .structure import load_filter_spec
+from .structure import load_filter_spec, logger as structure_logger
 from .synth import single_chain_structure
 from .tasks import (DEFAULT_CUTOFF, DEFAULT_NU, DEFAULT_SIGMA, CorruptionKind,
                     CorruptionSpec, binding_site_labels, corrupt_structure,
@@ -77,16 +78,30 @@ def _plan(input_path: str, output_path: str, in_suffix: str,
     return plans
 
 
+_input_path = contextvars.ContextVar("input_path", default=None)
+
+
+def _name_input(record: logging.LogRecord) -> bool:
+    """Prefix a record logged inside a worker with the worker's input path
+    (a structure's id may come from its HEADER, not its file name)."""
+    if _input_path.get() is not None:
+        record.msg = f"{_input_path.get().replace('%', '%%')}: {record.msg}"
+    return True
+
+
 def _run_jobs(args, in_suffix: str, out_suffix: str | None, worker) -> int:
     """Run worker on every planned file, with --jobs threads; print
     per-file errors, of any Exception type, in input order. Returns 2 if
     any file failed."""
     def attempt(plan):
+        token = _input_path.set(plan[0])
         try:
             worker(plan)
         except Exception as exc:  # one file's failure stops no other file
             logging.getLogger(__name__).debug("%s", plan[0], exc_info=exc)
             return f"{plan[0]}: {type(exc).__name__}: {exc}"
+        finally:
+            _input_path.reset(token)
         return None
 
     plans = _plan(args.input, args.output, in_suffix, out_suffix)
@@ -163,10 +178,10 @@ def run_decode(args) -> int:
     def worker(plan):
         in_path, out_path, _ = plan
         encoded = EncodedProtein.from_bytes(_read(in_path, "rb"))
-        chain = decode(encoded)
+        text = write_pdb(single_chain_structure(decode(encoded)))
         _ensure_parent(out_path)
         with open(out_path, "w") as fh:
-            fh.write(write_pdb(single_chain_structure(chain)))
+            fh.write(text)
         print(f"{in_path}: decoded {encoded.n_residues} residues",
               file=sys.stderr)
 
@@ -214,10 +229,11 @@ def run_corrupt(args) -> int:
         spec = CorruptionSpec(kind, nu=args.nu, sigma=args.sigma, seed=seed)
         structure = _parse_file(in_path)
         result = corrupt_structure(structure, spec)
+        text = write_pdb(result.corrupted)  # before any output is made
         out_dir = os.path.splitext(out_path)[0]
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "corrupted.pdb"), "w") as fh:
-            fh.write(write_pdb(result.corrupted))
+            fh.write(text)
         _write_targets(out_dir, result.targets)
         _write_manifest(os.path.join(out_dir, "manifest.json"), {
             "kind": kind.value, "nu": spec.nu, "sigma": spec.sigma,
@@ -361,6 +377,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     logging.basicConfig(level=(logging.WARNING, logging.INFO,
                                logging.DEBUG)[min(args.verbose, 2)])
+    structure_logger.addFilter(_name_input)
     try:
         return args.func(args)
     except FoldkitError as exc:
@@ -370,6 +387,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"foldkit {args.command}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        structure_logger.removeFilter(_name_input)
 
 
 if __name__ == "__main__":

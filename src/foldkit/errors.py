@@ -30,6 +30,10 @@ class CoordinateOverflow(FoldkitError):
     pass
 
 
+class FieldOverflow(FoldkitError):
+    pass
+
+
 class InvalidFilterSpec(FoldkitError):
     pass
 

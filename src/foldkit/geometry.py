@@ -278,8 +278,9 @@ def knn_graph(points, k: int) -> GraphTopology:
 
 
 def edges_to_text(topology: GraphTopology) -> str:
-    """Serialise edges as 'src<TAB>dst' lines."""
-    return "".join(f"{s}\t{t}\n" for s, t in topology.edges.tolist())
+    """Serialise edges as 'src<TAB>dst' lines, by one % format."""
+    return ("%d\t%d\n" * len(topology.edges)) % tuple(
+        topology.edges.ravel().tolist())
 
 
 def check_cutoff(cutoff: float) -> None:

@@ -9,11 +9,13 @@ atoms carrying their three-letter code.
 from __future__ import annotations
 
 import datetime
+import itertools
 import math
 
 import numpy as np
 
-from .errors import CoordinateOverflow, EmptyStructure, MalformedRecord
+from .errors import (CoordinateOverflow, EmptyStructure, FieldOverflow,
+                     MalformedRecord)
 from .residues import RESIDUE_INDEX
 from .structure import Atom, AtomTable, Chain, Method, Structure, object_array
 
@@ -252,51 +254,80 @@ def _format_atom_name(name: str) -> str:
     return name[:4].ljust(4) if len(name) >= 4 else f" {name:<3s}"
 
 
-def _atom_record(tag: str, serial: int, name: str, res_name: str,
-                 chain_id: str, seq_index: int, icode: str, x: float,
-                 y: float, z: float, occupancy: float, b_factor: float,
-                 element: str) -> str:
-    return (f"{tag:<6s}{serial:5d} {_format_atom_name(name)} "
-            f"{res_name:>3s} {chain_id:1s}{seq_index:4d}{icode:1s}   "
-            f"{_format_coord(x)}{_format_coord(y)}{_format_coord(z)}"
-            f"{occupancy:6.2f}{b_factor:6.2f}"
-            f"          {element[:2]:>2s}")
+_RECORD = "%5d %s%s%8.3f%8.3f%8.3f%6.2f%6.2f          %2.2s\n"
+_RESIDUE = " %3s %1s%4d%1s   "  # residue name, chain id, number, icode
+
+
+def _check_field(field: str, values, lo, hi, width: int) -> None:
+    """Raise FieldOverflow for the first value not strictly inside (lo, hi),
+    the values that fit the field's width (NaN fits nothing)."""
+    values = np.asarray(values)
+    outside = ~np.asarray((values > lo) & (values < hi), dtype=bool)
+    if outside.any():
+        raise FieldOverflow(f"{field} {values[outside].tolist()[0]} does not "
+                            f"fit the {width}-column field")
+
+
+def _check_text(field: str, values, width: int) -> None:
+    for value in values:
+        if value is not None and len(value) > width:
+            raise FieldOverflow(
+                f"{field} {value!r} does not fit the {width}-column field")
+
+
+def _records(tag: str, serial, names: list, residues: list, xyz, occupancy,
+             b_factor, element: list) -> str:
+    """One record per atom, rendered by one % format; names and residues
+    hold each atom's formatted name and residue fields."""
+    _check_field("serial", serial, -10000, 100000, 5)
+    _check_field("occupancy", occupancy, -99.995, 999.995, 6)
+    _check_field("b-factor", b_factor, -99.995, 999.995, 6)
+    if not ((xyz > -999.9995) & (xyz < 9999.9995)).all():  # NaN fails too
+        for value in xyz.ravel().tolist():  # the first misfit in atom order
+            _format_coord(value)
+    columns = (serial.tolist(), names, residues, *xyz.T.tolist(),
+               occupancy.tolist(), b_factor.tolist(), element)
+    return ((tag + _RECORD) * len(names)) % tuple(
+        itertools.chain.from_iterable(zip(*columns)))
 
 
 def write_pdb(s: Structure) -> str:
-    """Render a Structure as PDB v3.3 text.
+    """Render a Structure as PDB v3.3 text, one % format per chain.
 
-    Raises CoordinateOverflow for any coordinate that does not fit the
-    8-column fixed-width field (|c| >= 10000, or c <= -1000).
+    Raises CoordinateOverflow for the first coordinate, in atom order,
+    that does not fit its 8 columns, and FieldOverflow for any other
+    field that does not fit its columns.
     """
-    lines = []
     date_text = _format_date(s.deposition_date) if s.deposition_date else ""
-    lines.append(f"HEADER{'':44s}{date_text:<12s}{s.id[:4]:>4s}")
+    parts = [f"HEADER{'':44s}{date_text:<12s}{s.id[:4]:>4s}\n"]
     if s.method is not None:
-        lines.append(f"EXPDTA    {_METHOD_TEXT[s.method]}")
+        parts.append(f"EXPDTA    {_METHOD_TEXT[s.method]}\n")
     if s.resolution is not None:
-        lines.append(f"REMARK   2 RESOLUTION. {s.resolution:7.2f} ANGSTROMS.")
+        parts.append(f"REMARK   2 RESOLUTION. {s.resolution:7.2f} ANGSTROMS.\n")
     for chain in s.chains:
         t = chain.table
-        names = list(t.codes)
+        if len(chain.id) != 1:
+            raise FieldOverflow(f"chain id {chain.id!r} is not one column")
+        _check_field("residue number", t.seq_index, -1000, 10000, 4)
+        _check_text("insertion code", t.icode.tolist(), 1)
         # MASK has no PDB code; written as MSK (re-parses as UNK).
-        residues = [("MSK" if res_type == "MASK" else res_type[:3], seq_index,
-                     icode or " ") for res_type, seq_index, icode in zip(
-                         t.res_type.tolist(), t.seq_index.tolist(),
-                         t.icode.tolist())]
-        for owner, serial, code, xyz, occupancy, b_factor, element in zip(
-                t.owner.tolist(), t.serial.tolist(), t.names.tolist(),
-                t.xyz.tolist(), t.occupancy.tolist(), t.b_factor.tolist(),
-                t.element.tolist()):
-            res_name, seq_index, icode = residues[owner]
-            lines.append(_atom_record("ATOM", serial, names[code], res_name,
-                                      chain.id, seq_index, icode, *xyz,
-                                      occupancy, b_factor, element))
-        lines.append("TER")
-    for atom in s.hetero_atoms:
-        lines.append(_atom_record("HETATM", atom.serial, atom.name,
-                                  atom.het_code or "LIG", "Z", 1, " ",
-                                  *atom.position.tolist(), atom.occupancy,
-                                  atom.b_factor, atom.element))
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+        residues = object_array(
+            _RESIDUE % ("MSK" if res_type == "MASK" else res_type[:3],
+                        chain.id, seq_index, icode or " ")
+            for res_type, seq_index, icode in zip(
+                t.res_type.tolist(), t.seq_index.tolist(), t.icode.tolist()))
+        names = object_array(map(_format_atom_name, t.codes))
+        parts += (_records("ATOM  ", t.serial, names[t.names].tolist(),
+                           residues[t.owner].tolist(), t.xyz, t.occupancy,
+                           t.b_factor, t.element.tolist()), "TER\n")
+    if s.hetero_atoms:
+        hetero = s.hetero_atoms
+        codes = [a.het_code or "LIG" for a in hetero]
+        _check_text("hetero code", codes, 3)
+        serial, xyz, occupancy, b_factor = map(np.array, zip(*(
+            (a.serial, a.position, a.occupancy, a.b_factor) for a in hetero)))
+        parts.append(_records(
+            "HETATM", serial, [_format_atom_name(a.name) for a in hetero],
+            [_RESIDUE % (code, "Z", 1, " ") for code in codes], xyz,
+            occupancy, b_factor, [a.element for a in hetero]))
+    return "".join(parts) + "END\n"

@@ -12,12 +12,13 @@ import numpy as np
 
 from foldkit.codec import (DEFAULT_GEOMETRY, backbone_walk, nerf_place,
                            to_internal)
-from foldkit.errors import (DegenerateConfiguration, DegenerateFrame,
-                            EmptyStructure, MalformedRecord,
+from foldkit.errors import (CoordinateOverflow, DegenerateConfiguration,
+                            DegenerateFrame, EmptyStructure, MalformedRecord,
                             NoCompleteResidues)
 from foldkit.geometry import (Superposition, backbone_array, defined,
                               dihedrals, wrap_angle)
-from foldkit.pdb import _parse_method, _parse_pdb_date
+from foldkit.pdb import (_METHOD_TEXT, _format_date, _parse_method,
+                         _parse_pdb_date)
 from foldkit.residues import CHI_ATOMS, MAX_CHI, RESIDUE_INDEX
 from foldkit.rng import make_rng
 from foldkit.structure import (BACKBONE_ATOMS, Atom, Chain, Granularity,
@@ -520,3 +521,77 @@ def parse_pdb_oracle(text: str, structure_id: str = "") -> Structure:
         raise EmptyStructure("no ATOM or HETATM records parsed")
     return Structure(structure_id, tuple(chain_objs), resolution,
                      dep_date, method, tuple(hetero))
+
+
+# --- reference PDB writer ---
+
+def _format_coord_oracle(value: float) -> str:
+    if not math.isfinite(value):
+        raise CoordinateOverflow(f"non-finite coordinate {value}")
+    text = f"{value:8.3f}"
+    if len(text) > 8:
+        raise CoordinateOverflow(f"coordinate {value} exceeds the 8-column field")
+    return text
+
+
+def _format_atom_name_oracle(name: str) -> str:
+    # Short names start at column 14 per convention; 4-char names fill 13-16.
+    return name[:4].ljust(4) if len(name) >= 4 else f" {name:<3s}"
+
+
+def _atom_record_oracle(tag: str, serial: int, name: str, res_name: str,
+                        chain_id: str, seq_index: int, icode: str, x: float,
+                        y: float, z: float, occupancy: float, b_factor: float,
+                        element: str) -> str:
+    return (f"{tag:<6s}{serial:5d} {_format_atom_name_oracle(name)} "
+            f"{res_name:>3s} {chain_id:1s}{seq_index:4d}{icode:1s}   "
+            f"{_format_coord_oracle(x)}{_format_coord_oracle(y)}"
+            f"{_format_coord_oracle(z)}"
+            f"{occupancy:6.2f}{b_factor:6.2f}"
+            f"          {element[:2]:>2s}")
+
+
+def write_pdb_oracle(s: Structure) -> str:
+    """The per-atom writer that `foldkit.pdb.write_pdb` replaced, kept as
+    its reference: one f-string record per atom. Render a Structure as
+    PDB v3.3 text.
+
+    Raises CoordinateOverflow for any coordinate that does not fit the
+    8-column fixed-width field (|c| >= 10000, or c <= -1000).
+    """
+    lines = []
+    date_text = _format_date(s.deposition_date) if s.deposition_date else ""
+    lines.append(f"HEADER{'':44s}{date_text:<12s}{s.id[:4]:>4s}")
+    if s.method is not None:
+        lines.append(f"EXPDTA    {_METHOD_TEXT[s.method]}")
+    if s.resolution is not None:
+        lines.append(f"REMARK   2 RESOLUTION. {s.resolution:7.2f} ANGSTROMS.")
+    for chain in s.chains:
+        t = chain.table
+        names = list(t.codes)
+        # MASK has no PDB code; written as MSK (re-parses as UNK).
+        residues = [("MSK" if res_type == "MASK" else res_type[:3], seq_index,
+                     icode or " ") for res_type, seq_index, icode in zip(
+                         t.res_type.tolist(), t.seq_index.tolist(),
+                         t.icode.tolist())]
+        for owner, serial, code, xyz, occupancy, b_factor, element in zip(
+                t.owner.tolist(), t.serial.tolist(), t.names.tolist(),
+                t.xyz.tolist(), t.occupancy.tolist(), t.b_factor.tolist(),
+                t.element.tolist()):
+            res_name, seq_index, icode = residues[owner]
+            lines.append(_atom_record_oracle(
+                "ATOM", serial, names[code], res_name, chain.id, seq_index,
+                icode, *xyz, occupancy, b_factor, element))
+        lines.append("TER")
+    for atom in s.hetero_atoms:
+        lines.append(_atom_record_oracle(
+            "HETATM", atom.serial, atom.name, atom.het_code or "LIG", "Z", 1,
+            " ", *atom.position.tolist(), atom.occupancy, atom.b_factor,
+            atom.element))
+    lines.append("END")
+    return "\n".join(lines) + "\n"
+
+
+def edges_to_text_oracle(topology) -> str:
+    """The generator form `foldkit.geometry.edges_to_text` replaced."""
+    return "".join(f"{s}\t{t}\n" for s, t in topology.edges.tolist())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -186,6 +187,23 @@ class TestFeaturise:
                        "--scheme", "ca_bb") == 2
 
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_ca_less_warning_names_its_file(self, tmp_path, caplog, jobs):
+        lines = Path(FIXTURES, "chain_a.pdb").read_text().splitlines()
+        assert lines[0].startswith("HEADER") and lines[0].endswith("CHNA")
+        lines.remove(next(line for line in lines[10:] if line[12:16] == " CA "))
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / "a.pdb").write_text("\n".join(lines) + "\n")
+        shutil.copy(os.path.join(FIXTURES, "chain_b.pdb"), src / "b.pdb")
+        with caplog.at_level(logging.WARNING, logger="foldkit"):
+            assert run_cli("featurise", str(src), str(tmp_path / "f"),
+                           "--jobs", jobs) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{src / 'a.pdb'}: structure 'CHNA': dropped 1 residues lacking "
+            "one of CA"]
+
+
 class TestCorrupt:
     def test_defaults_match_recorded_constants(self, tmp_path, fixture_file):
         out = tmp_path / "corr"
@@ -239,6 +257,27 @@ class TestCorrupt:
         assert [line[:30] + line[54:] for line in after] == \
             [line[:30] + line[54:] for line in before]
         assert records(out / "corrupted.pdb", "HETATM") == records(src, "HETATM")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_field_exits_2_per_file(self, tmp_path, capsys, jobs):
+        from helpers import atom_line
+        src = tmp_path / "in"
+        src.mkdir()
+        shutil.copy(os.path.join(FIXTURES, "chain_a.pdb"), src / "a.pdb")
+        # a repeated serial 99999 is renumbered to 100000 on reading
+        (src / "b.pdb").write_text("\n".join(
+            atom_line(99999, name, "ALA", "A", 1, 0.0, 0.0, 0.0)
+            for name in ("N", "CA")))
+        line = atom_line(1, "CA", "ALA", "A", 1, 0.0, 0.0, 0.0)
+        (src / "c.pdb").write_text(line[:60] + "9999.9" + line[66:])
+        out = tmp_path / "out"
+        assert run_cli("corrupt", str(src), str(out), "--jobs", jobs) == 2
+        assert os.listdir(out) == ["a"]  # nothing is written for b or c
+        assert capsys.readouterr().err.splitlines() == [
+            f"{src / 'b.pdb'}: FieldOverflow: serial 100000 does not fit the "
+            "5-column field",
+            f"{src / 'c.pdb'}: FieldOverflow: b-factor 9999.9 does not fit the "
+            "6-column field"]
 
     def test_torsional_on_short_chain_exits_2(self, tmp_path):
         from foldkit.pdb import write_pdb

@@ -17,8 +17,8 @@ from foldkit.structure import Atom, Chain, Residue, Structure
 from foldkit.synth import random_chain, single_chain_structure
 from foldkit.tensorio import tensor_from_bytes, tensor_to_bytes
 
-from helpers import (dihedral_oracle, random_rotation, transform_structure,
-                     with_atom)
+from helpers import (dihedral_oracle, edges_to_text_oracle, random_rotation,
+                     transform_structure, with_atom)
 
 
 class TestPositionalEncoding:
@@ -254,6 +254,18 @@ class TestEdgeTextFormat:
         topo = knn_graph(make_rng(9).normal(size=(10, 3)), 3)
         back = edges_from_text(edges_to_text(topo), num_nodes=10)
         assert np.array_equal(topo.edges, back.edges)
+
+    def test_matches_oracle_on_random_topologies(self):
+        rng = make_rng(31)
+        for n, m in ((2, 0), (5, 0), (2, 1), (7, 30), (60, 400), (3000, 50)):
+            src = rng.integers(0, n, m)
+            dst = (src + rng.integers(1, n, m)) % n  # no self-loops
+            topo = GraphTopology(n, np.stack((src, dst), axis=1))  # unsorted
+            text = edges_to_text(topo)
+            assert text == edges_to_text_oracle(topo)
+            back = edges_from_text(text, num_nodes=n)
+            assert back.edges.shape == (m, 2)
+            assert np.array_equal(back.edges, topo.edges)
 
     @pytest.mark.parametrize("text, line_no", [
         ("1\t2\t3\n", 1), ("0\t1\n\na\tb\n", 3), ("0\t1\n1 2\n", 2),

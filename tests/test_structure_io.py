@@ -1,4 +1,5 @@
 import datetime
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldkit.errors import (CoordinateOverflow, EmptyStructure, FoldkitError,
-                            InvalidFilterSpec, MalformedRecord,
-                            NoCompleteResidues)
+from foldkit.errors import (CoordinateOverflow, EmptyStructure,
+                            FieldOverflow, FoldkitError, InvalidFilterSpec,
+                            MalformedRecord, NoCompleteResidues)
 from foldkit.pdb import parse_pdb, write_pdb
-from foldkit.structure import (Chain, FilterSpec, Granularity, Method,
-                               Structure, filter_structures, load_filter_spec,
-                               select_granularity)
+from foldkit.structure import (Atom, Chain, FilterSpec, Granularity, Method,
+                               Residue, Structure, filter_structures,
+                               load_filter_spec, select_granularity)
 from foldkit.synth import helix_chain, random_chain, single_chain_structure
 from foldkit.rng import make_rng
 
-from helpers import atom_line, parse_pdb_oracle
+from helpers import atom_line, parse_pdb_oracle, write_pdb_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures" / "pdb"
 
@@ -388,6 +389,125 @@ class TestWrite:
         s2 = dataclasses.replace(moved, chains=(chain2,))
         with pytest.raises(CoordinateOverflow):
             write_pdb(s2)
+
+
+# each edge of the coordinate field, one ulp either side, and the values
+# whose rounding or sign is easy to get wrong
+_EDGE_COORDS = [math.nextafter(edge, toward) for edge in (-999.9995, 9999.9995)
+                for toward in (-math.inf, edge, math.inf)] + [
+    -0.0, -0.0004, 0.0004, math.nan, math.inf, -math.inf]
+_COORDS = st.one_of(st.floats(-999.999, 9999.999), st.floats(-5.0, 5.0),
+                    st.sampled_from(_EDGE_COORDS))
+_FIT = st.floats(-99.99, 999.99)  # values that fit the %6.2f columns
+
+
+@st.composite
+def _structures(draw):
+    """Hand-made structures whose every field fits its columns; only the
+    coordinates may overflow."""
+    shape = draw(st.lists(st.lists(st.integers(0, 3), max_size=3),
+                          max_size=3))
+    n_het = draw(st.integers(0, 2))
+    m = sum(map(sum, shape)) + n_het
+    serials = iter(draw(st.lists(st.integers(-9999, 99999), min_size=m,
+                                 max_size=m, unique=True)))
+
+    def atom(**kw):
+        return Atom(draw(st.text("CNOSH1'", min_size=1, max_size=4)),
+                    draw(st.text("CNOSZ", max_size=3)),
+                    [draw(_COORDS) for _ in range(3)], draw(_FIT),
+                    draw(_FIT), serial=next(serials), **kw)
+
+    chains = tuple(Chain(cid, tuple(
+        Residue(draw(st.sampled_from(["ALA", "TRP", "MASK", "UNK", "ZN", "A"])),
+                draw(st.integers(-999, 9999)),
+                draw(st.sampled_from([None, "A", "Z"])),
+                tuple(atom() for _ in range(n_atoms)))
+        for n_atoms in residues)) for cid, residues in zip("AB1", shape))
+    hetero = tuple(atom(is_hetero=True, het_code=draw(
+        st.sampled_from([None, "ZN", "K", "ADP", "HOH"])))
+        for _ in range(n_het))
+    return Structure(draw(st.sampled_from(["", "1ABC", "LONGER"])), chains,
+                     draw(st.sampled_from([None, 1.8])), None,
+                     draw(st.sampled_from([None, Method.NMR])), hetero)
+
+
+def _written(write, s):
+    """write(s), or the type and message of the FoldkitError it raised."""
+    try:
+        return write(s)
+    except FoldkitError as exc:
+        return type(exc), str(exc)
+
+
+class TestWriteOracle:
+    """write_pdb against the per-atom writer it replaced: the same bytes,
+    or the same error and message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_structures())
+    def test_matches_oracle(self, s):
+        want = _written(write_pdb_oracle, s)
+        assert _written(write_pdb, s) == want
+        if isinstance(want, str):
+            try:
+                parsed = parse_pdb(want)  # a table-backed structure
+            except EmptyStructure:  # no atom, or only waters
+                return
+            assert write_pdb(parsed) == write_pdb_oracle(parsed)
+
+    @pytest.mark.parametrize("value", _EDGE_COORDS)
+    def test_coordinate_edges(self, value):
+        for xyz in ([value, 1.0, 2.0], [1.0, 2.0, value]):
+            s = single_chain_structure(Chain("A", (Residue("ALA", 1, None, (
+                Atom("N", "N", [0.0, 0.0, 0.0]), Atom("CA", "C", xyz))),)))
+            assert _written(write_pdb, s) == _written(write_pdb_oracle, s)
+
+    def test_fixtures_and_generated_chains(self):
+        structures = [parse_pdb(path.read_text())
+                      for path in sorted(FIXTURES.rglob("*.pdb"))]
+        structures.append(single_chain_structure(
+            random_chain(60, make_rng(12))))
+        for s in structures:
+            assert write_pdb(s) == write_pdb_oracle(s)
+
+
+def _one_atom(chain_id="A", seq_index=1, icode=None, **atom):
+    fields = dict(name="CA", element="C", position=[1.0, 2.0, 3.0])
+    fields.update(atom)
+    return Structure("X", (Chain(chain_id, (Residue(
+        "ALA", seq_index, icode, (Atom(**fields),)),)),))
+
+
+class TestFieldOverflow:
+    @pytest.mark.parametrize("s, message", [
+        (_one_atom(serial=123456), "serial 123456 "),
+        (_one_atom(serial=-10000), "serial -10000 "),
+        (_one_atom(seq_index=12345), "residue number 12345 "),
+        (_one_atom(seq_index=-1000), "residue number -1000 "),
+        (_one_atom(chain_id="AB"), "chain id 'AB' "),
+        (_one_atom(chain_id=""), "chain id '' "),
+        (_one_atom(icode="AB"), "insertion code 'AB' "),
+        (_one_atom(occupancy=1000.0), "occupancy 1000.0 "),
+        (_one_atom(occupancy=math.nan), "occupancy nan "),
+        (_one_atom(b_factor=-100.0), "b-factor -100.0 "),
+        (_one_atom(b_factor=999.995), "b-factor 999.995 "),
+        (Structure("X", (), hetero_atoms=(Atom(
+            "C1", "C", [0.0, 0.0, 0.0], is_hetero=True, het_code="ABCD"),)),
+         "hetero code 'ABCD' "),
+        (Structure("X", (), hetero_atoms=(Atom(
+            "ZN", "ZN", [0.0, 0.0, 0.0], is_hetero=True, serial=100000),)),
+         "serial 100000 ")])
+    def test_field_that_does_not_fit_raises(self, s, message):
+        with pytest.raises(FieldOverflow, match=message):
+            write_pdb(s)
+
+    def test_widest_values_that_fit_round_trip(self):
+        s = _one_atom(serial=99999, seq_index=-999, occupancy=-99.99,
+                      b_factor=999.99)
+        atom = parse_pdb(write_pdb(s)).chains[0].residues[0].atoms[0]
+        assert (atom.serial, atom.b_factor) == (99999, 999.99)
+        assert write_pdb(s) == write_pdb_oracle(s)
 
 
 class TestGranularity:
