@@ -269,6 +269,9 @@ def run_label(args) -> int:
         return 1
     ligands = {code.strip().upper() for code in args.ligands.split(",")
                if code.strip()}
+    if args.mode == "metal" and not ligands:  # no file could match
+        print("foldkit label: error: metal mode needs --ligands", file=sys.stderr)
+        return 1
 
     def worker(plan):
         in_path, out_path, _ = plan

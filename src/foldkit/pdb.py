@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (CoordinateOverflow, EmptyStructure, FieldOverflow,
                      MalformedRecord)
 from .residues import RESIDUE_INDEX
-from .structure import Atom, AtomTable, Chain, Method, Structure, object_array
+from .structure import (Atom, AtomTable, Chain, Method, Residue, Structure,
+                        atom_table, object_array)
 
 _MONTHS = ("JAN", "FEB", "MAR", "APR", "MAY", "JUN",
            "JUL", "AUG", "SEP", "OCT", "NOV", "DEC")
@@ -63,27 +64,31 @@ def _parse_method(text: str) -> Method:
     return Method.OTHER
 
 
-def _check_atom_line(line: str, line_no: int) -> None:
-    """Raise MalformedRecord for the first bad field of one ATOM/HETATM
-    record, in the order parse_pdb reads the columns."""
-    if len(line) < 54:
-        raise MalformedRecord(line_no, "record shorter than coordinate fields")
+def _columns(lines: list[str]):
+    """The serial, atom name, residue number and coordinate columns of
+    ATOM/HETATM records. Raises ValueError naming the first bad field, in
+    the order the columns are read; it raises for a set of records exactly
+    when one of them is bad."""
+    if min(map(len, lines), default=54) < 54:
+        raise ValueError("record shorter than coordinate fields")
+    serials = _read("serial", int, [line[6:11] for line in lines])
+    names = [line[12:16].strip() for line in lines]
+    if not all(names):
+        raise ValueError("blank atom name")
+    seq_indices = _read("residue number", int, [line[22:26] for line in lines])
+    xyz = np.array([_read("coordinates", float,
+                          [line[c:c + 8] for line in lines])
+                    for c in (30, 38, 46)], dtype=np.float64).T.copy()
+    if not np.isfinite(xyz).all():
+        raise ValueError("non-finite coordinates")
+    return serials, names, seq_indices, xyz
+
+
+def _read(field: str, convert, texts: list[str]) -> list:
     try:
-        int(line[6:11])
+        return list(map(convert, texts))
     except ValueError as exc:
-        raise MalformedRecord(line_no, f"bad serial: {exc}") from exc
-    if not line[12:16].strip():
-        raise MalformedRecord(line_no, "blank atom name")
-    try:
-        int(line[22:26])
-    except ValueError as exc:
-        raise MalformedRecord(line_no, f"bad residue number: {exc}") from exc
-    try:
-        xyz = [float(line[30:38]), float(line[38:46]), float(line[46:54])]
-    except ValueError as exc:
-        raise MalformedRecord(line_no, f"bad coordinates: {exc}") from exc
-    if not all(map(math.isfinite, xyz)):
-        raise MalformedRecord(line_no, "non-finite coordinates")
+        raise ValueError(f"bad {field}: {exc}") from exc
 
 
 def _floats(texts: list[str], default: float) -> np.ndarray:
@@ -141,24 +146,21 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
                 except ValueError:
                     continue
 
-    # The fields that can be malformed are parsed a whole column at a time;
-    # on any failure the per-line check finds the first bad record.
+    # The fields that can be malformed are read a whole column at a time;
+    # on any failure, halving the records finds the first bad one.
     try:
-        if min(map(len, lines), default=54) < 54:
-            raise ValueError("short record")
-        serials = list(map(int, [line[6:11] for line in lines]))
-        names = [line[12:16].strip() for line in lines]
-        if not all(names):
-            raise ValueError("blank atom name")
-        seq_indices = list(map(int, [line[22:26] for line in lines]))
-        xyz = np.array([list(map(float, [line[c:c + 8] for line in lines]))
-                        for c in (30, 38, 46)], dtype=np.float64).T.copy()
-        if not np.isfinite(xyz).all():
-            raise ValueError("non-finite coordinates")
+        serials, names, seq_indices, xyz = _columns(lines)
     except ValueError:
-        for line_no, line in zip(line_nos, lines):
-            _check_atom_line(line, line_no)
-        raise
+        lo, hi = 0, len(lines)  # lines[lo:hi] holds the first bad record
+        while True:
+            mid = (lo + hi + 1) // 2  # lo < mid <= hi
+            try:
+                _columns(lines[lo:mid])
+                lo = mid
+            except ValueError as exc:
+                if mid - lo == 1:
+                    raise MalformedRecord(line_nos[lo], str(exc)) from exc
+                hi = mid
     occupancy = _floats([line[54:60] for line in lines], 1.0)
     occupancy = np.where(occupancy < 0.0, 0.0,
                          np.where(occupancy > 1.0, 1.0, occupancy))
@@ -240,21 +242,14 @@ def _format_date(d: datetime.date) -> str:
     return f"{d.day:02d}-{_MONTHS[d.month - 1]}-{d.year % 100:02d}"
 
 
-def _format_coord(value: float) -> str:
+def _check_coord(value: float) -> None:
     if not math.isfinite(value):
         raise CoordinateOverflow(f"non-finite coordinate {value}")
-    text = f"{value:8.3f}"
-    if len(text) > 8:
+    if len(f"{value:8.3f}") > 8:
         raise CoordinateOverflow(f"coordinate {value} exceeds the 8-column field")
-    return text
 
 
-def _format_atom_name(name: str) -> str:
-    # Short names start at column 14 per convention; 4-char names fill 13-16.
-    return name[:4].ljust(4) if len(name) >= 4 else f" {name:<3s}"
-
-
-_RECORD = "%5d %s%s%8.3f%8.3f%8.3f%6.2f%6.2f          %2.2s\n"
+_RECORD = "%5d %s%s%8.3f%8.3f%8.3f%6.2f%6.2f          %2s\n"
 _RESIDUE = " %3s %1s%4d%1s   "  # residue name, chain id, number, icode
 
 
@@ -269,34 +264,54 @@ def _check_field(field: str, values, lo, hi, width: int) -> None:
 
 
 def _check_text(field: str, values, width: int) -> None:
-    for value in values:
+    for value in dict.fromkeys(values):  # each value once, first seen first
         if value is not None and len(value) > width:
             raise FieldOverflow(
                 f"{field} {value!r} does not fit the {width}-column field")
 
 
-def _records(tag: str, serial, names: list, residues: list, xyz, occupancy,
-             b_factor, element: list) -> str:
-    """One record per atom, rendered by one % format; names and residues
-    hold each atom's formatted name and residue fields."""
-    _check_field("serial", serial, -10000, 100000, 5)
-    _check_field("occupancy", occupancy, -99.995, 999.995, 6)
-    _check_field("b-factor", b_factor, -99.995, 999.995, 6)
-    if not ((xyz > -999.9995) & (xyz < 9999.9995)).all():  # NaN fails too
-        for value in xyz.ravel().tolist():  # the first misfit in atom order
-            _format_coord(value)
-    columns = (serial.tolist(), names, residues, *xyz.T.tolist(),
-               occupancy.tolist(), b_factor.tolist(), element)
-    return ((tag + _RECORD) * len(names)) % tuple(
+def _render(tag: str, chain_id: str, t: AtomTable) -> str:
+    """One record per atom of t, rendered by one % format after every
+    field check: the name field is formatted once per name code and the
+    residue field once per residue row."""
+    if len(chain_id) != 1:
+        raise FieldOverflow(f"chain id {chain_id!r} is not one column")
+    _check_field("residue number", t.seq_index, -1000, 10000, 4)
+    icodes, element = t.icode.tolist(), t.element.tolist()
+    _check_text("insertion code", icodes, 1)
+    _check_field("serial", t.serial, -10000, 100000, 5)
+    _check_field("occupancy", t.occupancy, -99.995, 999.995, 6)
+    _check_field("b-factor", t.b_factor, -99.995, 999.995, 6)
+    if not ((t.xyz > -999.9995) & (t.xyz < 9999.9995)).all():  # NaN fails too
+        for value in t.xyz.ravel().tolist():  # the first misfit in atom order
+            _check_coord(value)
+    _check_text("atom name", t.codes, 4)
+    _check_text("element", element, 2)
+    # MASK has no PDB code; written as MSK (re-parses as UNK).
+    res_names = ["MSK" if r == "MASK" else r for r in t.res_type.tolist()]
+    _check_text("residue name", res_names, 3)
+    residues = object_array(
+        _RESIDUE % fields for fields in zip(
+            res_names, itertools.repeat(chain_id), t.seq_index.tolist(),
+            [icode or " " for icode in icodes]))
+    # Short names start at column 14 per convention; 4-char names fill 13-16.
+    names = object_array(name if len(name) == 4 else f" {name:<3s}"
+                         for name in t.codes)
+    columns = (t.serial.tolist(), names[t.names].tolist(),
+               residues[t.owner].tolist(), *t.xyz.T.tolist(),
+               t.occupancy.tolist(), t.b_factor.tolist(), element)
+    return ((tag + _RECORD) * len(element)) % tuple(
         itertools.chain.from_iterable(zip(*columns)))
 
 
 def write_pdb(s: Structure) -> str:
-    """Render a Structure as PDB v3.3 text, one % format per chain.
+    """Render a Structure as PDB v3.3 text: one % format per chain, and one
+    for the hetero atoms as chain Z, each its own residue 1.
 
     Raises CoordinateOverflow for the first coordinate, in atom order,
-    that does not fit its 8 columns, and FieldOverflow for any other
-    field that does not fit its columns.
+    that does not fit its 8 columns, and FieldOverflow for any other field
+    that does not fit its columns. Only the structure id is cut (to 4): a
+    structure read without a HEADER is named after its file.
     """
     date_text = _format_date(s.deposition_date) if s.deposition_date else ""
     parts = [f"HEADER{'':44s}{date_text:<12s}{s.id[:4]:>4s}\n"]
@@ -305,29 +320,10 @@ def write_pdb(s: Structure) -> str:
     if s.resolution is not None:
         parts.append(f"REMARK   2 RESOLUTION. {s.resolution:7.2f} ANGSTROMS.\n")
     for chain in s.chains:
-        t = chain.table
-        if len(chain.id) != 1:
-            raise FieldOverflow(f"chain id {chain.id!r} is not one column")
-        _check_field("residue number", t.seq_index, -1000, 10000, 4)
-        _check_text("insertion code", t.icode.tolist(), 1)
-        # MASK has no PDB code; written as MSK (re-parses as UNK).
-        residues = object_array(
-            _RESIDUE % ("MSK" if res_type == "MASK" else res_type[:3],
-                        chain.id, seq_index, icode or " ")
-            for res_type, seq_index, icode in zip(
-                t.res_type.tolist(), t.seq_index.tolist(), t.icode.tolist()))
-        names = object_array(map(_format_atom_name, t.codes))
-        parts += (_records("ATOM  ", t.serial, names[t.names].tolist(),
-                           residues[t.owner].tolist(), t.xyz, t.occupancy,
-                           t.b_factor, t.element.tolist()), "TER\n")
+        parts += (_render("ATOM  ", chain.id, chain.table), "TER\n")
     if s.hetero_atoms:
-        hetero = s.hetero_atoms
-        codes = [a.het_code or "LIG" for a in hetero]
-        _check_text("hetero code", codes, 3)
-        serial, xyz, occupancy, b_factor = map(np.array, zip(*(
-            (a.serial, a.position, a.occupancy, a.b_factor) for a in hetero)))
-        parts.append(_records(
-            "HETATM", serial, [_format_atom_name(a.name) for a in hetero],
-            [_RESIDUE % (code, "Z", 1, " ") for code in codes], xyz,
-            occupancy, b_factor, [a.element for a in hetero]))
+        hetero = atom_table(Residue(a.het_code or "LIG", 1, None, (a,))
+                            for a in s.hetero_atoms)
+        _check_text("hetero code", hetero.res_type.tolist(), 3)
+        parts.append(_render("HETATM", "Z", hetero))
     return "".join(parts) + "END\n"

@@ -93,6 +93,16 @@ class TestEncodeDecode:
                 assert not out.exists()
                 assert ("foldkit label: error: cutoff must be finite and > 0"
                         in capsys.readouterr().err)
+        # so is metal mode with no ligand code
+        for ligands in ((), ("--ligands", " , ")):
+            for source, jobs in ((fixture_file, "1"), (FIXTURES, "1"),
+                                 (FIXTURES, "2")):
+                out = tmp_path / "labels"
+                assert run_cli("label", source, str(out), "--jobs", jobs,
+                               "--mode", "metal", *ligands) == 1
+                assert not out.exists()
+                assert ("foldkit label: error: metal mode needs --ligands"
+                        in capsys.readouterr().err)
 
     def test_errors_in_input_order_under_jobs(self, tmp_path, capsys):
         src = tmp_path / "bad"

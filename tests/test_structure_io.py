@@ -243,6 +243,24 @@ class TestParseOracle:
         chain = random_chain(40, make_rng(11))
         _assert_matches_oracle(write_pdb(single_chain_structure(chain)))
 
+    def test_first_malformed_record_at_scale(self):
+        """500 records with one malformed field at the first, a middle, the
+        last and an altloc-B record: the same record and message as the
+        per-line oracle."""
+        names = ("N", "CA", "C", "O")
+        lines = [_NON_ATOM[-1]] + [
+            atom_line(i + 1, names[i % 4], "ALA", "A", i // 4 + 1, i / 2, 1.0,
+                      -2.0, altloc="B" if i == 334 else " ")
+            for i in range(500)]
+        for start, field in _MALFORMED:
+            for i in (1, 252, 500, 335):
+                bad = list(lines)
+                bad[i] = bad[i][:start] + field + bad[i][start + len(field):]
+                text = "\n".join(bad)
+                assert (_parse_outcome(parse_pdb, text)[:2]
+                        == (MalformedRecord, i + 1))
+                _assert_matches_oracle(text)
+
     def test_first_malformed_line_in_file_order_wins(self):
         good = atom_line(1, "CA", "ALA", "A", 1, 1.0, 2.0, 3.0)
         nan_coords = good[:30] + "     nan" + good[38:]
@@ -414,7 +432,7 @@ def _structures(draw):
 
     def atom(**kw):
         return Atom(draw(st.text("CNOSH1'", min_size=1, max_size=4)),
-                    draw(st.text("CNOSZ", max_size=3)),
+                    draw(st.text("CNOSZ", max_size=2)),
                     [draw(_COORDS) for _ in range(3)], draw(_FIT),
                     draw(_FIT), serial=next(serials), **kw)
 
@@ -472,11 +490,11 @@ class TestWriteOracle:
             assert write_pdb(s) == write_pdb_oracle(s)
 
 
-def _one_atom(chain_id="A", seq_index=1, icode=None, **atom):
+def _one_atom(chain_id="A", seq_index=1, icode=None, res_type="ALA", **atom):
     fields = dict(name="CA", element="C", position=[1.0, 2.0, 3.0])
     fields.update(atom)
     return Structure("X", (Chain(chain_id, (Residue(
-        "ALA", seq_index, icode, (Atom(**fields),)),)),))
+        res_type, seq_index, icode, (Atom(**fields),)),)),))
 
 
 class TestFieldOverflow:
@@ -497,7 +515,10 @@ class TestFieldOverflow:
          "hetero code 'ABCD' "),
         (Structure("X", (), hetero_atoms=(Atom(
             "ZN", "ZN", [0.0, 0.0, 0.0], is_hetero=True, serial=100000),)),
-         "serial 100000 ")])
+         "serial 100000 "),
+        (_one_atom(name="CA123"), "atom name 'CA123' "),
+        (_one_atom(element="CAX"), "element 'CAX' "),
+        (_one_atom(res_type="ABCD"), "residue name 'ABCD' ")])
     def test_field_that_does_not_fit_raises(self, s, message):
         with pytest.raises(FieldOverflow, match=message):
             write_pdb(s)
