@@ -8,6 +8,7 @@ absent sidechain atoms) are NaN in arrays and None, never NaN, in tuples.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,19 +321,27 @@ def within_cutoff(points: np.ndarray, targets: np.ndarray,
 def edges_from_text(text: str, num_nodes: int | None = None) -> GraphTopology:
     """Parse edges_to_text() lines, skipping blank ones; raises
     MalformedRecord for a line that is not two tab-separated int64
-    integers."""
-    pairs = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            try:
-                s, t = map(int, line.strip().split("\t"))
-                if not (-2**63 <= s < 2**63 and -2**63 <= t < 2**63):
-                    raise ValueError("integer outside int64")
-            except ValueError as exc:
-                raise MalformedRecord(
-                    line_no, f"expected two tab-separated integers: {exc}") from exc
-            pairs.append((s, t))
-    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    integers. Canonical text is read in one call, any other line by line."""
+    edges = None
+    if re.fullmatch(r"(?:-?[0-9]+\t-?[0-9]+\n)*", text):
+        try:
+            edges = np.array(text.split(), dtype=np.int64)
+        except OverflowError:  # outside int64: the loop names the line
+            pass
+    if edges is None:
+        pairs = []
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            if line.strip():
+                try:
+                    s, t = map(int, line.strip().split("\t"))
+                    if not (-2**63 <= s < 2**63 and -2**63 <= t < 2**63):
+                        raise ValueError("integer outside int64")
+                except ValueError as exc:
+                    raise MalformedRecord(
+                        line_no, f"expected two tab-separated integers: {exc}") from exc
+                pairs.append((s, t))
+        edges = np.asarray(pairs, dtype=np.int64)
+    edges = edges.reshape(-1, 2)
     if num_nodes is None:
         num_nodes = int(edges.max()) + 1 if len(edges) else 0
     return GraphTopology(num_nodes, edges)

@@ -3,7 +3,8 @@
 Edges follow the graph module's (source, target) storage; the target is
 the receiving node, so relative geometry uses x_target - x_source. All
 functions are pure: identical inputs and params give bit-identical
-outputs.
+outputs. Each node's incoming messages are summed in stored-edge order,
+starting from 0.0, so outputs do not depend on how the scatter runs.
 """
 
 from __future__ import annotations
@@ -30,11 +31,15 @@ class Activation(enum.Enum):
 
 
 def _activate(kind: Activation, x: np.ndarray) -> np.ndarray:
-    if kind is Activation.SILU:
-        e = np.exp(-np.abs(x))  # at most 1, so it never overflows
-        return np.where(x >= 0, x, x * e) / (1.0 + e)
+    """Overwrite x with its activation and return it."""
+    if kind is Activation.SILU:  # x exp(min(x, 0)) / (1 + exp(-|x|)), no mask
+        num = np.minimum(x, 0.0)  # no exponent is positive: no overflow
+        num = np.multiply(np.exp(num, out=num), x, out=num)
+        den = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
+        den += 1.0
+        return np.divide(num, den, out=x)
     if kind is Activation.RELU:
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x)
     return x
 
 
@@ -84,9 +89,10 @@ def mlp_forward(p: MlpParams, x) -> np.ndarray:
         raise DimensionMismatch(f"input dim {x.shape[1]}, expected {p.in_dim}")
     last = len(p.weights) - 1
     for i, (W, b) in enumerate(zip(p.weights, p.biases)):
-        x = x @ W.T + b
+        x = x @ W.T  # a new array, so the caller's x is never written
+        x += b
         if i != last:
-            x = _activate(p.activation, x)
+            _activate(p.activation, x)
     return x[0] if squeeze else x
 
 
@@ -116,6 +122,15 @@ def load_mlp_params(directory) -> MlpParams:
                      Activation(manifest["activation"]), manifest["seed"])
 
 
+def _node_arrays(topology: GraphTopology, *arrays) -> list:
+    """The per-node inputs as float64 arrays of one row per graph node."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    if any(a.shape[:1] != (topology.num_nodes,) for a in arrays):
+        raise DimensionMismatch(f"per-node inputs {[a.shape for a in arrays]}"
+                                f" for {topology.num_nodes} nodes")
+    return arrays
+
+
 def _edge_geometry(X: np.ndarray, topology: GraphTopology):
     """Distances and receiver-minus-sender difference vectors per edge."""
     src = topology.edges[:, 0]
@@ -126,8 +141,17 @@ def _edge_geometry(X: np.ndarray, topology: GraphTopology):
 
 
 def _aggregate(values: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Per-node sums in stored-edge order from 0.0, as np.add.at adds. Rank
+    group r holds every node's r-th incoming edge; its targets are
+    distinct, so one vectorised add takes the whole group."""
+    by_node = np.sort(dst)
+    rank = np.arange(len(dst)) - np.searchsorted(by_node, by_node)
+    order = np.argsort(dst, kind="stable")[np.argsort(rank, kind="stable")]
+    targets, v = dst[order], values[order]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(rank))))
     out = np.zeros((n,) + values.shape[1:])
-    np.add.at(out, dst, values)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        out[targets[lo:hi]] += v[lo:hi]
     return out
 
 
@@ -156,10 +180,7 @@ def rbf_expand(d, p: SchNetParams) -> np.ndarray:
 
 def schnet_layer(S, X, topology: GraphTopology, p: SchNetParams) -> np.ndarray:
     """s'_i = s_i + sum_j s_j * filter(||x_i - x_j||), invariant to E(3)."""
-    S = np.asarray(S, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if S.shape[0] != topology.num_nodes:
-        raise DimensionMismatch("S rows != num_nodes")
+    S, X = _node_arrays(topology, S, X)
     if p.filter_mlp.out_dim != S.shape[1]:
         raise DimensionMismatch("filter output dim != feature dim")
     if topology.num_edges == 0:
@@ -188,8 +209,7 @@ def egnn_params(feature_dim: int, hidden: int = 32, seed: int = 0) -> EgnnParams
 
 def egnn_layer(S, X, topology: GraphTopology, p: EgnnParams):
     """E(3)-equivariant update of scalars and coordinates."""
-    S = np.asarray(S, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
+    S, X = _node_arrays(topology, S, X)
     if p.coord_mlp.out_dim != 1:
         raise DimensionMismatch("coordinate gate must be scalar")
     src, dst, diff, dist = _edge_geometry(X, topology)
@@ -262,9 +282,7 @@ def gcp_layer(S, V, X, topology: GraphTopology, p: GcpParams):
     vectors are gated combinations of the frame axes and endpoint vectors;
     node updates are residual.
     """
-    S = np.asarray(S, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
+    S, V, X = _node_arrays(topology, S, V, X)
     n, n_vec = V.shape[0], V.shape[1]
     src, dst, diff, dist = _edge_geometry(X, topology)
     frames = _frames(X, src, dst, diff, dist)
@@ -272,7 +290,7 @@ def gcp_layer(S, V, X, topology: GraphTopology, p: GcpParams):
     def project(vecs):  # (E, n_vec, 3) onto the three frame axes
         return np.stack([np.einsum("evk,ek->ev", vecs, ax)
                          for ax in (frames.a, frames.b, frames.c)],
-                        axis=2).reshape(len(src), -1)
+                        axis=2).reshape(len(src), 3 * n_vec)
 
     inv = np.concatenate([S[dst], S[src], project(V[dst]), project(V[src]),
                           dist[:, None]], axis=1)
@@ -313,8 +331,7 @@ def noise_predictor(S, X, topology: GraphTopology,
     eps_i = sum_j m_ij * (x_i - x_j) / ||x_i - x_j|| over incoming edges:
     translation-invariant by construction, rotation-equivariant.
     """
-    S = np.asarray(S, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
+    S, X = _node_arrays(topology, S, X)
     if p.score_mlp.out_dim != 1:
         raise DimensionMismatch("edge score must be scalar")
     src, dst, diff, dist = _edge_geometry(X, topology)

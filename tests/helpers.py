@@ -17,6 +17,7 @@ from foldkit.errors import (CoordinateOverflow, DegenerateConfiguration,
                             NoCompleteResidues)
 from foldkit.geometry import (Superposition, backbone_array, defined,
                               dihedrals, wrap_angle)
+from foldkit.gnn import Activation
 from foldkit.pdb import (_METHOD_TEXT, _format_date, _parse_method,
                          _parse_pdb_date)
 from foldkit.residues import CHI_ATOMS, MAX_CHI, RESIDUE_INDEX
@@ -321,6 +322,29 @@ def silu_oracle(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def aggregate_oracle(values: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """The `np.add.at` scatter that `foldkit.gnn._aggregate` replaced, kept
+    as its reference: each node sums its incoming values in stored-edge
+    order, starting from 0.0."""
+    out = np.zeros((n,) + values.shape[1:])
+    np.add.at(out, dst, values)
+    return out
+
+
+def mlp_forward_oracle(p, x: np.ndarray) -> np.ndarray:
+    """The `x @ W.T + b` forward pass that `foldkit.gnn.mlp_forward`
+    replaced, with `silu_oracle` or ReLU between layers, for a batch of
+    row vectors."""
+    last = len(p.weights) - 1
+    for i, (W, b) in enumerate(zip(p.weights, p.biases)):
+        x = x @ W.T + b
+        if i != last and p.activation is Activation.SILU:
+            x = silu_oracle(x)
+        elif i != last and p.activation is Activation.RELU:
+            x = np.maximum(x, 0.0)
+    return x
+
+
 def full_atom_dimer() -> Structure:
     """Two-chain full-atom structure with every kind of metadata a
     corruption must keep: side chains grown by nerf_place (CB, CG, CD),
@@ -595,3 +619,22 @@ def write_pdb_oracle(s: Structure) -> str:
 def edges_to_text_oracle(topology) -> str:
     """The generator form `foldkit.geometry.edges_to_text` replaced."""
     return "".join(f"{s}\t{t}\n" for s, t in topology.edges.tolist())
+
+
+def edges_from_text_oracle(text: str) -> np.ndarray:
+    """The per-line reader that `foldkit.geometry.edges_from_text` keeps
+    only for non-canonical text, as its reference: the (E, 2) int64 edge
+    array, or MalformedRecord for the first line that is not two
+    tab-separated int64 integers."""
+    pairs = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            try:
+                s, t = map(int, line.strip().split("\t"))
+                if not (-2**63 <= s < 2**63 and -2**63 <= t < 2**63):
+                    raise ValueError("integer outside int64")
+            except ValueError as exc:
+                raise MalformedRecord(
+                    line_no, f"expected two tab-separated integers: {exc}") from exc
+            pairs.append((s, t))
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)

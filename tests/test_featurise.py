@@ -3,10 +3,12 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldkit.errors import (DegenerateGeometry, DimensionMismatch, MissingAtom,
                             MalformedRecord, OddDimension, BadMagic,
-                            TruncatedPayload)
+                            TruncatedPayload, FoldkitError)
 from foldkit.featurise import (FeatureScheme, build_graph, embed_angle,
                                positional_encoding, scalar_features,
                                vector_features)
@@ -17,7 +19,8 @@ from foldkit.structure import Atom, Chain, Residue, Structure
 from foldkit.synth import random_chain, single_chain_structure
 from foldkit.tensorio import tensor_from_bytes, tensor_to_bytes
 
-from helpers import (dihedral_oracle, edges_to_text_oracle, random_rotation,
+from helpers import (dihedral_oracle, edges_from_text_oracle,
+                     edges_to_text_oracle, random_rotation,
                      transform_structure, with_atom)
 
 
@@ -270,11 +273,65 @@ class TestEdgeTextFormat:
     @pytest.mark.parametrize("text, line_no", [
         ("1\t2\t3\n", 1), ("0\t1\n\na\tb\n", 3), ("0\t1\n1 2\n", 2),
         ("99999999999999999999\t1\n", 1),
-        ("0\t1\n1\t-9223372036854775809\n", 2)])
+        ("0\t1\n1\t-9223372036854775809\n", 2),
+        ("0\t1\n2\t9223372036854775808\n", 2)])
     def test_malformed_line_raises_typed_error(self, text, line_no):
         with pytest.raises(MalformedRecord) as err:
             edges_from_text(text)
         assert err.value.line_no == line_no
+
+
+_EDGE_NOISE = "0123456789-+_ \t\r\n\u0663"  # U+0663: ARABIC-INDIC DIGIT THREE
+_EDGE_BOUNDS = (-2**64, -2**63 - 1, -2**63, 2**63 - 1, 2**63, 2**64)
+
+
+@st.composite
+def _edge_texts(draw):
+    """edges_to_text() output, mostly of small node indices, some at and
+    past the int64 bounds, often with a few noise strings inserted (signs,
+    underscores, spaces, stray tabs, CR, blank lines, a Unicode digit),
+    each in place of one character or between two."""
+    def index():
+        if draw(st.integers(0, 7)):
+            return draw(st.integers(0, 40))
+        return draw(st.sampled_from(_EDGE_BOUNDS))
+    text = "".join(f"{index()}\t{index()}\n"
+                   for _ in range(draw(st.integers(0, 6))))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        noise = st.sampled_from(["\n", " ", "\r", "+", "_", "\u0663"])
+        text = (text[:at] + draw(noise | st.text(_EDGE_NOISE, max_size=3))
+                + text[at + draw(st.integers(0, 1)):])
+    return text
+
+
+def _edge_outcome(read):
+    try:
+        topology = read()
+    except FoldkitError as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return topology.num_nodes, topology.edges.tolist()
+
+
+class TestEdgeTextReader:
+    """The bulk reader of canonical text and the per-line reader of all
+    other text must agree with the per-line oracle on every input."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_edge_texts(), st.text(_EDGE_NOISE, max_size=30)))
+    def test_matches_per_line_oracle(self, text):
+        def oracle():
+            edges = edges_from_text_oracle(text)
+            return GraphTopology(int(edges.max()) + 1 if len(edges) else 0,
+                                 edges)
+        assert _edge_outcome(lambda: edges_from_text(text)) == \
+            _edge_outcome(oracle)
+
+    @pytest.mark.parametrize("text", [
+        "0\t1\n1\t\u06632\n", " 0\t1 \n\n\r\n+1\t2_0\n", "0\t1\n1\t2"])
+    def test_non_canonical_text_reads_line_by_line(self, text):
+        assert np.array_equal(edges_from_text(text).edges,
+                              edges_from_text_oracle(text))
 
 
 class TestTensorContainer:

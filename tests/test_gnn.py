@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from foldkit.geometry import GraphTopology, knn_graph
 from foldkit.rng import make_rng
 from foldkit.synth import random_chain, single_chain_structure
 
-from helpers import random_reflection, random_rotation, silu_oracle
+from helpers import (aggregate_oracle, mlp_forward_oracle, random_reflection,
+                     random_rotation, silu_oracle)
 
 
 def small_graph(n=12, seed=0, k=4):
@@ -20,6 +23,10 @@ def small_graph(n=12, seed=0, k=4):
 
 def rotate_vecs(V, R):
     return np.einsum("...k,jk->...j", V, R)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 class TestMlp:
@@ -48,8 +55,33 @@ class TestMlp:
     def test_silu_matches_two_branch_oracle_bit_for_bit(self):
         x = make_rng(7).normal(size=(7040, 32)) * 6.0
         x[0, :8] = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 5e-324, -5e-324]
-        got = gnn._activate(gnn.Activation.SILU, x)
+        got = gnn._activate(gnn.Activation.SILU, x.copy())
         assert np.array_equal(got.view(np.int64), silu_oracle(x).view(np.int64))
+
+    @pytest.mark.parametrize("activation",
+                             [gnn.Activation.SILU, gnn.Activation.RELU])
+    def test_matches_affine_oracle_bit_for_bit(self, activation):
+        rng = make_rng(71)
+        p = gnn.seeded_init((6, 16, 16, 3), activation, seed=72)
+        p = dataclasses.replace(p, biases=tuple(
+            rng.normal(size=b.shape) for b in p.biases))
+        x = rng.normal(size=(300, 6)) * 4.0
+        x[0] = [0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324]
+        before = x.copy()
+        assert np.array_equal(bits(gnn.mlp_forward(p, x)),
+                              bits(mlp_forward_oracle(p, x)))
+        assert np.array_equal(bits(gnn.mlp_forward(p, x[7])),
+                              bits(mlp_forward_oracle(p, x[7:8])[0]))
+        assert np.array_equal(bits(x), bits(before))  # input left alone
+
+    @pytest.mark.parametrize("activation", list(gnn.Activation))
+    def test_activation_overwrites_its_input(self, activation):
+        x = make_rng(73).normal(size=(40, 5))
+        expected = {gnn.Activation.SILU: silu_oracle,
+                    gnn.Activation.RELU: lambda x: np.maximum(x, 0.0),
+                    gnn.Activation.IDENTITY: np.copy}[activation](x)
+        assert gnn._activate(activation, x) is x
+        assert np.array_equal(bits(x), bits(expected))
 
     def test_dimension_mismatch(self):
         p = gnn.seeded_init((5, 3), seed=4)
@@ -63,6 +95,45 @@ class TestMlp:
         rows = np.stack([gnn.mlp_forward(p, x) for x in X])
         # batched gemm and row-wise gemv may differ in the last ulp
         assert np.max(np.abs(batched - rows)) < 1e-12
+
+
+class TestAggregate:
+    """`_aggregate` against the `np.add.at` scatter it replaced, bit for
+    bit: summation order shows in the bits, so values span many orders of
+    magnitude."""
+
+    @staticmethod
+    def _values(rng, m, shape):
+        v = rng.normal(size=(m,) + shape)
+        v *= 10.0 ** rng.integers(-12, 12, size=v.shape)
+        v.flat[::5] = -0.0
+        return v
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3)])
+    def test_unsorted_repeated_targets(self, shape):
+        rng = make_rng(74)
+        n = 11
+        for m in (0, 1, 5, 60, 400):
+            dst = rng.integers(0, n - 3, m)  # the last 3 nodes get nothing
+            v = self._values(rng, m, shape)
+            got = gnn._aggregate(v, dst, n)
+            assert got.shape == (n,) + shape
+            assert np.array_equal(bits(got), bits(aggregate_oracle(v, dst, n)))
+
+    def test_sorted_skewed_and_single_target(self):
+        rng = make_rng(75)
+        for dst in (np.repeat(np.arange(6), 16), np.zeros(50, dtype=np.int64),
+                    np.sort(rng.integers(0, 4, 90)), rng.integers(0, 30, 25)):
+            v = self._values(rng, len(dst), (3,))
+            assert np.array_equal(bits(gnn._aggregate(v, dst, 30)),
+                                  bits(aggregate_oracle(v, dst, 30)))
+
+    def test_negative_zero_sums_to_positive_zero(self):
+        v = np.array([-0.0, -0.0, 1.0, -1.0])
+        got = gnn._aggregate(v, np.array([0, 0, 1, 1]), 3)
+        assert np.array_equal(bits(got), bits(np.zeros(3)))
+        assert np.array_equal(bits(got), bits(aggregate_oracle(
+            v, np.array([0, 0, 1, 1]), 3)))
 
 
 class TestSeededInit:
@@ -323,6 +394,51 @@ class TestNoisePredictor:
         p = gnn.noise_predictor_params(4, seed=46)
         with pytest.raises(CoincidentNodes):
             gnn.noise_predictor(S, X, topo, p)
+
+
+class TestPerNodeInputs:
+    def _inputs(self, seed=76):
+        g = small_graph(seed=seed)
+        S = make_rng(seed + 1).normal(size=(g.num_nodes, 6))
+        return g, S, g.node_vectors, g.coords
+
+    @staticmethod
+    def _layers():
+        schnet, egnn = gnn.schnet_params(6, seed=78), gnn.egnn_params(6, seed=79)
+        gcp = gnn.gcp_params(6, seed=80)
+        noise = gnn.noise_predictor_params(6, seed=81)
+        return {
+            "schnet": lambda S, V, X, t: gnn.schnet_layer(S, X, t, schnet),
+            "egnn": lambda S, V, X, t: gnn.egnn_layer(S, X, t, egnn),
+            "gcp": lambda S, V, X, t: gnn.gcp_layer(S, V, X, t, gcp),
+            "noise": lambda S, V, X, t: gnn.noise_predictor(S, X, t, noise)}
+
+    @pytest.mark.parametrize("layer, short", [
+        (layer, short) for layer in ("schnet", "egnn", "noise") for short in "SX"]
+        + [("gcp", short) for short in "SVX"])
+    def test_short_input_is_dimension_mismatch(self, layer, short):
+        g, S, V, X = self._inputs()
+        inputs = {"S": S, "V": V, "X": X}
+        inputs[short] = inputs[short][:-1]
+        with pytest.raises(DimensionMismatch):
+            self._layers()[layer](inputs["S"], inputs["V"], inputs["X"],
+                                  g.topology)
+
+    def test_zero_edges_send_no_message(self):
+        g, S, V, X = self._inputs(seed=82)
+        n = g.num_nodes
+        topo = GraphTopology(n, np.empty((0, 2), dtype=np.int64))
+        out = {name: run(S, V, X, topo)
+               for name, run in self._layers().items()}
+        egnn, gcp = gnn.egnn_params(6, seed=79), gnn.gcp_params(6, seed=80)
+        assert np.array_equal(bits(out["schnet"]), bits(S))
+        assert np.array_equal(bits(out["egnn"][0]), bits(gnn.mlp_forward(
+            egnn.update_mlp, np.concatenate([S, np.zeros((n, 32))], axis=1))))
+        assert np.array_equal(bits(out["egnn"][1]), bits(X + 0.0))
+        assert np.array_equal(bits(out["gcp"][0]), bits(S + gnn.mlp_forward(
+            gcp.node_mlp, np.concatenate([S, np.zeros((n, 6))], axis=1))))
+        assert np.array_equal(bits(out["gcp"][1]), bits(V + 0.0))
+        assert np.array_equal(bits(out["noise"]), bits(np.zeros((n, 3))))
 
 
 class TestStackedComposition:
