@@ -8,6 +8,8 @@ Exit codes: 0 success, 1 usage error, 2 data error. Every input may be a
 single file or a directory; directories are walked breadth-first in
 lexicographic order and can be processed with --jobs N, with per-file
 seeds derived from the relative path so outputs do not depend on N.
+Each file's notes or error print in input order for any --jobs, and a
+file that fails writes nothing: workers return outputs, _run_jobs writes.
 """
 
 from __future__ import annotations
@@ -89,28 +91,43 @@ def _name_input(record: logging.LogRecord) -> bool:
     return True
 
 
+def _write(path: str, data) -> None:
+    """Write text, bytes or an array (as FKT1) to path, making its parent."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    if isinstance(data, (str, bytes)):
+        with open(path, "w" if isinstance(data, str) else "wb") as fh:
+            fh.write(data)
+    else:
+        write_tensor(path, data)
+
+
 def _run_jobs(args, in_suffix: str, out_suffix: str | None, worker) -> int:
-    """Run worker on every planned file, with --jobs threads; print
-    per-file errors, of any Exception type, in input order. Returns 2 if
-    any file failed."""
+    """Run worker on every planned file, with --jobs threads. A worker
+    returns ({path: str | bytes | array}, [note, ...]) and neither writes
+    nor prints; its outputs are written once it returns. Each file's notes,
+    or its error (any Exception), print after its input path, in input
+    order. Returns 2 if any file failed."""
     def attempt(plan):
         token = _input_path.set(plan[0])
         try:
-            worker(plan)
+            outputs, notes = worker(plan)
+            for path, data in outputs.items():
+                _write(path, data)
         except Exception as exc:  # one file's failure stops no other file
             logging.getLogger(__name__).debug("%s", plan[0], exc_info=exc)
-            return f"{plan[0]}: {type(exc).__name__}: {exc}"
+            return False, [f"{type(exc).__name__}: {exc}"]
         finally:
             _input_path.reset(token)
-        return None
+        return True, notes
 
     plans = _plan(args.input, args.output, in_suffix, out_suffix)
     failed = False
     with concurrent.futures.ThreadPoolExecutor(max(args.jobs, 1)) as pool:
-        for error in (pool.map if args.jobs > 1 else map)(attempt, plans):
-            if error is not None:
-                print(error, file=sys.stderr)
-                failed = True
+        results = (pool.map if args.jobs > 1 else map)(attempt, plans)
+        for (in_path, _, _), (ok, lines) in zip(plans, results):
+            failed |= not ok
+            for line in lines:
+                print(f"{in_path}: {line}", file=sys.stderr)
     return 2 if failed else 0
 
 
@@ -124,35 +141,29 @@ def _read(path: str, mode: str = "r"):
         raise FoldkitError(f"{path}: {exc}") from exc
 
 
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
-
 def _parse_file(path: str):
     return parse_pdb(_read(path),
                      os.path.splitext(os.path.basename(path))[0])
 
 
-def _pick_chain(structure, chain_id: str | None, path: str):
+def _pick_chain(structure, chain_id: str | None):
     if chain_id is not None:
         for chain in structure.chains:
             if chain.id == chain_id:
-                return chain
+                return chain, []
         raise FoldkitError(f"no chain {chain_id!r}")
-    if len(structure.chains) > 1:
-        print(f"{path}: {len(structure.chains)} chains, encoding the first",
-              file=sys.stderr)
     if not structure.chains:
         raise FoldkitError("structure has no polymer chains")
-    return structure.chains[0]
+    notes = ([f"{len(structure.chains)} chains, encoding the first"]
+             if len(structure.chains) > 1 else [])
+    return structure.chains[0], notes
 
 
-def _write_manifest(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+def _in_dir(out_path: str, files: dict, manifest: dict) -> dict:
+    """files, keyed by name, then manifest.json, in out_path less suffix."""
+    files["manifest.json"] = json.dumps(manifest, sort_keys=True) + "\n"
+    out_dir = os.path.splitext(out_path)[0]
+    return {os.path.join(out_dir, name): data for name, data in files.items()}
 
 
 # --- subcommands ---
@@ -160,16 +171,13 @@ def _write_manifest(path: str, payload: dict) -> None:
 def run_encode(args) -> int:
     def worker(plan):
         in_path, out_path, _ = plan
-        structure = _parse_file(in_path)
-        chain = _pick_chain(structure, args.chain, in_path)
+        chain, notes = _pick_chain(_parse_file(in_path), args.chain)
         encoded = encode(chain)  # measures the backbone array read below
-        _ensure_parent(out_path)
-        with open(out_path, "wb") as fh:
-            fh.write(encoded.to_bytes())
         xyz, present = backbone_array(chain)
         sup = kabsch(xyz[present], backbone_array(decode(encoded))[0][present])
-        print(f"{in_path}: {encoded.n_residues} residues, "
-              f"round-trip backbone RMSD {sup.rmsd:.4f} A", file=sys.stderr)
+        notes.append(f"{encoded.n_residues} residues, "
+                     f"round-trip backbone RMSD {sup.rmsd:.4f} A")
+        return {out_path: encoded.to_bytes()}, notes
 
     return _run_jobs(args, ".pdb", ".fkc", worker)
 
@@ -179,11 +187,7 @@ def run_decode(args) -> int:
         in_path, out_path, _ = plan
         encoded = EncodedProtein.from_bytes(_read(in_path, "rb"))
         text = write_pdb(single_chain_structure(decode(encoded)))
-        _ensure_parent(out_path)
-        with open(out_path, "w") as fh:
-            fh.write(text)
-        print(f"{in_path}: decoded {encoded.n_residues} residues",
-              file=sys.stderr)
+        return {out_path: text}, [f"decoded {encoded.n_residues} residues"]
 
     return _run_jobs(args, ".fkc", ".pdb", worker)
 
@@ -193,23 +197,16 @@ def run_featurise(args) -> int:
 
     def worker(plan):
         in_path, out_path, _ = plan
-        structure = _parse_file(in_path)
-        graph = build_graph(structure, scheme, args.k,
+        graph = build_graph(_parse_file(in_path), scheme, args.k,
                             global_positions=args.global_positions)
-        out_dir = os.path.splitext(out_path)[0]
-        os.makedirs(out_dir, exist_ok=True)
-        write_tensor(os.path.join(out_dir, "scalars.fkt"), graph.scalars)
-        write_tensor(os.path.join(out_dir, "coords.fkt"), graph.coords)
-        write_tensor(os.path.join(out_dir, "node_vectors.fkt"),
-                     graph.node_vectors)
-        write_tensor(os.path.join(out_dir, "edge_vectors.fkt"),
-                     graph.edge_vectors)
-        with open(os.path.join(out_dir, "edges.tsv"), "w") as fh:
-            fh.write(edges_to_text(graph.topology))
-        _write_manifest(os.path.join(out_dir, "manifest.json"), {
-            "scheme": scheme.value, "k": args.k,
-            "num_nodes": graph.num_nodes,
-            "vocabulary_sha256": vocabulary_sha256()})
+        return _in_dir(out_path, {
+            "scalars.fkt": graph.scalars, "coords.fkt": graph.coords,
+            "node_vectors.fkt": graph.node_vectors,
+            "edge_vectors.fkt": graph.edge_vectors,
+            "edges.tsv": edges_to_text(graph.topology)}, {
+                "scheme": scheme.value, "k": args.k,
+                "num_nodes": graph.num_nodes,
+                "vocabulary_sha256": vocabulary_sha256()}), []
 
     return _run_jobs(args, ".pdb", None, worker)
 
@@ -227,38 +224,29 @@ def run_corrupt(args) -> int:
         seed = (args.seed if os.path.isfile(args.input)
                 else path_seed(args.seed, rel))
         spec = CorruptionSpec(kind, nu=args.nu, sigma=args.sigma, seed=seed)
-        structure = _parse_file(in_path)
-        result = corrupt_structure(structure, spec)
-        text = write_pdb(result.corrupted)  # before any output is made
-        out_dir = os.path.splitext(out_path)[0]
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "corrupted.pdb"), "w") as fh:
-            fh.write(text)
-        _write_targets(out_dir, result.targets)
-        _write_manifest(os.path.join(out_dir, "manifest.json"), {
-            "kind": kind.value, "nu": spec.nu, "sigma": spec.sigma,
-            "seed": spec.seed, "lambda_aux": spec.lambda_aux})
+        result = corrupt_structure(_parse_file(in_path), spec)
+        return _in_dir(out_path, {
+            "corrupted.pdb": write_pdb(result.corrupted),
+            **_target_arrays(result.targets)}, {
+                "kind": kind.value, "nu": spec.nu, "sigma": spec.sigma,
+                "seed": spec.seed, "lambda_aux": spec.lambda_aux}), []
 
     return _run_jobs(args, ".pdb", None, worker)
 
 
-def _write_targets(out_dir: str, targets) -> None:
+def _target_arrays(targets) -> dict:
+    """{file name: array} of a corruption's targets."""
     if targets.kind == "co":
-        _write_targets(out_dir, targets.sequence)
-        _write_targets(out_dir, targets.structure)
-        return
+        return {**_target_arrays(targets.sequence),
+                **_target_arrays(targets.structure)}
     if targets.kind == "sequence":
-        write_tensor(os.path.join(out_dir, "seq_positions.fkt"),
-                     targets.positions.reshape(-1, 1))
-        write_tensor(os.path.join(out_dir, "seq_original_types.fkt"),
-                     targets.original_residues.reshape(-1, 1))
-    elif targets.kind == "coordinate":
-        write_tensor(os.path.join(out_dir, "coord_noise.fkt"), targets.noise)
-    elif targets.kind == "torsional":
-        write_tensor(os.path.join(out_dir, "angular_noise.fkt"),
-                     targets.angular_noise)
-        write_tensor(os.path.join(out_dir, "original_angles.fkt"),
-                     targets.original_angles)
+        return {"seq_positions.fkt": targets.positions.reshape(-1, 1),
+                "seq_original_types.fkt":
+                    targets.original_residues.reshape(-1, 1)}
+    if targets.kind == "coordinate":
+        return {"coord_noise.fkt": targets.noise}
+    return {"angular_noise.fkt": targets.angular_noise,
+            "original_angles.fkt": targets.original_angles}
 
 
 def run_label(args) -> int:
@@ -281,14 +269,11 @@ def run_label(args) -> int:
         else:
             labels = interface_labels(structure, args.cutoff)
         table = structure.table
-        rows = [f"{chain_id},{seq_index},{label}"
-                for chain_id, seq_index, label in zip(
-                    table.chain.tolist(), table.seq_index.tolist(),
-                    labels.labels)]
-        _ensure_parent(out_path)
-        with open(out_path, "w") as fh:
-            fh.write("chain,seq_index,label\n")
-            fh.write("\n".join(rows) + "\n")
+        rows = "".join(f"{chain_id},{seq_index},{label}\n"
+                       for chain_id, seq_index, label in zip(
+                           table.chain.tolist(), table.seq_index.tolist(),
+                           labels.labels))
+        return {out_path: "chain,seq_index,label\n" + rows}, []
 
     return _run_jobs(args, ".pdb", ".csv", worker)
 
@@ -306,10 +291,7 @@ def run_filter(args) -> int:
             continue
         if spec.matches(structure):
             accepted.append(path)
-    _ensure_parent(args.output)
-    with open(args.output, "w") as fh:
-        for path in accepted:
-            fh.write(path + "\n")
+    _write(args.output, "".join(path + "\n" for path in accepted))
     print(f"{args.input}: accepted {len(accepted)} structures",
           file=sys.stderr)
     return 0

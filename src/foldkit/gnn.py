@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -141,18 +142,12 @@ def _edge_geometry(X: np.ndarray, topology: GraphTopology):
 
 
 def _aggregate(values: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    """Per-node sums in stored-edge order from 0.0, as np.add.at adds. Rank
-    group r holds every node's r-th incoming edge; its targets are
-    distinct, so one vectorised add takes the whole group."""
-    by_node = np.sort(dst)
-    rank = np.arange(len(dst)) - np.searchsorted(by_node, by_node)
-    order = np.argsort(dst, kind="stable")[np.argsort(rank, kind="stable")]
-    targets, v = dst[order], values[order]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(rank))))
-    out = np.zeros((n,) + values.shape[1:])
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out[targets[lo:hi]] += v[lo:hi]
-    return out
+    """Per-node sums in stored-edge order from 0.0, as np.add.at adds:
+    bincount adds its weights into zeros one after another, in order."""
+    width = math.prod(values.shape[1:])
+    cells = dst[:, None] * width + np.arange(width)
+    sums = np.bincount(cells.ravel(), values.reshape(-1), n * width)
+    return sums.reshape((n,) + values.shape[1:])
 
 
 @dataclass(frozen=True)

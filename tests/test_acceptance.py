@@ -316,7 +316,8 @@ def test_criterion_9_cli_end_to_end(tmp_path):
 
 
 def _fuzz_pdb_inputs(rng, count):
-    base = open(os.path.join(FIXTURES, "chain_b.pdb")).read()
+    with open(os.path.join(FIXTURES, "chain_b.pdb")) as fh:
+        base = fh.read()
     lines = base.splitlines()
     for i in range(count):
         mode = i % 4

@@ -139,6 +139,53 @@ class TestEncodeDecode:
         assert [line for line in err if "RMSD" not in line] == [
             f"{src / 'b.pdb'}: RuntimeError: disk on fire"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failure_after_encoding_writes_nothing(self, tmp_path, capsys,
+                                                   monkeypatch, jobs):
+        import foldkit.cli
+        src = tmp_path / "in"
+        src.mkdir()
+        for name, fixture in (("a", "chain_a"), ("b", "dimer"),
+                              ("c", "chain_a")):
+            shutil.copy(os.path.join(FIXTURES, f"{fixture}.pdb"),
+                        src / f"{name}.pdb")
+        real = foldkit.cli.kabsch
+
+        def kabsch(a, b):
+            if len(a) == 4 * 20:  # the dimer's first chain
+                raise RuntimeError("no superposition")
+            return real(a, b)
+
+        monkeypatch.setattr(foldkit.cli, "kabsch", kabsch)
+        out = tmp_path / "out"
+        assert run_cli("encode", str(src), str(out), "--jobs", jobs) == 2
+        assert sorted(os.listdir(out)) == ["a.fkc", "c.fkc"]
+        # the dimer's "2 chains" note is dropped with its outputs
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if "RMSD" not in line] == [
+            f"{src / 'b.pdb'}: RuntimeError: no superposition"]
+
+    def test_notes_in_input_order_under_jobs(self, tmp_path, capsys):
+        from foldkit.pdb import write_pdb
+        from foldkit.rng import make_rng
+        from foldkit.synth import random_chain, single_chain_structure
+        src = tmp_path / "in"
+        src.mkdir()
+        # the first file is the slowest, so later files finish before it
+        (src / "a.pdb").write_text(write_pdb(single_chain_structure(
+            random_chain(600, make_rng(57)))))
+        shutil.copy(os.path.join(FIXTURES, "dimer.pdb"), src / "b.pdb")
+        for name in "hgfedc":
+            shutil.copy(os.path.join(FIXTURES, "chain_b.pdb"),
+                        src / f"{name}.pdb")
+        assert run_cli("encode", str(src), str(tmp_path / "out"),
+                       "--jobs", "2") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ", 1)[0] for line in err] == [
+            str(src / f"{name}.pdb") for name in "abbcdefgh"]
+        assert err[1] == f"{src / 'b.pdb'}: 2 chains, encoding the first"
+        assert err[2].startswith(f"{src / 'b.pdb'}: 20 residues, round-trip")
+
     def test_rmsd_over_present_backbone_atoms(self, tmp_path, capsys):
         from foldkit.pdb import write_pdb
         from foldkit.rng import make_rng
@@ -196,6 +243,31 @@ class TestFeaturise:
         assert run_cli("featurise", str(src), str(tmp_path / "f"),
                        "--scheme", "ca_bb") == 2
 
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failure_after_tensors_writes_nothing(self, tmp_path, capsys,
+                                                  monkeypatch, jobs):
+        import foldkit.cli
+        src = tmp_path / "in"
+        src.mkdir()
+        for name, fixture in (("a", "chain_a"), ("b", "chain_b"),
+                              ("c", "chain_a")):
+            shutil.copy(os.path.join(FIXTURES, f"{fixture}.pdb"),
+                        src / f"{name}.pdb")
+        real = foldkit.cli.edges_to_text
+
+        def edges_to_text(topology):
+            if topology.num_nodes == 25:  # chain_b
+                raise RuntimeError("no edge text")
+            return real(topology)
+
+        monkeypatch.setattr(foldkit.cli, "edges_to_text", edges_to_text)
+        out = tmp_path / "out"
+        assert run_cli("featurise", str(src), str(out), "--jobs", jobs) == 2
+        assert sorted(os.listdir(out)) == ["a", "c"]
+        assert len(os.listdir(out / "a")) == 6
+        assert capsys.readouterr().err.splitlines() == [
+            f"{src / 'b.pdb'}: RuntimeError: no edge text"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_ca_less_warning_names_its_file(self, tmp_path, caplog, jobs):
@@ -319,6 +391,16 @@ class TestLabel:
         got = [int(r.split(",")[2]) for r in rows[1:]]
         assert got == expected.tolist()
         assert sum(got) >= 1
+
+    def test_no_residues_writes_header_only(self, tmp_path):
+        from helpers import atom_line
+        src = tmp_path / "zn.pdb"
+        src.write_text(atom_line(1, "ZN", "ZN", "B", 501, 8.5, 3.6, 2.7,
+                                 element="ZN", record="HETATM") + "\n")
+        out = tmp_path / "labels.csv"
+        assert run_cli("label", str(src), str(out), "--mode", "metal",
+                       "--ligands", "ZN") == 0
+        assert out.read_bytes() == b"chain,seq_index,label\n"
 
     def test_interface_on_single_chain_exits_2(self, tmp_path, fixture_file,
                                                capsys):
