@@ -1,6 +1,8 @@
 """PDB v3.3 text parsing and writing.
 
-Fixed-width column layout only; no whitespace-split fallback. Multi-model
+Fixed-width column layout only; no whitespace-split fallback. The parser
+reads one matrix of code points, each line padded or cut to 80 columns,
+and every field of the ATOM/HETATM records as a column of it. Multi-model
 files contribute MODEL 1 only. Alternate locations keep altloc ' ' or 'A'.
 Waters (HOH) are dropped; all other HETATM records are retained as hetero
 atoms carrying their three-letter code.
@@ -8,6 +10,7 @@ atoms carrying their three-letter code.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import itertools
 import math
@@ -64,40 +67,56 @@ def _parse_method(text: str) -> Method:
     return Method.OTHER
 
 
-def _columns(lines: list[str]):
-    """The serial, atom name, residue number and coordinate columns of
-    ATOM/HETATM records. Raises ValueError naming the first bad field, in
-    the order the columns are read; it raises for a set of records exactly
-    when one of them is bad."""
-    if min(map(len, lines), default=54) < 54:
+def _columns(block: np.ndarray, lines: list[str], rows: np.ndarray):
+    """The serial, atom name and element, residue number and coordinate
+    columns of records lines[rows], whose space-padded code points are
+    block. Raises ValueError naming the first bad field, in the order the
+    columns are read; it raises for a set of records exactly if one is bad."""
+    if any(len(lines[i]) < 54 for i in rows[block[:, 53] == 32].tolist()):
         raise ValueError("record shorter than coordinate fields")
-    serials = _read("serial", int, [line[6:11] for line in lines])
-    names = [line[12:16].strip() for line in lines]
-    if not all(names):
+    serials = _read("serial", int, block[:, 6:11], 5)
+    pairs = np.ascontiguousarray(block[:, np.r_[12:16, 76:78]]).view("<U6")
+    fields, field = np.unique(pairs.ravel(), return_inverse=True)
+    fields = _texts(fields, 6)  # the distinct name-and-element fields
+    names, name = np.unique(object_array(f[:4].strip() for f in fields),
+                            return_inverse=True)  # names that strip alike
+    if "" in names:
         raise ValueError("blank atom name")
-    seq_indices = _read("residue number", int, [line[22:26] for line in lines])
-    xyz = np.array([_read("coordinates", float,
-                          [line[c:c + 8] for line in lines])
-                    for c in (30, 38, 46)], dtype=np.float64).T.copy()
+    seq_index = _read("residue number", int, block[:, 22:26], 4)
+    xyz = _read("coordinates", float, block[:, 30:54], 8).reshape(-1, 3)
     if not np.isfinite(xyz).all():
         raise ValueError("non-finite coordinates")
-    return serials, names, seq_indices, xyz
+    elements = object_array(f[4:].strip() or next(
+        (c for c in f[:4] if c.isalpha()), "X") for f in fields)
+    return serials, names, name[field], elements[field], seq_index, xyz
 
 
-def _read(field: str, convert, texts: list[str]) -> list:
+def _texts(codes: np.ndarray, width: int) -> list[str]:
+    """The width-column fields of code points, exactly, in row order."""
+    text = codes.tobytes().decode("utf-32-le", "surrogatepass")
+    return [text[i:i + width] for i in range(0, len(text), width)]
+
+
+def _read(field: str, convert, block: np.ndarray, width: int) -> np.ndarray:
+    """The width-column numbers of a code-point block: cast from bytes if all
+    are [0-9 .+-], where NumPy reads as int() and float() do and meets no NUL
+    (which S drops); else read by convert, naming field in a ValueError."""
+    with contextlib.suppress(ValueError):  # non-ASCII text, or a failed cast
+        data = block.tobytes().decode("utf-32-le").encode("ascii")
+        if not data.translate(None, b"0123456789 .+-"):
+            return np.frombuffer(data, f"S{width}").astype(convert)
     try:
-        return list(map(convert, texts))
+        return np.array(list(map(convert, _texts(block, width))))
     except ValueError as exc:
         raise ValueError(f"bad {field}: {exc}") from exc
 
 
-def _floats(texts: list[str], default: float) -> np.ndarray:
-    """A column of floats; a blank, garbled or non-finite entry reads as
-    default."""
+def _floats(block: np.ndarray, default: float) -> np.ndarray:
+    """6-wide floats; a blank, garbled or non-finite field reads as default."""
     try:
-        values = np.array(list(map(float, texts)))
+        values = _read("", float, block, 6)
     except ValueError:
-        values = np.array([_float_or(text, default) for text in texts])
+        values = np.array([_float_or(t, default) for t in _texts(block, 6)])
     return np.where(np.isfinite(values), values, default)
 
 
@@ -117,18 +136,22 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
     resolution = None
     dep_date = None
     method = None
-    lines: list[str] = []  # the ATOM/HETATM records of MODEL 1
-    line_nos: list[int] = []
+    lines = text.splitlines()
+    chars = np.frombuffer(("%-80.80s" * len(lines) % tuple(lines)).encode(
+        "utf-32-le", "surrogatepass"), dtype="<u4").reshape(-1, 80)
+    tags = np.ascontiguousarray(chars[:, :6]).view("<U6").ravel()
+    record = (tags == "ATOM  ") | (tags == "HETATM")  # ATOM/HETATM of MODEL 1
     models_seen = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for i in np.flatnonzero(~record).tolist():
+        line = lines[i]
         tag = line[:6].strip()
         if tag == "ATOM" or tag == "HETATM":
-            lines.append(line)
-            line_nos.append(line_no)
+            record[i] = True
         elif tag == "MODEL":
             models_seen += 1
             if models_seen > 1:
-                break  # MODEL 1 only
+                record[i:] = False  # MODEL 1 only
+                break
         elif tag == "HEADER":
             parsed = _parse_pdb_date(line[50:59])
             if parsed is not None:
@@ -148,68 +171,58 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
 
     # The fields that can be malformed are read a whole column at a time;
     # on any failure, halving the records finds the first bad one.
+    rows = np.flatnonzero(record)
+    block = chars[rows]
+    del chars  # the records' rows are all that is read from here on
     try:
-        serials, names, seq_indices, xyz = _columns(lines)
+        serial, names, name, elements, seq, xyz = _columns(block, lines, rows)
     except ValueError:
-        lo, hi = 0, len(lines)  # lines[lo:hi] holds the first bad record
+        lo, hi = 0, len(rows)  # rows[lo:hi] holds the first bad record
         while True:
             mid = (lo + hi + 1) // 2  # lo < mid <= hi
             try:
-                _columns(lines[lo:mid])
+                _columns(block[lo:mid], lines, rows[lo:mid])
                 lo = mid
             except ValueError as exc:
                 if mid - lo == 1:
-                    raise MalformedRecord(line_nos[lo], str(exc)) from exc
+                    raise MalformedRecord(int(rows[lo]) + 1, str(exc)) from exc
                 hi = mid
-    occupancy = _floats([line[54:60] for line in lines], 1.0)
-    occupancy = np.where(occupancy < 0.0, 0.0,
-                         np.where(occupancy > 1.0, 1.0, occupancy))
-    b_factor = _floats([line[60:66] for line in lines], 0.0)
-    elements = [line[76:78].strip() or next(
-        (c for c in name if c.isalpha()), "X")
-        for line, name in zip(lines, names)]
+    occupancy = _floats(block[:, 54:60], 1.0)
+    occupancy = np.where(occupancy < 0.0, 0.0, np.minimum(occupancy, 1.0))
+    b_factor = _floats(block[:, 60:66], 0.0)
 
-    altloc = _chars(lines, 16)
-    keep = (altloc == ord(" ")) | (altloc == ord("A"))
-    hetero_record = _chars(lines, 0) == ord("H")  # only HETATM starts with H
-    serial = np.array(serials, dtype=np.int64)
-    kept = serial[keep]
-    if len(np.unique(kept)) < len(kept):  # move each repeat past those seen
-        seen: set[int] = set()
-        for i, value in enumerate(kept.tolist()):
-            while value in seen:
-                value += 1
-            seen.add(value)
-            kept[i] = value
+    keep = (block[:, 16] == ord(" ")) | (block[:, 16] == ord("A"))  # altloc
+    hetero_record = block[:, 0] == ord("H")  # only HETATM starts with H
+    if (np.diff(np.sort(serial[keep])) == 0).any():  # repeats move up
+        kept, above = serial[keep].tolist(), {}  # taken -> <= the next free
+        for i, value in enumerate(kept):
+            while value in above:  # path halving: skip ahead two links
+                above[value] = above.get(above[value], above[value])
+                value = above[value]
+            above[value], kept[i] = value + 1, value
         serial[keep] = kept
-    hetero = [Atom(names[i], elements[i], xyz[i], occupancy[i].item(),
+    hetero = [Atom(names[name[i]], elements[i], xyz[i], occupancy[i].item(),
                    b_factor[i].item(), is_hetero=True, serial=serial[i].item(),
-                   het_code=lines[i][17:20].strip())
+                   het_code=lines[rows[i]][17:20].strip())
               for i in np.flatnonzero(keep & hetero_record).tolist()
-              if lines[i][17:20].strip() != "HOH"]
-    chains = _polymer_chains(np.flatnonzero(keep & ~hetero_record), lines,
-                             names, np.array(seq_indices, dtype=np.int64),
-                             xyz, elements, occupancy, b_factor, serial)
+              if lines[rows[i]][17:20].strip() != "HOH"]
+    chains = _polymer_chains(np.flatnonzero(keep & ~hetero_record), block,
+                             names, name, seq, xyz, elements, occupancy,
+                             b_factor, serial)
     if not chains and not hetero:
         raise EmptyStructure("no ATOM or HETATM records parsed")
     return Structure(structure_id, chains, resolution,
                      dep_date, method, tuple(hetero))
 
 
-def _chars(lines: list[str], column: int) -> np.ndarray:
-    """The code point of one character column of every line."""
-    return np.frombuffer("".join([line[column] for line in lines])
-                         .encode("utf-32-le"), dtype=np.uint32)
-
-
-def _polymer_chains(records, lines, names, seq_index, xyz, elements,
+def _polymer_chains(records, block, names, name, seq_index, xyz, elements,
                     occupancy, b_factor, serial) -> tuple[Chain, ...]:
     """The chains of the polymer records (indices in file order): chains in
     first-seen order, residues sorted by (seq_index, insertion code) with
     file order kept inside each, the first atom of each name kept."""
-    _, first, chain = np.unique(_chars(lines, 21)[records], return_index=True,
+    _, first, chain = np.unique(block[records, 21], return_index=True,
                                 return_inverse=True)
-    icode = _chars(lines, 26)[records].astype(np.int64)
+    icode = block[records, 26].astype(np.int64)
     icode[icode == ord(" ")] = -1  # no insertion code sorts first
     key = np.stack([first[chain], seq_index[records], icode])
     by_key = np.lexsort(key[::-1])  # stable: file order within a key
@@ -217,16 +230,18 @@ def _polymer_chains(records, lines, names, seq_index, xyz, elements,
     head = np.ones(len(records), dtype=bool)
     head[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
     residue = np.cumsum(head) - 1
-    codes: dict[str, int] = {}
-    name = np.array([codes.setdefault(names[i], len(codes))
-                     for i in records.tolist()], dtype=np.int64)
+    ids, first_at, code = np.unique(name[records], return_index=True,
+                                    return_inverse=True)
+    order = np.argsort(first_at)  # codes number names in first-seen order
+    codes = {names[i]: c for c, i in enumerate(ids[order].tolist())}
+    code = np.argsort(order)[code]
     # the first atom of each name in each residue
-    kept = np.sort(np.unique(residue * len(codes) + name, return_index=True)[1])
+    kept = np.sort(np.unique(residue * len(codes) + code, return_index=True)[1])
     atoms = records[kept]
-    heads = [lines[i] for i in records[head].tolist()]
+    heads = _texts(block[records[head]], 80)  # each residue's first record
     res_names = [line[17:20].strip() for line in heads]
     table = AtomTable(
-        xyz[atoms], name[kept], codes, object_array(elements)[atoms],
+        xyz[atoms], code[kept], codes, elements[atoms],
         occupancy[atoms], b_factor[atoms], serial[atoms], residue[kept],
         object_array(r if r in RESIDUE_INDEX else "UNK" for r in res_names),
         seq_index[records[head]],

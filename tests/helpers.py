@@ -15,8 +15,8 @@ from foldkit.codec import (DEFAULT_GEOMETRY, backbone_walk, nerf_place,
 from foldkit.errors import (CoordinateOverflow, DegenerateConfiguration,
                             DegenerateFrame, EmptyStructure, MalformedRecord,
                             NoCompleteResidues)
-from foldkit.geometry import (Superposition, backbone_array, defined,
-                              dihedrals, wrap_angle)
+from foldkit.geometry import (KNN_BLOCK, Superposition, backbone_array,
+                              defined, dihedrals, wrap_angle)
 from foldkit.gnn import Activation
 from foldkit.pdb import (_METHOD_TEXT, _format_date, _parse_method,
                          _parse_pdb_date)
@@ -129,6 +129,26 @@ def knn_oracle(points, k: int) -> list:
         for _, j in ranked[:kk]:
             edges.append((j, i))
     return edges
+
+
+def knn_graph_oracle(points, k: int) -> np.ndarray:
+    """The block loop that `foldkit.geometry.knn_graph` replaced, kept as
+    the pin of its squared-distance sum: each block's distances come from
+    einsum over a (KNN_BLOCK, n, 3) difference tensor. Returns the edges."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = len(pts)
+    k = min(k, n - 1)
+    edges = []
+    for lo in range(0, n, KNN_BLOCK):
+        diff = pts[lo:lo + KNN_BLOCK, None, :] - pts[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        np.fill_diagonal(d2[:, lo:], np.inf)
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        rows, cols = np.nonzero(d2 <= kth)  # >= k per row, rows ascending
+        order = np.lexsort((cols, d2[rows, cols], rows))
+        keep = order[np.arange(len(rows)) - np.searchsorted(rows, rows) < k]
+        edges.append(np.stack((cols[keep], rows[keep] + lo), axis=1))
+    return np.concatenate(edges)
 
 
 def proximity_oracle(residue_atom_positions, target_positions, cutoff):

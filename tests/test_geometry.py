@@ -18,8 +18,8 @@ from foldkit.structure import Atom, Residue
 from foldkit.synth import random_chain
 
 from helpers import (angle_close, bond_angle_oracle, dihedral_oracle,
-                     kabsch_oracle, knn_oracle, random_reflection,
-                     random_rotation, with_atom)
+                     kabsch_oracle, knn_graph_oracle, knn_oracle,
+                     random_reflection, random_rotation, with_atom)
 
 
 class TestDihedral:
@@ -284,6 +284,29 @@ class TestKnnGraph:
         for bad in (np.nan, np.inf):
             with pytest.raises(DegenerateGeometry):
                 knn_graph([(0, 0, 0), (1, 0, 0), (bad, 0, 0)], k=1)
+
+    def test_matches_einsum_block_loop(self):
+        # the edges of the einsum loop, whose sum order (dx² + dz²) + dy²
+        # knn_graph keeps: chain-like 3-decimal clouds over one to three
+        # row blocks, integer lattices full of ties, duplicated points, and
+        # offsets about the origin with their coordinates swapped pairwise:
+        # a swap ties two distances exactly in one sum order only, so the
+        # full ranking (k = n - 1) tells the orders apart
+        rng = np.random.default_rng(18)
+        clouds = []
+        for n in (KNN_BLOCK - 56, 2 * KNN_BLOCK + 7, 3 * KNN_BLOCK):
+            walk = np.cumsum(rng.normal(size=(n, 3)) * 2.2, axis=0)
+            clouds.append(np.round(walk + rng.normal(size=(n, 3)) * 0.02, 3))
+        clouds.append(rng.integers(-4, 5, size=(2 * KNN_BLOCK + 3, 3)) * 1.0)
+        base = np.round(rng.normal(size=(KNN_BLOCK, 3)) * 9.0, 3)
+        clouds.append(np.concatenate((base, base[::3], base[:40])))
+        v = np.round(rng.uniform(-9.0, 9.0, size=(80, 3)), 3)
+        swapped = np.concatenate((np.zeros((1, 3)), v, v[:, [2, 1, 0]],
+                                  v[:, [1, 0, 2]], v[:, [0, 2, 1]]))
+        cases = [(pts, k) for pts in clouds + [swapped] for k in (1, 5, 16, 30)]
+        for pts, k in cases + [(swapped, len(swapped))]:
+            assert np.array_equal(knn_graph(pts, k).edges,
+                                  knn_graph_oracle(pts, k))
 
     def test_memory_is_not_quadratic(self):
         # the dense (n, n, 3) difference tensor alone would be 600 MB

@@ -1,5 +1,6 @@
 import datetime
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,77 @@ class TestParseOracle:
             assert (atom.occupancy, atom.b_factor) == (1.0, expected_b)
             assert "nan" not in write_pdb(s) and "inf" not in write_pdb(s)
             _assert_matches_oracle(line)
+
+    def test_numeric_fields_read_as_int_and_float_do(self):
+        """Every numeric field holding text the byte cast must not take:
+        underscores, Unicode digits, exponents, signs, tabs, NUL bytes and
+        blanks, alone and after a good record."""
+        good = atom_line(1, "CA", "ALA", "A", 1, 1.0, 2.0, 3.0, occ=0.5, b=7.0)
+        ints = ["1_0", "\u0661\u0662", "\u0131\u0132", "1e1", "+12", "\t12",
+                "1\x002", "12\x00", "", "\x00", "-3"]
+        floats = ["1_0.5", "\u0661\u0662.\u0665", "\u0131.\u0132", "1.5e1",
+                  "+1.5", "\t1.5", "1.\x005", "1.5\x00", "", "-0.0", "1e999"]
+        for start, stop, texts in ((6, 11, ints), (22, 26, ints),
+                                   (30, 38, floats), (38, 46, floats),
+                                   (46, 54, floats), (54, 60, floats),
+                                   (60, 66, floats)):
+            for field in texts:
+                line = good[:start] + field.rjust(stop - start) + good[stop:]
+                for text in (line, good + "\n" + line):
+                    _assert_matches_oracle(text)
+
+    def test_text_columns_are_read_exactly(self):
+        """Non-ASCII and NUL text in the name, residue, chain and element
+        columns; names that strip alike; unusual tags; short lines; records
+        after a second MODEL; every line break splitlines knows."""
+        def record(name_field, res="ALA", chain="A", seq=1, tag="ATOM  ",
+                   tail="           C"):
+            return (f"{tag}    1 {name_field} {res} {chain}{seq:4d}    "
+                    f"   1.000   2.000   3.000  1.00  0.00{tail}")
+        texts = [
+            "\n".join([record(" C\u03b1 ", "\u00c5LA", "\u03b2"),
+                       record(" N  ", "GLY", "\U0001d538", tail=" \u00c5 "),
+                       record("CA\x00\x00"), record(" CA\x00", tail=""),
+                       record("CA\x00\x00", seq=2, tail=" " * 10 + "\x00\x00")]),
+            "\n".join([record(" CA "), record("CA  "), record(" CA ", seq=2),
+                       record("CA  ", seq=3), record("  CA", seq=3)]),
+            "\n".join([record(" CA ", tag=" ATOM "), record(" N  ", tag="ATOM\t"),
+                       record(" O  ", tag="HETATM", res="HOH"),
+                       record(" C  ", tag="ATOM", seq=2)]),
+            "\n".join(["MODEL        1", record(" CA "), "ENDMDL",
+                       "MODEL        2", record(" N  ", seq=2),
+                       "HEADER    LATE                                    "
+                       "12-JAN-04   9XYZ", "ATOM  bad"]),
+        ]
+        full = record(" CA ", tail=" " * 11 + "C  past column 80")
+        texts += ["\n".join([full, full[:length]]) for length in
+                  (53, 54, 55, 60, 65, 66, 70, 76, 77, 78, 79, 80, 81, 95)]
+        texts += [sep.join([record(" N  "), record(" CA ", seq=2),
+                            record(" C  ", seq=3)])
+                  for sep in ("\r\n", "\r", "\x0c", "\x1c", "\u2028")]
+        texts.append("\r\n".join([record(" N  "), "ATOM  1", record(" C  ")]))
+        for text in texts:
+            _assert_matches_oracle(text)
+        s, oracle = parse_pdb(texts[1]), parse_pdb_oracle(texts[1])
+        assert s.chains[0].table.codes == {"CA": 0}
+        assert _columns(s.chains[0].table) == _columns(oracle.chains[0].table)
+
+    def test_wrapped_serials_renumber_in_linear_time(self):
+        """Serials that wrap, as in large systems: each repeat moves past
+        those taken, as the oracle's walk does, in near-linear time."""
+        names = ("N", "CA", "C", "O")
+        lines = [atom_line(i % 20000 + 1, names[i % 4], "ALA", "AB"[i // 20000],
+                           i % 20000 // 4 + 1, i % 97 * 0.5, 1.0, 2.0)
+                 for i in range(40000)]
+        start = time.perf_counter()
+        s = parse_pdb("\n".join(lines))
+        assert time.perf_counter() - start < 2.0
+        assert s.table.serial.tolist() == list(range(1, 40001))
+        small = [atom_line(serial, names[i % 4], "ALA", "A", i // 4 + 1,
+                           float(i), 0.0, 0.0, altloc=" B"[i == 6],
+                           record="HETATM" if i == 9 else "ATOM")
+                 for i, serial in enumerate((5, 5, 5, 3, 4, 6, 5, 1, 2, 2, 7))]
+        _assert_matches_oracle("\n".join(small))
 
     def test_hetatm_only_file(self):
         lines = [atom_line(i, name, res, "Z", i, i * 2.0, 0.0, 0.0,
