@@ -20,7 +20,7 @@ from .structure import BACKBONE_ATOMS, AtomTable, Chain, Residue, atom_table
 
 _EPS = 1e-12
 TWO_PI = 2.0 * np.pi
-KNN_BLOCK = 256
+KNN_BLOCK = 32
 
 # Every atom name of a chi quadruple, and per vocabulary index the
 # (chi, atom) columns of its quadruples among them; -1 (no atom) past the
@@ -255,7 +255,8 @@ def knn_graph(points, k: int) -> GraphTopology:
     (dx² + dz²) + dy² (the order NumPy 2.4's einsum sums a difference tensor
     in), with ties broken toward the lower index; k is clamped to n-1. Edges
     are ordered by target node, then by (distance, index). Targets are
-    ranked in blocks of KNN_BLOCK rows, so memory is O(KNN_BLOCK * n).
+    ranked in blocks of KNN_BLOCK (32, see docs/featurisation.md) rows,
+    which never changes the edges, so memory is O(KNN_BLOCK * n).
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -298,31 +299,43 @@ def check_cutoff(cutoff: float) -> None:
             f"cutoff must be finite and > 0, got {cutoff}")
 
 
-def within_cutoff(points: np.ndarray, targets: np.ndarray,
-                  cutoff: float) -> np.ndarray:
-    """Mask over (m, 3) points: True where one of the targets lies within
-    cutoff (inclusive, on squared distances), by a uniform cell list: each
-    point searches the 27 cells around its own among the sorted targets."""
+def near_masks(points: np.ndarray, targets: np.ndarray,
+               cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over (m, 3) points and (t, 3) targets: True where a member of
+    the other set lies within cutoff (inclusive, on squared distances).
+    One uniform cell list: each member of the smaller set, in key order,
+    searches the sorted keys of the larger one over nine ranges of three
+    x-adjacent cells; swapping the sets swaps the masks. Raises
+    DegenerateGeometry on a non-finite coordinate."""
     check_cutoff(cutoff)
-    hit = np.zeros(len(points), dtype=bool)
+    hits = np.zeros(len(points), dtype=bool), np.zeros(len(targets), dtype=bool)
     both = np.concatenate((points, targets))
+    if not np.isfinite(both).all():
+        raise DegenerateGeometry("non-finite point in proximity search")
+    if not (len(points) and len(targets)):
+        return hits
     # cells a hair wider than cutoff, so rounding never puts a pair within
     # cutoff two cells apart, and at least 2**-20 of the extent, so keys fit
     # in int64; numbered from 1, so a neighbour offset stays in the grid
     edge = max(cutoff * (1 + 1e-6), np.ptp(both) / 2**20)
     cells = np.floor((both - both.min(axis=0)) / edge).astype(np.int64) + 1
     strides = (cells.max() + 2) ** np.arange(3)
-    point_keys, target_keys = np.split(cells @ strides, [len(points)])
-    order = np.argsort(target_keys)
-    sorted_keys = target_keys[order]
-    for offset in np.ndindex(3, 3, 3):
-        near = point_keys + (np.asarray(offset) - 1) @ strides
-        end = np.searchsorted(sorted_keys, near, side="right")
-        count = end - np.searchsorted(sorted_keys, near)
-        q = np.repeat(np.arange(len(points)), count)
+    keys = np.split(cells @ strides, [len(points)])
+    small, large = (0, 1) if len(points) <= len(targets) else (1, 0)
+    query_order, order = (np.argsort(keys[side]) for side in (small, large))
+    queries, sorted_keys = keys[small][query_order], keys[large][order]
+    for offset in np.ndindex(3, 3):
+        near = queries + (np.asarray(offset) - 1) @ strides[1:]
+        end = np.searchsorted(sorted_keys, near + 1, side="right")
+        count = end - np.searchsorted(sorted_keys, near - 1)
+        q = query_order[np.repeat(np.arange(len(near)), count)]
         t = order[np.arange(len(q)) + np.repeat(end - np.cumsum(count), count)]
-        hit[q[np.sum((points[q] - targets[t])**2, axis=-1) <= cutoff * cutoff]] = True
-    return hit
+        i, j = (q, t) if small == 0 else (t, q)
+        close = np.sum((points.take(i, axis=0) - targets.take(j, axis=0))**2,
+                       axis=-1) <= cutoff * cutoff
+        hits[0][i[close]] = True
+        hits[1][j[close]] = True
+    return hits
 
 
 def edges_from_text(text: str, num_nodes: int | None = None) -> GraphTopology:

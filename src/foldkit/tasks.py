@@ -15,8 +15,8 @@ import numpy as np
 from .codec import backbone_walk, to_internal
 from .errors import MissingConfidence, SelectorEmpty, SingleChain, TooFewNodes
 from .featurise import ProteinGraph
-from .geometry import (bond_angles, defined, dihedrals, row_norms, superpose,
-                       within_cutoff)
+from .geometry import (bond_angles, defined, dihedrals, near_masks, row_norms,
+                       superpose)
 from .residues import MASK_INDEX, VOCAB_SIZE, VOCABULARY, residue_index
 from .rng import make_rng
 from .structure import BACKBONE_ATOMS, Chain, Structure
@@ -289,14 +289,15 @@ def plddt_targets(s: Structure) -> DenoisingTargets:
 
 def binding_site_labels(s: Structure, selector, cutoff: float = DEFAULT_CUTOFF) -> LabelSet:
     """Label 1 for residues with any atom within cutoff (inclusive) of any
-    selected hetero atom; selector is a set of hetero three-letter codes."""
+    selected hetero atom; selector is a set of hetero three-letter codes.
+    Raises DegenerateGeometry on a non-finite coordinate."""
     selector = {code.upper() for code in selector}
     targets = np.asarray([a.position for a in s.hetero_atoms
                           if a.het_code in selector], dtype=np.float64)
     if targets.size == 0:
         raise SelectorEmpty(f"no hetero atom matches {sorted(selector)}")
     table = s.table
-    hits = np.bincount(table.owner, within_cutoff(table.xyz, targets, cutoff),
+    hits = np.bincount(table.owner, near_masks(table.xyz, targets, cutoff)[0],
                        len(table.res_type))
     return LabelSet((hits > 0).astype(np.int8), cutoff,
                     "het:" + ",".join(sorted(selector)))
@@ -305,17 +306,23 @@ def binding_site_labels(s: Structure, selector, cutoff: float = DEFAULT_CUTOFF) 
 def interface_labels(complex_structure: Structure,
                      cutoff: float = DEFAULT_CUTOFF) -> LabelSet:
     """Label 1 for residues with any atom within cutoff (inclusive) of an
-    atom of a chain with another id."""
+    atom of a chain with another id. Chains go in order of atom count and
+    each searches all later ones once (near_masks), so each cross-chain
+    contact is found once. Raises DegenerateGeometry on a non-finite
+    coordinate."""
     if len(complex_structure.chains) < 2:
         raise SingleChain("interface labels need at least 2 chains")
     table = complex_structure.table
     positions, owner = table.xyz, table.owner
     ids, group = np.unique(table.chain, return_inverse=True)
-    group = group[owner]
+    sizes = np.bincount(group[owner], minlength=len(ids))
+    rank = np.argsort(np.argsort(sizes, kind="stable"))[group[owner]]
     hit = np.zeros(len(positions), dtype=bool)
-    for g in range(len(ids)):
-        mine = group == g
-        hit[mine] = within_cutoff(positions[mine], positions[~mine], cutoff)
+    for r in range(len(ids) - 1):
+        mine, later = rank == r, rank > r
+        mine_hit, later_hit = near_masks(positions[mine], positions[later], cutoff)
+        hit[mine] |= mine_hit
+        hit[later] |= later_hit
     hits = np.bincount(owner, hit, len(table.res_type))
     return LabelSet((hits > 0).astype(np.int8), cutoff, "interface")
 

@@ -15,7 +15,7 @@ from foldkit.codec import (DEFAULT_GEOMETRY, backbone_walk, nerf_place,
 from foldkit.errors import (CoordinateOverflow, DegenerateConfiguration,
                             DegenerateFrame, EmptyStructure, MalformedRecord,
                             NoCompleteResidues)
-from foldkit.geometry import (KNN_BLOCK, Superposition, backbone_array,
+from foldkit.geometry import (Superposition, backbone_array, check_cutoff,
                               defined, dihedrals, wrap_angle)
 from foldkit.gnn import Activation
 from foldkit.pdb import (_METHOD_TEXT, _format_date, _parse_method,
@@ -134,13 +134,15 @@ def knn_oracle(points, k: int) -> list:
 def knn_graph_oracle(points, k: int) -> np.ndarray:
     """The block loop that `foldkit.geometry.knn_graph` replaced, kept as
     the pin of its squared-distance sum: each block's distances come from
-    einsum over a (KNN_BLOCK, n, 3) difference tensor. Returns the edges."""
+    einsum over a (256, n, 3) difference tensor. The block is its own
+    literal, so the library's block size cannot move the oracle along with
+    it. Returns the edges."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
     k = min(k, n - 1)
     edges = []
-    for lo in range(0, n, KNN_BLOCK):
-        diff = pts[lo:lo + KNN_BLOCK, None, :] - pts[None, :, :]
+    for lo in range(0, n, 256):
+        diff = pts[lo:lo + 256, None, :] - pts[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         np.fill_diagonal(d2[:, lo:], np.inf)
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
@@ -149,6 +151,35 @@ def knn_graph_oracle(points, k: int) -> np.ndarray:
         keep = order[np.arange(len(rows)) - np.searchsorted(rows, rows) < k]
         edges.append(np.stack((cols[keep], rows[keep] + lo), axis=1))
     return np.concatenate(edges)
+
+
+def within_cutoff_oracle(points: np.ndarray, targets: np.ndarray,
+                         cutoff: float) -> np.ndarray:
+    """The proximity search that `foldkit.geometry.near_masks` replaced,
+    kept verbatim: a mask over (m, 3) points, True where one of the
+    targets lies within cutoff (inclusive, on squared distances), by a
+    uniform cell list: each point searches the 27 cells around its own
+    among the sorted targets."""
+    check_cutoff(cutoff)
+    hit = np.zeros(len(points), dtype=bool)
+    both = np.concatenate((points, targets))
+    # cells a hair wider than cutoff, so rounding never puts a pair within
+    # cutoff two cells apart, and at least 2**-20 of the extent, so keys fit
+    # in int64; numbered from 1, so a neighbour offset stays in the grid
+    edge = max(cutoff * (1 + 1e-6), np.ptp(both) / 2**20)
+    cells = np.floor((both - both.min(axis=0)) / edge).astype(np.int64) + 1
+    strides = (cells.max() + 2) ** np.arange(3)
+    point_keys, target_keys = np.split(cells @ strides, [len(points)])
+    order = np.argsort(target_keys)
+    sorted_keys = target_keys[order]
+    for offset in np.ndindex(3, 3, 3):
+        near = point_keys + (np.asarray(offset) - 1) @ strides
+        end = np.searchsorted(sorted_keys, near, side="right")
+        count = end - np.searchsorted(sorted_keys, near)
+        q = np.repeat(np.arange(len(points)), count)
+        t = order[np.arange(len(q)) + np.repeat(end - np.cumsum(count), count)]
+        hit[q[np.sum((points[q] - targets[t])**2, axis=-1) <= cutoff * cutoff]] = True
+    return hit
 
 
 def proximity_oracle(residue_atom_positions, target_positions, cutoff):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from foldkit.errors import (DegenerateConfiguration, DegenerateGeometry,
                             TooFewNodes)
-from foldkit.geometry import (KNN_BLOCK, backbone_dihedrals, bond_angle,
-                              bond_angles, dihedral, dihedrals, kabsch,
-                              knn_graph, sidechain_torsions, superpose,
+from foldkit.geometry import (backbone_dihedrals, bond_angle, bond_angles,
+                              dihedral, dihedrals, kabsch, knn_graph,
+                              near_masks, sidechain_torsions, superpose,
                               virtual_angles, wrap_angle)
 from foldkit.residues import CHI_ATOMS
 from foldkit.codec import nerf_place
@@ -19,7 +20,8 @@ from foldkit.synth import random_chain
 
 from helpers import (angle_close, bond_angle_oracle, dihedral_oracle,
                      kabsch_oracle, knn_graph_oracle, knn_oracle,
-                     random_reflection, random_rotation, with_atom)
+                     random_reflection, random_rotation, with_atom,
+                     within_cutoff_oracle)
 
 
 class TestDihedral:
@@ -259,9 +261,10 @@ class TestKnnGraph:
 
     def test_lattice_ties_match_oracle(self):
         # integer points: squared distances are exact, so ties abound;
-        # n spans one and two row blocks
+        # n spans several row blocks and ends in a partial one at any
+        # power-of-two block size up to 256
         rng = np.random.default_rng(15)
-        for n, k in ((50, 6), (KNN_BLOCK + 1, 16), (2 * KNN_BLOCK + 3, 9)):
+        for n, k in ((50, 6), (257, 16), (515, 9)):
             pts = rng.integers(-4, 5, size=(n, 3)).astype(float)
             topo = knn_graph(pts, k)
             assert [tuple(e) for e in topo.edges] == knn_oracle(pts, k)
@@ -287,18 +290,19 @@ class TestKnnGraph:
 
     def test_matches_einsum_block_loop(self):
         # the edges of the einsum loop, whose sum order (dx² + dz²) + dy²
-        # knn_graph keeps: chain-like 3-decimal clouds over one to three
-        # row blocks, integer lattices full of ties, duplicated points, and
-        # offsets about the origin with their coordinates swapped pairwise:
-        # a swap ties two distances exactly in one sum order only, so the
-        # full ranking (k = n - 1) tells the orders apart
+        # knn_graph keeps: chain-like 3-decimal clouds over one to three of
+        # the oracle's 256-row blocks (many of knn_graph's), integer lattices
+        # full of ties, duplicated points, and offsets about the origin with
+        # their coordinates swapped pairwise: a swap ties two distances
+        # exactly in one sum order only, so the full ranking (k = n - 1)
+        # tells the orders apart
         rng = np.random.default_rng(18)
         clouds = []
-        for n in (KNN_BLOCK - 56, 2 * KNN_BLOCK + 7, 3 * KNN_BLOCK):
+        for n in (200, 519, 768):
             walk = np.cumsum(rng.normal(size=(n, 3)) * 2.2, axis=0)
             clouds.append(np.round(walk + rng.normal(size=(n, 3)) * 0.02, 3))
-        clouds.append(rng.integers(-4, 5, size=(2 * KNN_BLOCK + 3, 3)) * 1.0)
-        base = np.round(rng.normal(size=(KNN_BLOCK, 3)) * 9.0, 3)
+        clouds.append(rng.integers(-4, 5, size=(515, 3)) * 1.0)
+        base = np.round(rng.normal(size=(256, 3)) * 9.0, 3)
         clouds.append(np.concatenate((base, base[::3], base[:40])))
         v = np.round(rng.uniform(-9.0, 9.0, size=(80, 3)), 3)
         swapped = np.concatenate((np.zeros((1, 3)), v, v[:, [2, 1, 0]],
@@ -319,6 +323,88 @@ class TestKnnGraph:
             tracemalloc.stop()
         assert topo.num_edges == 5000 * 16
         assert peak < 100e6
+
+
+class TestNearMasks:
+    @staticmethod
+    def assert_matches_oracle(points, targets, cutoff):
+        # both masks against the 27-cell oracle, each way round, and the
+        # swapped call swaps the masks
+        hit, target_hit = near_masks(points, targets, cutoff)
+        assert np.array_equal(hit, within_cutoff_oracle(points, targets, cutoff))
+        assert np.array_equal(target_hit,
+                              within_cutoff_oracle(targets, points, cutoff))
+        swapped = near_masks(targets, points, cutoff)
+        assert np.array_equal(swapped[0], target_hit)
+        assert np.array_equal(swapped[1], hit)
+        return hit, target_hit
+
+    def test_random_clouds_either_side_drives(self):
+        rng = np.random.default_rng(61)
+        sizes = [(0, 37), (400, 0), (1, 400), (400, 1), (250, 250)]
+        sizes += [tuple(rng.integers(0, 401, size=2)) for _ in range(25)]
+        contacts = 0
+        for m, t in sizes:
+            points = np.round(rng.uniform(0.0, 25.0, size=(m, 3)), 3)
+            targets = np.round(rng.uniform(0.0, 25.0, size=(t, 3)), 3)
+            contacts += self.assert_matches_oracle(points, targets, 3.5)[0].sum()
+        assert contacts > 1000
+        # the oracle has no grid for two empty sets; the search finds nothing
+        hit, target_hit = near_masks(np.empty((0, 3)), np.empty((0, 3)), 3.5)
+        assert hit.shape == target_hit.shape == (0,)
+
+    def test_lattice_boundary_pairs_and_cutoff_ulps(self):
+        # a sparse half-integer lattice, and targets each exactly 3.5 A
+        # from a point (squared distances of 12.25 are exact)
+        rng = np.random.default_rng(62)
+        points = rng.integers(-40, 41, size=(150, 3)) * 0.5
+        steps = np.array([v for v in itertools.product(np.arange(-7, 8) * 0.5,
+                                                       repeat=3)
+                          if np.dot(v, v) == 12.25])
+        targets = points[:90] + steps[rng.integers(0, len(steps), size=90)]
+        d2 = ((points[:, None] - targets[None])**2).sum(axis=-1)
+        assert (d2 == 12.25).sum() >= 90
+        masks = [self.assert_matches_oracle(points, targets, cutoff)[0]
+                 for cutoff in (np.nextafter(3.5, 0.0), 3.5,
+                                np.nextafter(3.5, 4.0))]
+        assert masks[0].sum() < masks[1].sum() == masks[2].sum()
+
+    def test_identical_flat_and_wide_clouds(self):
+        rng = np.random.default_rng(63)
+        cloud = np.round(rng.uniform(0.0, 20.0, size=(300, 3)), 3)
+        hit, target_hit = self.assert_matches_oracle(cloud, cloud, 3.5)
+        assert hit.all() and target_hit.all()
+        flat = cloud.copy()
+        flat[:, 2] = 7.25
+        self.assert_matches_oracle(flat[:200], flat[200:], 3.5)
+        # extent 1e7: the 2**-20 floor (about 9.5 A) sets the cell edge
+        wide = np.concatenate((cloud, [[1e7, 1e7, 1e7], [1e7, 1e7 + 2.0, 1e7]]))
+        assert np.ptp(wide) / 2**20 > 3.5 * (1 + 1e-6)
+        hit, _ = self.assert_matches_oracle(wide[::2], wide[1::2], 3.5)
+        assert hit[-1]
+
+    def test_non_finite_raises(self):
+        good = np.zeros((4, 3))
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = good.copy()
+            broken[2, 1] = bad
+            for points, targets in ((broken, good), (good, broken)):
+                with pytest.raises(DegenerateGeometry):
+                    near_masks(points, targets, 3.5)
+
+    def test_memory_is_linear_in_candidates(self):
+        # 100 000 points against 100 000 targets in one 107 A box (about
+        # protein atom density): a dense m x t search would need about 80 GB
+        rng = np.random.default_rng(64)
+        points, targets = rng.uniform(0.0, 107.0, size=(2, 100_000, 3))
+        tracemalloc.start()
+        try:
+            hit, target_hit = near_masks(points, targets, 3.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hit.sum() > 99_000 and target_hit.sum() > 99_000
+        assert peak < 120e6
 
 
 class TestKabsch:

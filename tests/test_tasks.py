@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from foldkit.codec import to_internal
-from foldkit.errors import (DegenerateConfiguration, MissingConfidence,
-                            SelectorEmpty, SingleChain, TooFewNodes)
+from foldkit.errors import (DegenerateConfiguration, DegenerateGeometry,
+                            MissingConfidence, SelectorEmpty, SingleChain,
+                            TooFewNodes)
 from foldkit.featurise import FeatureScheme, build_graph
 from foldkit.geometry import dihedral, kabsch
 from foldkit.residues import MASK_INDEX, RESIDUE_INDEX
@@ -434,6 +435,15 @@ class TestBindingSiteLabels:
             with pytest.raises(DegenerateConfiguration):
                 binding_site_labels(s, {"ZN"}, cutoff=cutoff)
 
+    def test_non_finite_coordinate_raises(self):
+        chain = random_chain(6, make_rng(39))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DegenerateGeometry):
+                binding_site_labels(_zn_structure(chain, (1.0, bad, 0.0)), {"ZN"})
+            broken = _with_position(chain, 3, (bad, 0.0, 0.0))
+            with pytest.raises(DegenerateGeometry):
+                binding_site_labels(_zn_structure(broken, (1.0, 1.0, 1.0)), {"ZN"})
+
     def test_rigid_motion_invariance(self):
         rng = make_rng(36)
         s = _zn_structure(random_chain(15, rng), rng.normal(size=3) * 6.0)
@@ -441,6 +451,15 @@ class TestBindingSiteLabels:
         moved = transform_structure(s, random_rotation(rng),
                                     rng.normal(size=3) * 10.0)
         assert np.array_equal(binding_site_labels(moved, {"ZN"}).labels, base)
+
+
+def _with_position(chain, index, position):
+    """chain with the first atom of residue index moved to position."""
+    residues = list(chain.residues)
+    res = residues[index]
+    residues[index] = dataclasses.replace(res, atoms=(dataclasses.replace(
+        res.atoms[0], position=np.asarray(position)),) + res.atoms[1:])
+    return Chain(chain.id, tuple(residues))
 
 
 def _dimer(offset, seed=37):
@@ -504,6 +523,43 @@ class TestInterfaceLabels:
         assert 0 < sum(interface_labels(s, cutoff=3.0).labels) < 36
         assert interface_labels(s, cutoff=100.0).labels.all()
         assert interface_labels(s, cutoff=1e200).labels.all()
+
+    def test_four_chains_match_oracle(self):
+        # chain ids not in size order (A 30 atoms, B and D 12 each, C 15 and
+        # far from the rest): each contact is found once, from the smaller
+        # chain, and must mark both of its sides
+        rng = np.random.default_rng(43)
+        layout = {"C": (5, 3, 500.0), "A": (10, 3, 0.0), "D": (6, 2, 0.0),
+                  "B": (4, 3, 0.0)}
+        chains = []
+        for chain_id, (n, per_residue, shift) in layout.items():
+            residues = tuple(
+                Residue("GLY", i + 1, None, tuple(
+                    Atom(name, "C", rng.integers(-10, 11, size=3) + shift)
+                    for name in ("N", "CA", "C")[:per_residue]))
+                for i in range(n))
+            chains.append(Chain(chain_id, residues))
+        s = Structure("TET", tuple(chains))
+        for cutoff in (2.0, 3.0, 3.5, 5.0):
+            expected = []
+            for chain, res in s.iter_residues():
+                others = [a.position for c in s.chains if c.id != chain.id
+                          for r in c.residues for a in r.atoms]
+                expected.extend(proximity_oracle(
+                    [[a.position for a in res.atoms]], others, cutoff))
+            labels = interface_labels(s, cutoff=cutoff).labels.tolist()
+            assert labels == expected
+            assert not any(labels[:5])
+        assert 5 < sum(interface_labels(s, cutoff=3.0).labels) < 20
+
+    def test_non_finite_coordinate_raises(self):
+        s = _dimer(np.array([5.0, 0.5, 0.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            for which in (0, 1):
+                chains = list(s.chains)
+                chains[which] = _with_position(chains[which], 2, (0.0, 0.0, bad))
+                with pytest.raises(DegenerateGeometry):
+                    interface_labels(dataclasses.replace(s, chains=tuple(chains)))
 
     def test_bad_cutoff_raises(self):
         s = _dimer(np.array([5.0, 0.5, 0.0]))
