@@ -304,24 +304,30 @@ def near_masks(points: np.ndarray, targets: np.ndarray,
     """Masks over (m, 3) points and (t, 3) targets: True where a member of
     the other set lies within cutoff (inclusive, on squared distances).
     One uniform cell list: each member of the smaller set, in key order,
-    searches the sorted keys of the larger one over nine ranges of three
-    x-adjacent cells; swapping the sets swaps the masks. Raises
-    DegenerateGeometry on a non-finite coordinate."""
+    searches the sorted keys of the larger one (cut to its box) over nine
+    ranges of three x-adjacent cells; swapping the sets swaps the masks.
+    Raises DegenerateGeometry on a non-finite coordinate."""
     check_cutoff(cutoff)
     hits = np.zeros(len(points), dtype=bool), np.zeros(len(targets), dtype=bool)
-    both = np.concatenate((points, targets))
-    if not np.isfinite(both).all():
+    if not (np.isfinite(points).all() and np.isfinite(targets).all()):
         raise DegenerateGeometry("non-finite point in proximity search")
     if not (len(points) and len(targets)):
         return hits
+    small, large = (0, 1) if len(points) <= len(targets) else (1, 0)
+    sets, grow = [points, targets], cutoff * (1 + 1e-6)  # one cell edge
+    # only the larger set's members within a cell of the smaller's box can hit
+    low, high = sets[small].min(axis=0) - grow, sets[small].max(axis=0) + grow
+    kept = np.flatnonzero(np.logical_and.reduce([
+        (c >= lo) & (c <= hi) for c, lo, hi in zip(sets[large].T, low, high)]))
+    sets[large] = sets[large].take(kept, axis=0)
+    both = np.concatenate(sets)
     # cells a hair wider than cutoff, so rounding never puts a pair within
     # cutoff two cells apart, and at least 2**-20 of the extent, so keys fit
     # in int64; numbered from 1, so a neighbour offset stays in the grid
-    edge = max(cutoff * (1 + 1e-6), np.ptp(both) / 2**20)
+    edge = max(grow, np.ptp(both) / 2**20)
     cells = np.floor((both - both.min(axis=0)) / edge).astype(np.int64) + 1
     strides = (cells.max() + 2) ** np.arange(3)
-    keys = np.split(cells @ strides, [len(points)])
-    small, large = (0, 1) if len(points) <= len(targets) else (1, 0)
+    keys = np.split(cells @ strides, [len(sets[0])])
     query_order, order = (np.argsort(keys[side]) for side in (small, large))
     queries, sorted_keys = keys[small][query_order], keys[large][order]
     for offset in np.ndindex(3, 3):
@@ -331,10 +337,10 @@ def near_masks(points: np.ndarray, targets: np.ndarray,
         q = query_order[np.repeat(np.arange(len(near)), count)]
         t = order[np.arange(len(q)) + np.repeat(end - np.cumsum(count), count)]
         i, j = (q, t) if small == 0 else (t, q)
-        close = np.sum((points.take(i, axis=0) - targets.take(j, axis=0))**2,
+        close = np.sum((sets[0].take(i, axis=0) - sets[1].take(j, axis=0))**2,
                        axis=-1) <= cutoff * cutoff
-        hits[0][i[close]] = True
-        hits[1][j[close]] = True
+        hits[small][q[close]] = True
+        hits[large][kept[t[close]]] = True
     return hits
 
 

@@ -2,10 +2,10 @@
 
 Fixed-width column layout only; no whitespace-split fallback. The parser
 reads one matrix of code points, each line padded or cut to 80 columns,
-and every field of the ATOM/HETATM records as a column of it. Multi-model
-files contribute MODEL 1 only. Alternate locations keep altloc ' ' or 'A'.
-Waters (HOH) are dropped; all other HETATM records are retained as hetero
-atoms carrying their three-letter code.
+and every field of the ATOM/HETATM records as a column of it; the writer
+builds a table's records as one such matrix. Multi-model files contribute
+MODEL 1 only. Alternate locations keep altloc ' ' or 'A'. Waters (HOH)
+are dropped; other HETATM records become hetero atoms with their code.
 """
 
 from __future__ import annotations
@@ -264,10 +264,6 @@ def _check_coord(value: float) -> None:
         raise CoordinateOverflow(f"coordinate {value} exceeds the 8-column field")
 
 
-_RECORD = "%5d %s%s%8.3f%8.3f%8.3f%6.2f%6.2f          %2s\n"
-_RESIDUE = " %3s %1s%4d%1s   "  # residue name, chain id, number, icode
-
-
 def _check_field(field: str, values, lo, hi, width: int) -> None:
     """Raise FieldOverflow for the first value not strictly inside (lo, hi),
     the values that fit the field's width (NaN fits nothing)."""
@@ -285,10 +281,32 @@ def _check_text(field: str, values, width: int) -> None:
                 f"{field} {value!r} does not fit the {width}-column field")
 
 
+def _number(values: np.ndarray, width: int, decimals: int = 0) -> np.ndarray:
+    """The (m, width) ASCII codes of '%{width}.{decimals}f' of values that
+    fit ('%{width}d' if decimals is 0), as digit columns right to left."""
+    scaled = np.abs(values) * 10.0 ** decimals
+    rest = np.rint(scaled).astype(np.uint32)
+    out = np.empty((width, len(values)), np.uint8)  # a row per column
+    sign = np.where(np.signbit(values), np.uint8(ord("-")), np.uint8(ord(" ")))
+    units = width - 1 - (decimals and decimals + 1)  # the units digit column
+    out[units + 1:units + 2] = ord(".")  # the decimal point, if any
+    for j in (j for j in range(width - 1, -1, -1) if j != units + 1):
+        quotient = rest // 10  # by a scalar // is SIMD and % is not
+        np.add(rest - quotient * 10, ord("0"), out=out[j], casting="unsafe")
+        if j < units:  # a digit while rest > 0, then the sign, then blanks
+            blank = rest == 0
+            np.copyto(out[j], sign, where=blank)
+            np.copyto(sign, np.uint8(ord(" ")), where=blank)
+        rest = quotient
+    out = out.T  # near a tie the float product may round unlike printf
+    for i in np.flatnonzero(np.abs(scaled - np.rint(scaled)) > 0.5 - 1e-6):
+        out[i] = np.frombuffer(b"%*.*f" % (width, decimals, values[i]), np.uint8)
+    return out
+
+
 def _render(tag: str, chain_id: str, t: AtomTable) -> str:
-    """One record per atom of t, rendered by one % format after every
-    field check: the name field is formatted once per name code and the
-    residue field once per residue row."""
+    """One record per atom of t, after every field check, as a row of one
+    code matrix: text fields rendered once per distinct value, gathered."""
     if len(chain_id) != 1:
         raise FieldOverflow(f"chain id {chain_id!r} is not one column")
     _check_field("residue number", t.seq_index, -1000, 10000, 4)
@@ -305,23 +323,38 @@ def _render(tag: str, chain_id: str, t: AtomTable) -> str:
     # MASK has no PDB code; written as MSK (re-parses as UNK).
     res_names = ["MSK" if r == "MASK" else r for r in t.res_type.tolist()]
     _check_text("residue name", res_names, 3)
-    residues = object_array(
-        _RESIDUE % fields for fields in zip(
-            res_names, itertools.repeat(chain_id), t.seq_index.tolist(),
-            [icode or " " for icode in icodes]))
+    # residue name, chain id, number and insertion code per residue row
+    residues = "".join(" %3s %1s%4d%1s   " % fields for fields in zip(
+        res_names, itertools.repeat(chain_id), t.seq_index.tolist(),
+        [icode or " " for icode in icodes]))
     # Short names start at column 14 per convention; 4-char names fill 13-16.
-    names = object_array(name if len(name) == 4 else f" {name:<3s}"
-                         for name in t.codes)
-    columns = (t.serial.tolist(), names[t.names].tolist(),
-               residues[t.owner].tolist(), *t.xyz.T.tolist(),
-               t.occupancy.tolist(), t.b_factor.tolist(), element)
-    return ((tag + _RECORD) * len(element)) % tuple(
-        itertools.chain.from_iterable(zip(*columns)))
+    names = "".join(name if len(name) == 4 else f" {name:<3s}"
+                    for name in t.codes)
+    kinds = {kind: code for code, kind in enumerate(dict.fromkeys(element))}
+    elements = "".join("%2s\n" % kind for kind in kinds)  # columns 77-78
+    # a code per character: bytes for ASCII text, else code points
+    dtype, codec = ((np.uint8, "ascii") if (tag + names + residues + elements)
+                    .isascii() else ("<u4", "utf-32-le"))
+    tags, names, residues, elements = (np.frombuffer(text.encode(
+        codec, "surrogatepass"), dtype).reshape(-1, width) for text, width in
+        ((tag, 6), (names, 4), (residues, 14), (elements, 3)))
+    out = np.full((len(element), 79), ord(" "), dtype)  # a row per record
+    out[:, :6] = tags
+    out[:, 6:11] = _number(t.serial, 5)
+    out[:, 12:16] = names.take(t.names, axis=0)
+    out[:, 16:30] = residues.take(t.owner, axis=0)
+    out[:, 30:54] = _number(t.xyz.ravel(), 8, 3).reshape(-1, 24)
+    out[:, 54:60] = _number(t.occupancy, 6, 2)
+    out[:, 60:66] = _number(t.b_factor, 6, 2)
+    out[:, 76:] = elements.take(np.fromiter(
+        map(kinds.__getitem__, element), np.intp, len(element)), axis=0)
+    return out.tobytes().decode(codec, "surrogatepass")
 
 
 def write_pdb(s: Structure) -> str:
-    """Render a Structure as PDB v3.3 text: one % format per chain, and one
-    for the hetero atoms as chain Z, each its own residue 1.
+    """Render a Structure as PDB v3.3 text: one code matrix of digit and
+    text columns per chain, and one for the hetero atoms as chain Z, each
+    its own residue 1; byte for byte printf's, -0.000 included.
 
     Raises CoordinateOverflow for the first coordinate, in atom order,
     that does not fit its 8 columns, and FieldOverflow for any other field

@@ -20,8 +20,8 @@ from foldkit.synth import random_chain
 
 from helpers import (angle_close, bond_angle_oracle, dihedral_oracle,
                      kabsch_oracle, knn_graph_oracle, knn_oracle,
-                     random_reflection, random_rotation, with_atom,
-                     within_cutoff_oracle)
+                     proximity_oracle, random_reflection, random_rotation,
+                     with_atom, within_cutoff_oracle)
 
 
 class TestDihedral:
@@ -382,6 +382,30 @@ class TestNearMasks:
         assert np.ptp(wide) / 2**20 > 3.5 * (1 + 1e-6)
         hit, _ = self.assert_matches_oracle(wide[::2], wide[1::2], 3.5)
         assert hit[-1]
+
+    def test_larger_set_culled_to_the_smaller_box(self):
+        # two metal-like targets in a wide cloud: most points lie outside the
+        # targets' box grown by a cell; five lie exactly 3.5 A outside it
+        # along one axis (squared distance 12.25, exact), one an ulp further
+        rng = np.random.default_rng(65)
+        targets = np.array([[10.0, 10.0, 10.0], [14.0, 12.0, 10.5]])
+        edge = [[6.5, 10.0, 10.0], [17.5, 12.0, 10.5], [10.0, 6.5, 10.0],
+                [14.0, 15.5, 10.5], [14.0, 12.0, 14.0],
+                [np.nextafter(6.5, 0.0), 10.0, 10.0]]
+        points = np.concatenate(
+            (np.round(rng.uniform(-30.0, 50.0, size=(2000, 3)), 3), edge))
+        for cutoff in (3.5, 0.5):
+            hit, target_hit = self.assert_matches_oracle(points, targets, cutoff)
+            assert hit.tolist() == [bool(h) for h in proximity_oracle(
+                points[:, None], targets, cutoff)]
+            assert target_hit.tolist() == [bool(h) for h in proximity_oracle(
+                targets[:, None], points, cutoff)]
+        hit, target_hit = near_masks(points, targets, 3.5)
+        assert hit[-6:].tolist() == [True] * 5 + [False] and target_hit.all()
+        assert hit.sum() < 40
+        # nothing within a cell of the box: both masks stay False
+        hit, target_hit = near_masks(points + 100.0, targets, 3.5)
+        assert not hit.any() and not target_hit.any()
 
     def test_non_finite_raises(self):
         good = np.zeros((4, 3))

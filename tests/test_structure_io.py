@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from foldkit.errors import (CoordinateOverflow, EmptyStructure,
                             FieldOverflow, FoldkitError, InvalidFilterSpec,
                             MalformedRecord, NoCompleteResidues)
-from foldkit.pdb import parse_pdb, write_pdb
+from foldkit.pdb import _number, parse_pdb, write_pdb
 from foldkit.structure import (Atom, Chain, FilterSpec, Granularity, Method,
                                Residue, Structure, filter_structures,
                                load_filter_spec, select_granularity)
@@ -560,6 +560,95 @@ class TestWriteOracle:
             random_chain(60, make_rng(12))))
         for s in structures:
             assert write_pdb(s) == write_pdb_oracle(s)
+
+
+# (format, width, decimals, lo, hi): a value fits if lo < value < hi
+_NUMBER_FIELDS = [("%5d", 5, 0, -10000, 100000), ("%4d", 4, 0, -1000, 10000),
+                  ("%8.3f", 8, 3, -999.9995, 9999.9995),
+                  ("%6.2f", 6, 2, -99.995, 999.995)]
+
+
+def _fixed_point(decimals, lo, hi):
+    """Floats that fit (lo, hi), drawn at and around the values whose
+    |v| * 10**decimals is a half: decimal ties x.5 / 10**decimals, exact
+    binary halves odd / 2**(decimals + 1), their neighbours, -0.0,
+    negatives that round to zero, and each bound one ulp inside."""
+    scale = 10 ** decimals
+    tie = st.integers(int(lo * scale), int(hi * scale)).map(
+        lambda k: (k + 0.5) / scale)
+    half = st.integers(int(lo * 2 ** (decimals + 1)),
+                       int(hi * 2 ** (decimals + 1))).map(
+        lambda k: (2 * k + 1) / 2 ** (decimals + 1))
+    near = st.one_of(tie, half).flatmap(lambda v: st.sampled_from(
+        [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]))
+    return st.one_of(
+        near, st.floats(lo, hi), st.floats(-0.5 / scale, 0.0),
+        st.sampled_from([-0.0, 0.0, math.nextafter(lo, math.inf),
+                         math.nextafter(hi, -math.inf)])).filter(
+        lambda v: lo < v < hi)
+
+
+class TestNumberColumns:
+    """The writer's number columns against % formatting, byte for byte."""
+
+    @pytest.mark.parametrize("fmt, width, decimals, lo, hi", _NUMBER_FIELDS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_printf(self, fmt, width, decimals, lo, hi, data):
+        values = data.draw(st.lists(
+            _fixed_point(decimals, lo, hi) if decimals else
+            st.integers(lo + 1, hi - 1), min_size=1, max_size=40))
+        got = _number(np.array(values), width, decimals)
+        assert got.shape == (len(values), width)
+        assert got.tobytes().decode() == fmt * len(values) % tuple(values)
+
+    @pytest.mark.parametrize("fmt, width, decimals, lo, hi",
+                             _NUMBER_FIELDS[:2])
+    def test_every_integer_that_fits(self, fmt, width, decimals, lo, hi):
+        values = np.arange(lo + 1, hi)
+        assert _number(values, width, decimals).tobytes().decode() == (
+            fmt * len(values) % tuple(values.tolist()))
+
+
+# non-ASCII atom names, chain id and hetero code, each of which the parser
+# keeps, so the writer must render them as code points
+_NON_ASCII_PDB = "\n".join([
+    atom_line(1, "N", "ALA", "\u03a9", 1, 0.0, 0.0, 0.0),
+    atom_line(2, "C\u03b1", "ALA", "\u03a9", 1, 1.458, 0.0, 0.0, element="C"),
+    atom_line(3, "C\u00e91\u2032", "ALA", "\u03a9", 1, 2.0, 1.4, -0.0004,
+              element="C"),
+    atom_line(4, "ZN", "\u00d1I", "B", 501, 5.0, 5.0, 5.0, element="ZN",
+              record="HETATM")]) + "\n"
+
+
+class TestWriteText:
+    """Text fields the Hypothesis structures do not draw: non-ASCII
+    characters and empty or one-character elements."""
+
+    def test_non_ascii_fields_round_trip(self):
+        s = parse_pdb(_NON_ASCII_PDB)
+        text = write_pdb(s)
+        assert text == write_pdb_oracle(s)
+        again = parse_pdb(text)
+        assert [c.id for c in again.chains] == ["\u03a9"]
+        atoms = again.chains[0].residues[0].atoms
+        assert [a.name for a in atoms] == ["N", "C\u03b1", "C\u00e91\u2032"]
+        assert math.copysign(1.0, atoms[2].position[2]) == -1.0  # -0.000
+        assert [(a.name, a.het_code) for a in again.hetero_atoms] == [
+            ("ZN", "\u00d1I")]
+        assert write_pdb(again) == text
+
+    @pytest.mark.parametrize("name, res_type", [  # bytes, code points
+        ("CA", "ALA"), ("C\u03b1", "ALA"), ("CA", "\u00c5LA")])
+    def test_empty_and_short_elements(self, name, res_type):
+        atoms = tuple(Atom(name, element, [float(i), 0.0, 0.0], serial=i)
+                      for i, element in enumerate(["", "C", "ZN", ""]))
+        s = single_chain_structure(Chain("A", (Residue(res_type, 1, None,
+                                                       atoms),)))
+        text = write_pdb(s)
+        assert text == write_pdb_oracle(s)
+        assert [line[76:78] for line in text.splitlines()[1:5]] == [
+            "  ", " C", "ZN", "  "]
 
 
 def _one_atom(chain_id="A", seq_index=1, icode=None, res_type="ALA", **atom):
