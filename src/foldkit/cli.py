@@ -194,6 +194,10 @@ def run_decode(args) -> int:
 
 def run_featurise(args) -> int:
     scheme = FeatureScheme.from_name(args.scheme)
+    if args.k < 1:  # reject a bad k once, before any file is read
+        print(f"foldkit featurise: error: k must be >= 1, got {args.k}",
+              file=sys.stderr)
+        return 1
 
     def worker(plan):
         in_path, out_path, _ = plan

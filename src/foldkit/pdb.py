@@ -5,7 +5,8 @@ reads one matrix of code points, each line padded or cut to 80 columns,
 and every field of the ATOM/HETATM records as a column of it; the writer
 builds a table's records as one such matrix. Multi-model files contribute
 MODEL 1 only. Alternate locations keep altloc ' ' or 'A'. Waters (HOH)
-are dropped; other HETATM records become hetero atoms with their code.
+are dropped; the other HETATM records become ligand chains, grouped into
+chains and residues as the ATOM records are and written back the same way.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 from .errors import (CoordinateOverflow, EmptyStructure, FieldOverflow,
                      MalformedRecord)
 from .residues import RESIDUE_INDEX
-from .structure import (Atom, AtomTable, Chain, Method, Residue, Structure,
-                        atom_table, object_array)
+from .structure import AtomTable, Chain, Method, Structure, object_array
 
 _MONTHS = ("JAN", "FEB", "MAR", "APR", "MAY", "JUN",
            "JUL", "AUG", "SEP", "OCT", "NOV", "DEC")
@@ -131,7 +131,7 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
     """Parse PDB-format text into a Structure.
 
     Raises MalformedRecord for an un-parseable ATOM/HETATM line and
-    EmptyStructure when neither polymer nor hetero atoms parse.
+    EmptyStructure when neither polymer nor ligand atoms parse.
     """
     resolution = None
     dep_date = None
@@ -192,7 +192,9 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
     b_factor = _floats(block[:, 60:66], 0.0)
 
     keep = (block[:, 16] == ord(" ")) | (block[:, 16] == ord("A"))  # altloc
-    hetero_record = block[:, 0] == ord("H")  # only HETATM starts with H
+    hetero = block[:, 0] == ord("H")  # only HETATM starts with H
+    ligand = hetero.copy()  # HETATM records but waters (HOH)
+    ligand[hetero] = (block[hetero, 17:20] != [*map(ord, "HOH")]).any(axis=1)
     if (np.diff(np.sort(serial[keep])) == 0).any():  # repeats move up
         kept, above = serial[keep].tolist(), {}  # taken -> <= the next free
         for i, value in enumerate(kept):
@@ -201,25 +203,23 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
                 value = above[value]
             above[value], kept[i] = value + 1, value
         serial[keep] = kept
-    hetero = [Atom(names[name[i]], elements[i], xyz[i], occupancy[i].item(),
-                   b_factor[i].item(), is_hetero=True, serial=serial[i].item(),
-                   het_code=lines[rows[i]][17:20].strip())
-              for i in np.flatnonzero(keep & hetero_record).tolist()
-              if lines[rows[i]][17:20].strip() != "HOH"]
-    chains = _polymer_chains(np.flatnonzero(keep & ~hetero_record), block,
-                             names, name, seq, xyz, elements, occupancy,
-                             b_factor, serial)
-    if not chains and not hetero:
+    columns = block, names, name, seq, xyz, elements, occupancy, b_factor, serial
+    chains = _chains(np.flatnonzero(keep & ~hetero), *columns, polymer=True)
+    ligands = _chains(np.flatnonzero(keep & ligand), *columns, polymer=False)
+    if not chains and not ligands:
         raise EmptyStructure("no ATOM or HETATM records parsed")
     return Structure(structure_id, chains, resolution,
-                     dep_date, method, tuple(hetero))
+                     dep_date, method, ligands)
 
 
-def _polymer_chains(records, block, names, name, seq_index, xyz, elements,
-                    occupancy, b_factor, serial) -> tuple[Chain, ...]:
-    """The chains of the polymer records (indices in file order): chains in
+def _chains(records, block, names, name, seq_index, xyz, elements,
+            occupancy, b_factor, serial, polymer) -> tuple[Chain, ...]:
+    """The chains of the records (indices in file order): chains in
     first-seen order, residues sorted by (seq_index, insertion code) with
-    file order kept inside each, the first atom of each name kept."""
+    file order kept inside each, the first atom of each name kept. Polymer
+    residue types outside the vocabulary read as UNK."""
+    if not len(records):
+        return ()
     _, first, chain = np.unique(block[records, 21], return_index=True,
                                 return_inverse=True)
     icode = block[records, 26].astype(np.int64)
@@ -243,7 +243,8 @@ def _polymer_chains(records, block, names, name, seq_index, xyz, elements,
     table = AtomTable(
         xyz[atoms], code[kept], codes, elements[atoms],
         occupancy[atoms], b_factor[atoms], serial[atoms], residue[kept],
-        object_array(r if r in RESIDUE_INDEX else "UNK" for r in res_names),
+        object_array(r if not polymer or r in RESIDUE_INDEX else "UNK"
+                     for r in res_names),
         seq_index[records[head]],
         object_array(None if line[26] == " " else line[26] for line in heads),
         object_array(line[21] for line in heads))
@@ -276,7 +277,7 @@ def _check_field(field: str, values, lo, hi, width: int) -> None:
 
 def _check_text(field: str, values, width: int) -> None:
     for value in dict.fromkeys(values):  # each value once, first seen first
-        if value is not None and len(value) > width:
+        if value is None or len(value) > width:
             raise FieldOverflow(
                 f"{field} {value!r} does not fit the {width}-column field")
 
@@ -307,10 +308,10 @@ def _number(values: np.ndarray, width: int, decimals: int = 0) -> np.ndarray:
 def _render(tag: str, chain_id: str, t: AtomTable) -> str:
     """One record per atom of t, after every field check, as a row of one
     code matrix: text fields rendered once per distinct value, gathered."""
-    if len(chain_id) != 1:
+    if chain_id is None or len(chain_id) != 1:
         raise FieldOverflow(f"chain id {chain_id!r} is not one column")
     _check_field("residue number", t.seq_index, -1000, 10000, 4)
-    icodes, element = t.icode.tolist(), t.element.tolist()
+    icodes, element = [i or " " for i in t.icode.tolist()], t.element.tolist()
     _check_text("insertion code", icodes, 1)
     _check_field("serial", t.serial, -10000, 100000, 5)
     _check_field("occupancy", t.occupancy, -99.995, 999.995, 6)
@@ -325,8 +326,7 @@ def _render(tag: str, chain_id: str, t: AtomTable) -> str:
     _check_text("residue name", res_names, 3)
     # residue name, chain id, number and insertion code per residue row
     residues = "".join(" %3s %1s%4d%1s   " % fields for fields in zip(
-        res_names, itertools.repeat(chain_id), t.seq_index.tolist(),
-        [icode or " " for icode in icodes]))
+        res_names, itertools.repeat(chain_id), t.seq_index.tolist(), icodes))
     # Short names start at column 14 per convention; 4-char names fill 13-16.
     names = "".join(name if len(name) == 4 else f" {name:<3s}"
                     for name in t.codes)
@@ -353,8 +353,8 @@ def _render(tag: str, chain_id: str, t: AtomTable) -> str:
 
 def write_pdb(s: Structure) -> str:
     """Render a Structure as PDB v3.3 text: one code matrix of digit and
-    text columns per chain, and one for the hetero atoms as chain Z, each
-    its own residue 1; byte for byte printf's, -0.000 included.
+    text columns per chain, its ATOM records closed by TER, then one of
+    HETATM records per ligand chain; byte for byte printf's, -0.000 too.
 
     Raises CoordinateOverflow for the first coordinate, in atom order,
     that does not fit its 8 columns, and FieldOverflow for any other field
@@ -369,9 +369,5 @@ def write_pdb(s: Structure) -> str:
         parts.append(f"REMARK   2 RESOLUTION. {s.resolution:7.2f} ANGSTROMS.\n")
     for chain in s.chains:
         parts += (_render("ATOM  ", chain.id, chain.table), "TER\n")
-    if s.hetero_atoms:
-        hetero = atom_table(Residue(a.het_code or "LIG", 1, None, (a,))
-                            for a in s.hetero_atoms)
-        _check_text("hetero code", hetero.res_type.tolist(), 3)
-        parts.append(_render("HETATM", "Z", hetero))
+    parts += (_render("HETATM", chain.id, chain.table) for chain in s.ligands)
     return "".join(parts) + "END\n"

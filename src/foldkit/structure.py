@@ -37,17 +37,13 @@ class Granularity(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class Atom:
-    """Single atom; position in Ångström. b_factor holds pLDDT for predicted
-    structures. het_code carries the parent HETATM residue code (e.g. "ZN",
-    "ADP") and is None for polymer atoms."""
+    """Single atom; position in Ångström, b_factor pLDDT if predicted."""
     name: str
     element: str
     position: np.ndarray
     occupancy: float = 1.0
     b_factor: float = 0.0
-    is_hetero: bool = False
     serial: int = 1
-    het_code: str | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=np.float64)
@@ -60,9 +56,7 @@ class Atom:
                 and np.array_equal(self.position, other.position)
                 and self.occupancy == other.occupancy
                 and self.b_factor == other.b_factor
-                and self.is_hetero == other.is_hetero
-                and self.serial == other.serial
-                and self.het_code == other.het_code)
+                and self.serial == other.serial)
 
 
 @dataclass(frozen=True)
@@ -107,12 +101,13 @@ class Chain:
 
 @dataclass(frozen=True)
 class Structure:
+    """Polymer chains, then ligand chains: the non-water HETATM records."""
     id: str
     chains: tuple[Chain, ...]
     resolution: float | None = None
     deposition_date: datetime.date | None = None
     method: Method | None = None
-    hetero_atoms: tuple[Atom, ...] = ()
+    ligands: tuple[Chain, ...] = ()
 
     @property
     def num_residues(self) -> int:
@@ -125,22 +120,26 @@ class Structure:
 
     @property
     def hetero_codes(self) -> set[str]:
-        return {a.het_code for a in self.hetero_atoms if a.het_code}
+        return {code for code in joined(self.ligands).res_type.tolist() if code}
 
     @cached_property
     def table(self) -> AtomTable:
-        """The AtomTable of every chain's residues, in chain order."""
-        tables = [chain.table for chain in self.chains] or [atom_table(())]
-        columns = {k: np.concatenate([getattr(t, k) for t in tables])
-                   for k in _ATOM_COLUMNS + _RESIDUE_COLUMNS}
-        starts = np.cumsum([0] + [len(t.res_type) for t in tables])
-        columns["owner"] = np.concatenate(
-            [t.owner + start for t, start in zip(tables, starts)])
-        codes: dict[str, int] = {}  # one code per name across the chains
-        columns["names"] = np.concatenate([np.array(
-            [codes.setdefault(name, len(codes)) for name in t.codes],
-            dtype=np.int64)[t.names] for t in tables])
-        return AtomTable(codes=codes, **columns)
+        return joined(self.chains)
+
+
+def joined(chains) -> AtomTable:
+    """One AtomTable of the chains' tables, in chain order."""
+    tables = [chain.table for chain in chains] or [atom_table(())]
+    columns = {k: np.concatenate([getattr(t, k) for t in tables])
+               for k in _ATOM_COLUMNS + _RESIDUE_COLUMNS}
+    starts = np.cumsum([0] + [len(t.res_type) for t in tables])
+    columns["owner"] = np.concatenate(
+        [t.owner + start for t, start in zip(tables, starts)])
+    codes: dict[str, int] = {}  # one code per name across the chains
+    columns["names"] = np.concatenate([np.array(
+        [codes.setdefault(name, len(codes)) for name in t.codes],
+        dtype=np.int64)[t.names] for t in tables])
+    return AtomTable(codes=codes, **columns)
 
 
 _ATOM_COLUMNS = ("xyz", "names", "element", "occupancy", "b_factor", "serial",
@@ -150,7 +149,7 @@ _RESIDUE_COLUMNS = ("res_type", "seq_index", "icode", "chain")
 
 @dataclass(frozen=True, eq=False)
 class AtomTable:
-    """Polymer atoms as columns, in output order. Per atom: positions xyz
+    """Atoms as columns, in output order. Per atom: positions xyz
     (m, 3), names (each atom's name as its code in codes, codes numbered
     in insertion order), element, occupancy, b_factor, serial and owner
     (the row of its residue, non-decreasing). Per residue: res_type,

@@ -62,5 +62,5 @@ def helix_chain(n: int, phi: float = -1.047, psi: float = -0.820,
 
 
 def single_chain_structure(chain: Chain, structure_id: str = "SYN",
-                           hetero_atoms=()) -> Structure:
-    return Structure(structure_id, (chain,), hetero_atoms=tuple(hetero_atoms))
+                           ligands=()) -> Structure:
+    return Structure(structure_id, (chain,), ligands=tuple(ligands))

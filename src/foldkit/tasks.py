@@ -19,7 +19,7 @@ from .geometry import (bond_angles, defined, dihedrals, near_masks, row_norms,
                        superpose)
 from .residues import MASK_INDEX, VOCAB_SIZE, VOCABULARY, residue_index
 from .rng import make_rng
-from .structure import BACKBONE_ATOMS, Chain, Structure
+from .structure import BACKBONE_ATOMS, Chain, Structure, joined
 
 # Sequence-denoising auxiliary loss weight; carried as metadata so
 # downstream consumers share one recorded constant.
@@ -288,15 +288,15 @@ def plddt_targets(s: Structure) -> DenoisingTargets:
 
 
 def binding_site_labels(s: Structure, selector, cutoff: float = DEFAULT_CUTOFF) -> LabelSet:
-    """Label 1 for residues with any atom within cutoff (inclusive) of any
-    selected hetero atom; selector is a set of hetero three-letter codes.
+    """Label 1 for residues with any atom within cutoff (inclusive) of an
+    atom of a ligand residue whose code is in selector (a set of codes).
     Raises DegenerateGeometry on a non-finite coordinate."""
     selector = {code.upper() for code in selector}
-    targets = np.asarray([a.position for a in s.hetero_atoms
-                          if a.het_code in selector], dtype=np.float64)
+    table, ligands = s.table, joined(s.ligands)
+    selected = np.isin(ligands.res_type, list(selector))
+    targets = ligands.xyz[selected[ligands.owner]]
     if targets.size == 0:
-        raise SelectorEmpty(f"no hetero atom matches {sorted(selector)}")
-    table = s.table
+        raise SelectorEmpty(f"no ligand atom matches {sorted(selector)}")
     hits = np.bincount(table.owner, near_masks(table.xyz, targets, cutoff)[0],
                        len(table.res_type))
     return LabelSet((hits > 0).astype(np.int8), cutoff,
@@ -333,7 +333,7 @@ def corrupt_structure(s: Structure, spec: CorruptionSpec) -> CorruptionResult:
     Sequence kinds rewrite residue types; coordinate kinds noise every
     polymer atom; the torsional kind runs corrupt_torsions on each chain,
     which keeps every atom and all metadata and moves only positions.
-    Hetero atoms are never changed. CO_DENOISE composes SEQ_MUTATE and
+    Ligands are never changed. CO_DENOISE composes SEQ_MUTATE and
     COORD_GAUSS with independent sub-streams of spec.seed.
     """
     if spec.kind is CorruptionKind.CO_DENOISE:

@@ -13,7 +13,7 @@ import numpy as np
 
 from foldkit.pdb import write_pdb
 from foldkit.rng import make_rng
-from foldkit.structure import Atom, Chain, Method, Structure
+from foldkit.structure import Atom, Chain, Method, Residue, Structure
 from foldkit.synth import helix_chain, random_chain, single_chain_structure
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -41,9 +41,9 @@ def main():
 
     helix = helix_chain(30)
     ca = helix.residues[4].atom("CA").position
-    zn = Atom("ZN", "ZN", ca + np.array([3.0, 0.0, 0.0]), is_hetero=True,
-              serial=9001, het_code="ZN")
-    save("helix_zn.pdb", single_chain_structure(helix, "HLXZ", (zn,)))
+    zn = Atom("ZN", "ZN", ca + np.array([3.0, 0.0, 0.0]), serial=9001)
+    save("helix_zn.pdb", single_chain_structure(
+        helix, "HLXZ", (Chain("Z", (Residue("ZN", 1, None, (zn,)),)),)))
 
     a = random_chain(20, make_rng(1003), chain_id="A")
     b_src = random_chain(20, make_rng(1004), chain_id="B")

@@ -43,16 +43,13 @@ def random_reflection(rng: np.random.Generator) -> np.ndarray:
 
 
 def transform_structure(s: Structure, R: np.ndarray, t: np.ndarray) -> Structure:
-    def move(atom):
-        return replace(atom, position=R @ atom.position + t)
+    def move(chain):
+        return Chain(chain.id, tuple(replace(res, atoms=tuple(
+            replace(atom, position=R @ atom.position + t)
+            for atom in res.atoms)) for res in chain.residues))
 
-    chains = []
-    for chain in s.chains:
-        chains.append(Chain(chain.id, tuple(
-            replace(res, atoms=tuple(move(a) for a in res.atoms))
-            for res in chain.residues)))
-    hetero = tuple(move(a) for a in s.hetero_atoms)
-    return replace(s, chains=tuple(chains), hetero_atoms=hetero)
+    return replace(s, chains=tuple(map(move, s.chains)),
+                   ligands=tuple(map(move, s.ligands)))
 
 
 def with_atom(chain: Chain, index: int, name: str, position) -> Chain:
@@ -401,7 +398,7 @@ def full_atom_dimer() -> Structure:
     corruption must keep: side chains grown by nerf_place (CB, CG, CD),
     numbering from 5 with one insertion code, distinct non-zero
     occupancies and b-factors, serials with a gap between the chains,
-    one residue without O, an OXT and a ZN hetero atom."""
+    one residue without O, an OXT and a ZN ligand in chain B."""
     chains = []
     for chain_id, n, seed, first_serial in (("A", 9, 301, 1), ("B", 7, 302, 501)):
         serial = itertools.count(first_serial)
@@ -433,8 +430,9 @@ def full_atom_dimer() -> Structure:
             residues.append(Residue(res.res_type, seq, icode, atoms))
         chains.append(Chain(chain_id, tuple(residues)))
     zn = Atom("ZN", "ZN", np.array([1.5, -2.0, 3.25]), occupancy=0.9,
-              b_factor=42.0, is_hetero=True, serial=900, het_code="ZN")
-    return Structure("FULL", tuple(chains), hetero_atoms=(zn,))
+              b_factor=42.0, serial=900)
+    return Structure("FULL", tuple(chains), ligands=(
+        Chain("B", (Residue("ZN", 501, None, (zn,)),)),))
 
 
 def angle_close(a, b, tol):
@@ -514,16 +512,19 @@ def parse_pdb_oracle(text: str, structure_id: str = "") -> Structure:
     """The per-line parser that `foldkit.pdb.parse_pdb` replaced, kept as its
     reference: one record at a time, one numpy array per atom.
 
+    ATOM records make the chains and the non-water HETATM records the
+    ligand chains, each grouped the same way; only polymer residue types
+    outside the vocabulary read as UNK.
+
     Raises MalformedRecord for an un-parseable ATOM/HETATM line and
-    EmptyStructure when neither polymer nor hetero atoms parse.
+    EmptyStructure when neither polymer nor ligand atoms parse.
     """
     resolution = None
     dep_date = None
     method = None
-    # chain id -> residue key -> (res_name, [atoms])
-    chains: dict[str, dict] = {}
-    chain_order: list[str] = []
-    hetero: list[Atom] = []
+    # record tag -> chain id -> residue key -> (res_name, [atoms]), each
+    # dict in first-seen order
+    groups: dict[str, dict] = {"ATOM": {}, "HETATM": {}}
     seen_serials: set[int] = set()
     models_seen = 0
 
@@ -565,37 +566,30 @@ def parse_pdb_oracle(text: str, structure_id: str = "") -> Structure:
             serial += 1
         seen_serials.add(serial)
 
-        if tag == "HETATM":
-            if res_name == "HOH":
-                continue
-            hetero.append(Atom(name, element, pos, occ, b,
-                               is_hetero=True, serial=serial, het_code=res_name))
+        if tag == "HETATM" and res_name == "HOH":
             continue
-
-        residues = chains.setdefault(chain_id, {})
-        if chain_id not in chain_order:
-            chain_order.append(chain_id)
+        residues = groups[tag].setdefault(chain_id, {})
         key = (seq_index, icode or "")
         if key not in residues:
-            canonical = res_name if res_name in RESIDUE_INDEX else "UNK"
-            residues[key] = (canonical, seq_index, icode, [])
+            if tag == "ATOM" and res_name not in RESIDUE_INDEX:
+                res_name = "UNK"
+            residues[key] = (res_name, seq_index, icode, [])
         _, _, _, atoms = residues[key]
         if any(a.name == name for a in atoms):
             continue  # duplicate atom name after altloc resolution
-        atoms.append(Atom(name, element, pos, occ, b, is_hetero=False, serial=serial))
+        atoms.append(Atom(name, element, pos, occ, b, serial=serial))
 
-    chain_objs = []
-    for cid in chain_order:
-        residues = []
-        for key in sorted(chains[cid]):
-            res_type, seq_index, icode, atoms = chains[cid][key]
-            residues.append(Residue(res_type, seq_index, icode, tuple(atoms)))
-        chain_objs.append(Chain(cid, tuple(residues)))
-
-    if not chain_objs and not hetero:
+    chains, ligands = [], []
+    for tag, built in (("ATOM", chains), ("HETATM", ligands)):
+        for cid, residues in groups[tag].items():
+            built.append(Chain(cid, tuple(
+                Residue(res_type, seq_index, icode, tuple(atoms))
+                for _, (res_type, seq_index, icode, atoms)
+                in sorted(residues.items()))))
+    if not chains and not ligands:
         raise EmptyStructure("no ATOM or HETATM records parsed")
-    return Structure(structure_id, tuple(chain_objs), resolution,
-                     dep_date, method, tuple(hetero))
+    return Structure(structure_id, tuple(chains), resolution, dep_date,
+                     method, tuple(ligands))
 
 
 # --- reference PDB writer ---
@@ -641,28 +635,26 @@ def write_pdb_oracle(s: Structure) -> str:
         lines.append(f"EXPDTA    {_METHOD_TEXT[s.method]}")
     if s.resolution is not None:
         lines.append(f"REMARK   2 RESOLUTION. {s.resolution:7.2f} ANGSTROMS.")
-    for chain in s.chains:
-        t = chain.table
-        names = list(t.codes)
-        # MASK has no PDB code; written as MSK (re-parses as UNK).
-        residues = [("MSK" if res_type == "MASK" else res_type[:3], seq_index,
-                     icode or " ") for res_type, seq_index, icode in zip(
-                         t.res_type.tolist(), t.seq_index.tolist(),
-                         t.icode.tolist())]
-        for owner, serial, code, xyz, occupancy, b_factor, element in zip(
-                t.owner.tolist(), t.serial.tolist(), t.names.tolist(),
-                t.xyz.tolist(), t.occupancy.tolist(), t.b_factor.tolist(),
-                t.element.tolist()):
-            res_name, seq_index, icode = residues[owner]
-            lines.append(_atom_record_oracle(
-                "ATOM", serial, names[code], res_name, chain.id, seq_index,
-                icode, *xyz, occupancy, b_factor, element))
-        lines.append("TER")
-    for atom in s.hetero_atoms:
-        lines.append(_atom_record_oracle(
-            "HETATM", atom.serial, atom.name, atom.het_code or "LIG", "Z", 1,
-            " ", *atom.position.tolist(), atom.occupancy, atom.b_factor,
-            atom.element))
+    for tag, chains in (("ATOM", s.chains), ("HETATM", s.ligands)):
+        for chain in chains:
+            t = chain.table
+            names = list(t.codes)
+            # MASK has no PDB code; written as MSK (re-parses as UNK).
+            residues = [("MSK" if res_type == "MASK" else res_type[:3],
+                         seq_index, icode or " ")
+                        for res_type, seq_index, icode in zip(
+                            t.res_type.tolist(), t.seq_index.tolist(),
+                            t.icode.tolist())]
+            for owner, serial, code, xyz, occupancy, b_factor, element in zip(
+                    t.owner.tolist(), t.serial.tolist(), t.names.tolist(),
+                    t.xyz.tolist(), t.occupancy.tolist(), t.b_factor.tolist(),
+                    t.element.tolist()):
+                res_name, seq_index, icode = residues[owner]
+                lines.append(_atom_record_oracle(
+                    tag, serial, names[code], res_name, chain.id, seq_index,
+                    icode, *xyz, occupancy, b_factor, element))
+            if tag == "ATOM":
+                lines.append("TER")
     lines.append("END")
     return "\n".join(lines) + "\n"
 

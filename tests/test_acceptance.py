@@ -251,11 +251,11 @@ def test_criterion_8_label_oracles():
                     [[a.position for a in res.atoms]], other_atoms, 3.5))
             assert labels.tolist() == expected
 
-            from foldkit.structure import Atom
+            from foldkit.structure import Atom, Chain, Residue
             zn_pos = rng.normal(size=3) * 7.0
-            zn = Atom("ZN", "ZN", zn_pos, is_hetero=True, serial=9999,
-                      het_code="ZN")
-            s = single_chain_structure(chain_a, hetero_atoms=(zn,))
+            zn = Atom("ZN", "ZN", zn_pos, serial=9999)
+            s = single_chain_structure(chain_a, ligands=(
+                Chain("Z", (Residue("ZN", 1, None, (zn,)),)),))
             got = binding_site_labels(s, {"ZN"}, 3.5).labels
             expected = proximity_oracle(
                 [[a.position for a in r.atoms] for r in chain_a.residues],

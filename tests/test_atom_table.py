@@ -145,7 +145,7 @@ FIXTURES = Path(__file__).parent / "fixtures" / "pdb"
 
 def _built_views(s):
     """The tables of s whose Residue/Atom views have been built."""
-    tables = [c.table for c in s.chains] + [s.table]
+    tables = [c.table for c in s.chains + s.ligands] + [s.table]
     return [t for t in tables if "residues" in vars(t)]
 
 
@@ -159,14 +159,18 @@ class TestTableBackedChains:
         binding_site_labels(helix, {"ZN"})
         with pytest.raises(MissingConfidence):  # the fixtures hold no pLDDT
             plddt_targets(helix)
+        assert helix.hetero_codes == {"ZN"}
         encode(helix.chains[0])
         write_pdb(dimer)
+        write_pdb(helix)
         assert _built_views(dimer) == [] and _built_views(helix) == []
-        for kind in CorruptionKind:
-            out = corrupt_structure(dimer, CorruptionSpec(kind, seed=3))
-            write_pdb(out.corrupted)
-            assert _built_views(out.corrupted) == [], kind
-        assert _built_views(dimer) == []
+        assert len(helix.ligands) == 1
+        for s in (dimer, helix):
+            for kind in CorruptionKind:
+                out = corrupt_structure(s, CorruptionSpec(kind, seed=3))
+                write_pdb(out.corrupted)
+                assert _built_views(out.corrupted) == [], kind
+            assert _built_views(s) == []
 
     def test_views_behave_as_hand_built_chains(self):
         s = parse_pdb((FIXTURES / "dimer.pdb").read_text())
@@ -174,7 +178,7 @@ class TestTableBackedChains:
         built = Chain(chain.id, tuple(
             Residue(r.res_type, r.seq_index, r.insertion_code, tuple(
                 Atom(a.name, a.element, a.position.copy(), a.occupancy,
-                     a.b_factor, a.is_hetero, a.serial) for a in r.atoms))
+                     a.b_factor, a.serial) for a in r.atoms))
             for r in chain.residues))
         assert chain == built and built == chain
         assert repr(chain) == repr(built)

@@ -93,6 +93,15 @@ class TestEncodeDecode:
                 assert not out.exists()
                 assert ("foldkit label: error: cutoff must be finite and > 0"
                         in capsys.readouterr().err)
+        # so is a k below 1, even for an input that does not exist
+        for source, jobs, k in ((fixture_file, "1", "0"), (FIXTURES, "2", "-3"),
+                                (str(tmp_path / "missing"), "1", "0")):
+            out = tmp_path / "feat"
+            assert run_cli("featurise", source, str(out), "--jobs", jobs,
+                           "--k", k) == 1
+            assert not out.exists()
+            assert capsys.readouterr().err == (
+                f"foldkit featurise: error: k must be >= 1, got {k}\n")
         # so is metal mode with no ligand code
         for ligands in ((), ("--ligands", " , ")):
             for source, jobs in ((fixture_file, "1"), (FIXTURES, "1"),

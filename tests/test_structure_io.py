@@ -18,7 +18,10 @@ from foldkit.structure import (Atom, Chain, FilterSpec, Granularity, Method,
 from foldkit.synth import helix_chain, random_chain, single_chain_structure
 from foldkit.rng import make_rng
 
-from helpers import atom_line, parse_pdb_oracle, write_pdb_oracle
+from foldkit.tasks import binding_site_labels
+
+from helpers import (atom_line, parse_pdb_oracle, proximity_oracle,
+                     write_pdb_oracle)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "pdb"
 
@@ -41,8 +44,9 @@ class TestParse:
                          element="ZN", record="HETATM")
         s = parse_pdb(text)
         assert s.num_residues == 0
-        assert len(s.hetero_atoms) == 1
-        assert s.hetero_atoms[0].het_code == "ZN"
+        ((ligand,),) = [c.residues for c in s.ligands]
+        assert (s.ligands[0].id, ligand.res_type, ligand.seq_index,
+                len(ligand.atoms)) == ("A", "ZN", 1, 1)
 
     def test_empty_structure_raises(self):
         with pytest.raises(EmptyStructure):
@@ -159,7 +163,7 @@ class TestParse:
 def _atom_bits(a):
     return (a.name, a.element, a.position.dtype.str, a.position.shape,
             a.position.tobytes(), a.occupancy.hex(), a.b_factor.hex(),
-            a.is_hetero, a.serial, a.het_code)
+            a.serial)
 
 
 def _parse_outcome(parse, text):
@@ -170,10 +174,9 @@ def _parse_outcome(parse, text):
     except FoldkitError as exc:
         return type(exc), getattr(exc, "line_no", None), str(exc)
     return (s.id, s.resolution, s.deposition_date, s.method,
-            [(c.id, [(r.res_type, r.seq_index, r.insertion_code,
-                      [_atom_bits(a) for a in r.atoms]) for r in c.residues])
-             for c in s.chains],
-            [_atom_bits(a) for a in s.hetero_atoms])
+            *([(c.id, [(r.res_type, r.seq_index, r.insertion_code,
+                        [_atom_bits(a) for a in r.atoms]) for r in c.residues])
+               for c in chains] for chains in (s.chains, s.ligands)))
 
 
 def _assert_matches_oracle(text):
@@ -302,7 +305,7 @@ class TestParseOracle:
         for line, expected_b in cases:
             s = parse_pdb(line)
             assert s == parse_pdb(line)
-            (atom,) = s.hetero_atoms or s.chains[0].residues[0].atoms
+            (atom,) = (s.ligands or s.chains)[0].residues[0].atoms
             assert (atom.occupancy, atom.b_factor) == (1.0, expected_b)
             assert "nan" not in write_pdb(s) and "inf" not in write_pdb(s)
             _assert_matches_oracle(line)
@@ -386,8 +389,9 @@ class TestParseOracle:
                       ("ZN", "ZN", "ZN")], start=1)]
         s = parse_pdb("\n".join(lines))
         assert s.chains == ()
-        assert [(a.het_code, a.element) for a in s.hetero_atoms] == [
-            ("ZN", "ZN"), ("LIG", "C"), ("ZN", "ZN")]
+        assert [(r.res_type, r.seq_index, a.element) for c in s.ligands
+                for r in c.residues for a in r.atoms] == [
+            ("ZN", 1, "ZN"), ("LIG", 3, "C"), ("ZN", 4, "ZN")]
         _assert_matches_oracle("\n".join(lines))
         with pytest.raises(EmptyStructure):
             parse_pdb(lines[1])
@@ -502,11 +506,11 @@ def _structures(draw):
     serials = iter(draw(st.lists(st.integers(-9999, 99999), min_size=m,
                                  max_size=m, unique=True)))
 
-    def atom(**kw):
+    def atom():
         return Atom(draw(st.text("CNOSH1'", min_size=1, max_size=4)),
                     draw(st.text("CNOSZ", max_size=2)),
                     [draw(_COORDS) for _ in range(3)], draw(_FIT),
-                    draw(_FIT), serial=next(serials), **kw)
+                    draw(_FIT), serial=next(serials))
 
     chains = tuple(Chain(cid, tuple(
         Residue(draw(st.sampled_from(["ALA", "TRP", "MASK", "UNK", "ZN", "A"])),
@@ -514,12 +518,13 @@ def _structures(draw):
                 draw(st.sampled_from([None, "A", "Z"])),
                 tuple(atom() for _ in range(n_atoms)))
         for n_atoms in residues)) for cid, residues in zip("AB1", shape))
-    hetero = tuple(atom(is_hetero=True, het_code=draw(
-        st.sampled_from([None, "ZN", "K", "ADP", "HOH"])))
-        for _ in range(n_het))
+    ligands = tuple(Chain(draw(st.sampled_from("ZB ")), (Residue(
+        draw(st.sampled_from(["", "ZN", "K", "ADP", "HOH"])),
+        draw(st.integers(-999, 9999)), draw(st.sampled_from([None, "A"])),
+        (atom(),)),)) for _ in range(n_het))
     return Structure(draw(st.sampled_from(["", "1ABC", "LONGER"])), chains,
                      draw(st.sampled_from([None, 1.8])), None,
-                     draw(st.sampled_from([None, Method.NMR])), hetero)
+                     draw(st.sampled_from([None, Method.NMR])), ligands)
 
 
 def _written(write, s):
@@ -610,7 +615,7 @@ class TestNumberColumns:
             fmt * len(values) % tuple(values.tolist()))
 
 
-# non-ASCII atom names, chain id and hetero code, each of which the parser
+# non-ASCII atom names, chain id and ligand code, each of which the parser
 # keeps, so the writer must render them as code points
 _NON_ASCII_PDB = "\n".join([
     atom_line(1, "N", "ALA", "\u03a9", 1, 0.0, 0.0, 0.0),
@@ -634,8 +639,9 @@ class TestWriteText:
         atoms = again.chains[0].residues[0].atoms
         assert [a.name for a in atoms] == ["N", "C\u03b1", "C\u00e91\u2032"]
         assert math.copysign(1.0, atoms[2].position[2]) == -1.0  # -0.000
-        assert [(a.name, a.het_code) for a in again.hetero_atoms] == [
-            ("ZN", "\u00d1I")]
+        assert [(c.id, r.res_type, r.seq_index, a.name) for c in again.ligands
+                for r in c.residues for a in r.atoms] == [
+            ("B", "\u00d1I", 501, "ZN")]
         assert write_pdb(again) == text
 
     @pytest.mark.parametrize("name, res_type", [  # bytes, code points
@@ -658,6 +664,12 @@ def _one_atom(chain_id="A", seq_index=1, icode=None, res_type="ALA", **atom):
         res_type, seq_index, icode, (Atom(**fields),)),)),))
 
 
+def _ligand(atom, code):
+    """A structure of one ligand residue of one atom, in chain Z."""
+    return Structure("X", (), ligands=(
+        Chain("Z", (Residue(code, 1, None, (atom,)),)),))
+
+
 class TestFieldOverflow:
     @pytest.mark.parametrize("s, message", [
         (_one_atom(serial=123456), "serial 123456 "),
@@ -671,15 +683,17 @@ class TestFieldOverflow:
         (_one_atom(occupancy=math.nan), "occupancy nan "),
         (_one_atom(b_factor=-100.0), "b-factor -100.0 "),
         (_one_atom(b_factor=999.995), "b-factor 999.995 "),
-        (Structure("X", (), hetero_atoms=(Atom(
-            "C1", "C", [0.0, 0.0, 0.0], is_hetero=True, het_code="ABCD"),)),
-         "hetero code 'ABCD' "),
-        (Structure("X", (), hetero_atoms=(Atom(
-            "ZN", "ZN", [0.0, 0.0, 0.0], is_hetero=True, serial=100000),)),
+        (_ligand(Atom("C1", "C", [0.0, 0.0, 0.0]), "ABCD"),
+         "residue name 'ABCD' "),
+        (_ligand(Atom("ZN", "ZN", [0.0, 0.0, 0.0], serial=100000), "ZN"),
          "serial 100000 "),
         (_one_atom(name="CA123"), "atom name 'CA123' "),
         (_one_atom(element="CAX"), "element 'CAX' "),
-        (_one_atom(res_type="ABCD"), "residue name 'ABCD' ")])
+        (_one_atom(res_type="ABCD"), "residue name 'ABCD' "),
+        (_one_atom(name=None), "atom name None "),
+        (_one_atom(element=None), "element None "),
+        (_one_atom(res_type=None), "residue name None "),
+        (_one_atom(chain_id=None), "chain id None ")])
     def test_field_that_does_not_fit_raises(self, s, message):
         with pytest.raises(FieldOverflow, match=message):
             write_pdb(s)
@@ -690,6 +704,74 @@ class TestFieldOverflow:
         atom = parse_pdb(write_pdb(s)).chains[0].residues[0].atoms[0]
         assert (atom.serial, atom.b_factor) == (99999, 999.99)
         assert write_pdb(s) == write_pdb_oracle(s)
+
+
+# ligands in three chains: a ZN at B 501, a three-atom GOL at A 300A and a
+# ZN at C 601 whose altloc-B record is dropped, beside a water
+_LIGAND_PDB = [
+    atom_line(1, "N", "ALA", "A", 1, 0.0, 0.0, 0.0),
+    atom_line(2, "CA", "ALA", "A", 1, 1.458, 0.0, 0.0),
+    atom_line(3, "N", "GLY", "A", 2, 3.8, 0.0, 0.0),
+    atom_line(4, "CA", "GLY", "A", 2, 5.258, 0.0, 0.0),
+    atom_line(5, "N", "SER", "A", 3, 7.6, 0.0, 0.0),
+    atom_line(6, "CA", "SER", "A", 3, 9.058, 0.0, 0.0),
+    atom_line(7, "N", "ALA", "B", 1, 0.0, 10.0, 0.0),
+    atom_line(8, "CA", "ALA", "B", 1, 1.458, 10.0, 0.0),
+    atom_line(9, "N", "GLY", "B", 2, 3.8, 10.0, 0.0),
+    atom_line(10, "CA", "GLY", "B", 2, 5.258, 10.0, 0.0),
+    atom_line(11, "ZN", "ZN", "B", 501, 5.0, 2.0, 0.0, element="ZN",
+              record="HETATM"),
+    atom_line(12, "C1", "GOL", "A", 300, 0.5, -3.0, 0.0, icode="A",
+              record="HETATM"),
+    atom_line(13, "O1", "GOL", "A", 300, 1.5, -3.5, 0.0, icode="A",
+              record="HETATM"),
+    atom_line(14, "C2", "GOL", "A", 300, 2.5, -3.0, 0.0, icode="A",
+              record="HETATM"),
+    atom_line(15, "O", "HOH", "W", 1, 9.0, 2.0, 0.0, record="HETATM"),
+    atom_line(16, "ZN", "ZN", "C", 601, 0.0, 12.0, 0.0, altloc="A",
+              element="ZN", record="HETATM"),
+    atom_line(17, "ZN", "ZN", "C", 601, 5.258, 12.5, 0.0, altloc="B",
+              element="ZN", record="HETATM")]
+
+
+def _ligand_records(lines):
+    """(chain, number, insertion code, code, serial, position) of each
+    kept non-water HETATM line, read from the columns directly."""
+    return sorted((line[21], int(line[22:26]), line[26], line[17:20].strip(),
+                   int(line[6:11]), tuple(float(line[c:c + 8])
+                                          for c in (30, 38, 46)))
+                  for line in lines if line.startswith("HETATM")
+                  and line[17:20] != "HOH" and line[16] in " A")
+
+
+def _ligand_atoms(s):
+    return sorted((c.id, r.seq_index, r.insertion_code or " ", r.res_type,
+                   a.serial, tuple(a.position.tolist()))
+                  for c in s.ligands for r in c.residues for a in r.atoms)
+
+
+class TestLigandChains:
+    def test_parse_write_parse_keeps_every_ligand_field(self):
+        text = "\n".join(_LIGAND_PDB)
+        s = parse_pdb(text)
+        assert [c.id for c in s.ligands] == ["B", "A", "C"]
+        assert s.hetero_codes == {"ZN", "GOL"}
+        written = write_pdb(s)
+        assert written == write_pdb_oracle(s)
+        again = parse_pdb(written)
+        assert _ligand_atoms(s) == _ligand_atoms(again) == _ligand_records(
+            _LIGAND_PDB)
+        assert again == s
+        _assert_matches_oracle(text)
+
+    def test_metal_labels_match_the_oracle(self):
+        s = parse_pdb("\n".join(_LIGAND_PDB))
+        zn = [xyz for *_, code, _, xyz in _ligand_records(_LIGAND_PDB)
+              if code == "ZN"]
+        expected = proximity_oracle([[a.position for a in r.atoms]
+                                     for _, r in s.iter_residues()], zn, 3.5)
+        assert expected == [0, 1, 1, 1, 0]  # B 2 only near the altloc-B ZN
+        assert binding_site_labels(s, {"zn"}).labels.tolist() == expected
 
 
 class TestGranularity:
@@ -748,11 +830,9 @@ class TestFilter:
 
     def test_required_ligand(self):
         import dataclasses
-        from foldkit.structure import Atom
-        zn = Atom("ZN", "ZN", np.zeros(3), is_hetero=True, serial=99,
-                  het_code="ZN")
-        with_zn = dataclasses.replace(_structure_of_length(5, 7),
-                                      hetero_atoms=(zn,))
+        zn = Atom("ZN", "ZN", np.zeros(3), serial=99)
+        with_zn = dataclasses.replace(_structure_of_length(5, 7), ligands=(
+            Chain("Z", (Residue("ZN", 1, None, (zn,)),)),))
         apo = _structure_of_length(5, 8)
         out = list(filter_structures([with_zn, apo],
                                      FilterSpec(required_ligands=frozenset({"ZN"}))))
@@ -784,11 +864,9 @@ class TestFilter:
 
     def test_excluded_ligand(self):
         import dataclasses
-        from foldkit.structure import Atom
-        zn = Atom("ZN", "ZN", np.zeros(3), is_hetero=True, serial=99,
-                  het_code="ZN")
-        with_zn = dataclasses.replace(_structure_of_length(5, 13),
-                                      hetero_atoms=(zn,))
+        zn = Atom("ZN", "ZN", np.zeros(3), serial=99)
+        with_zn = dataclasses.replace(_structure_of_length(5, 13), ligands=(
+            Chain("Z", (Residue("ZN", 1, None, (zn,)),)),))
         apo = _structure_of_length(5, 14)
         out = list(filter_structures(
             [with_zn, apo], FilterSpec(excluded_ligands=frozenset({"ZN"}))))

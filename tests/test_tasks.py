@@ -176,7 +176,7 @@ class TestTorsionNoise:
 
 class TestTorsionNoiseKeepsAtoms:
     """corrupt_structure(TORSION_GAUSS) on a full-atom two-chain structure
-    moves positions only: every atom, residue and hetero atom keeps its
+    moves positions only: every atom, residue and ligand keeps its
     metadata, side chains move rigidly with their residue's backbone."""
 
     @pytest.fixture(scope="class", params=[0.0, 0.3])
@@ -193,11 +193,11 @@ class TestTorsionNoiseKeepsAtoms:
                                       out.corrupted.iter_residues()):
             assert (new.res_type, new.seq_index, new.insertion_code) == \
                 (res.res_type, res.seq_index, res.insertion_code)
-            assert [(a.name, a.serial, a.element, a.occupancy, a.b_factor,
-                     a.is_hetero, a.het_code) for a in new.atoms] == \
-                [(a.name, a.serial, a.element, a.occupancy, a.b_factor,
-                  a.is_hetero, a.het_code) for a in res.atoms]
-        assert out.corrupted.hetero_atoms == s.hetero_atoms
+            assert [(a.name, a.serial, a.element, a.occupancy, a.b_factor)
+                    for a in new.atoms] == \
+                [(a.name, a.serial, a.element, a.occupancy, a.b_factor)
+                 for a in res.atoms]
+        assert out.corrupted.ligands == s.ligands
         assert out.corrupted.num_residues == s.num_residues == 16
 
     def test_positions_match_the_per_residue_oracle(self):
@@ -380,10 +380,12 @@ class TestPlddt:
             plddt_targets(s)
 
 
-def _zn_structure(chain, zn_position):
-    zn = Atom("ZN", "ZN", np.asarray(zn_position, dtype=float),
-              is_hetero=True, serial=9999, het_code="ZN")
-    return single_chain_structure(chain, hetero_atoms=(zn,))
+def _zn_structure(chain, *zn_positions):
+    """chain with one ZN ligand residue per position, in chain Z."""
+    return single_chain_structure(chain, ligands=(Chain("Z", tuple(
+        Residue("ZN", 1 + i, None, (Atom("ZN", "ZN", np.asarray(p, dtype=float),
+                                         serial=9000 + i),))
+        for i, p in enumerate(zn_positions))),))
 
 
 class TestBindingSiteLabels:
@@ -418,9 +420,7 @@ class TestBindingSiteLabels:
         chain = random_chain(40, rng)
         ca = np.asarray([r.atom("CA").position for r in chain.residues])
         sites = ca[::9] + rng.normal(size=(5, 3)) * 2.0
-        s = single_chain_structure(chain, hetero_atoms=tuple(
-            Atom("ZN", "ZN", p, is_hetero=True, serial=9000 + i, het_code="ZN")
-            for i, p in enumerate(sites)))
+        s = _zn_structure(chain, *sites)
         for cutoff in (2.5, 3.5, 6.0):
             labels = binding_site_labels(s, {"ZN"}, cutoff=cutoff)
             expected = proximity_oracle(
