@@ -1,17 +1,16 @@
 """PDB v3.3 text parsing and writing.
 
 Fixed-width column layout only; no whitespace-split fallback. The parser
-reads one matrix of code points, each line padded or cut to 80 columns,
-and every field of the ATOM/HETATM records as a column of it; the writer
-builds a table's records as one such matrix. Multi-model files contribute
-MODEL 1 only. Alternate locations keep altloc ' ' or 'A'. Waters (HOH)
-are dropped; the other HETATM records become ligand chains, grouped into
-chains and residues as the ATOM records are and written back the same way.
+reads one matrix of codes (bytes for ASCII text, else code points), a row
+per line padded or cut to 80 columns, and each ATOM/HETATM field as columns
+of it; the writer builds a table's records as one such matrix. Multi-model
+files contribute MODEL 1 only. Alternate locations keep altloc ' ' or 'A'.
+Waters (HOH) are dropped; the other HETATM records become ligand chains,
+grouped as the ATOM records are and written back the same way.
 """
 
 from __future__ import annotations
 
-import contextlib
 import datetime
 import itertools
 import math
@@ -69,21 +68,22 @@ def _parse_method(text: str) -> Method:
 
 def _columns(block: np.ndarray, lines: list[str], rows: np.ndarray):
     """The serial, atom name and element, residue number and coordinate
-    columns of records lines[rows], whose space-padded code points are
-    block. Raises ValueError naming the first bad field, in the order the
-    columns are read; it raises for a set of records exactly if one is bad."""
+    columns of records lines[rows], whose space-padded codes are block.
+    Raises ValueError naming the first bad field, in the order the columns
+    are read; it raises for a set of records exactly if one is bad."""
     if any(len(lines[i]) < 54 for i in rows[block[:, 53] == 32].tolist()):
         raise ValueError("record shorter than coordinate fields")
     serials = _read("serial", int, block[:, 6:11], 5)
-    pairs = np.ascontiguousarray(block[:, np.r_[12:16, 76:78]]).view("<U6")
-    fields, field = np.unique(pairs.ravel(), return_inverse=True)
-    fields = _texts(fields, 6)  # the distinct name-and-element fields
+    pairs = np.ascontiguousarray(block[:, np.r_[12:16, 76:78]])
+    fields, field = np.unique(pairs.view(f"S{pairs.itemsize * 6}").ravel(),
+                              return_inverse=True)
+    fields = _texts(fields.view(block.dtype), 6)  # distinct name-and-element
     names, name = np.unique(object_array(f[:4].strip() for f in fields),
                             return_inverse=True)  # names that strip alike
     if "" in names:
         raise ValueError("blank atom name")
     seq_index = _read("residue number", int, block[:, 22:26], 4)
-    xyz = _read("coordinates", float, block[:, 30:54], 8).reshape(-1, 3)
+    xyz = _read("coordinates", float, block[:, 30:54], 8, 3).reshape(-1, 3)
     if not np.isfinite(xyz).all():
         raise ValueError("non-finite coordinates")
     elements = object_array(f[4:].strip() or next(
@@ -91,40 +91,67 @@ def _columns(block: np.ndarray, lines: list[str], rows: np.ndarray):
     return serials, names, name[field], elements[field], seq_index, xyz
 
 
+_CODECS = {np.dtype(np.uint8): "ascii", np.dtype("<u4"): "utf-32-le"}
+
+
+def _codes(text: str, ascii: bool) -> np.ndarray:
+    """A code per character: bytes for ASCII text, else code points."""
+    dtype = np.dtype(np.uint8 if ascii else "<u4")
+    return np.frombuffer(text.encode(_CODECS[dtype], "surrogatepass"), dtype)
+
+
 def _texts(codes: np.ndarray, width: int) -> list[str]:
-    """The width-column fields of code points, exactly, in row order."""
-    text = codes.tobytes().decode("utf-32-le", "surrogatepass")
+    """The width-column fields of codes, exactly, in row order."""
+    text = codes.tobytes().decode(_CODECS[codes.dtype], "surrogatepass")
     return [text[i:i + width] for i in range(0, len(text), width)]
 
 
-def _read(field: str, convert, block: np.ndarray, width: int) -> np.ndarray:
-    """The width-column numbers of a code-point block: cast from bytes if all
-    are [0-9 .+-], where NumPy reads as int() and float() do and meets no NUL
-    (which S drops); else read by convert, naming field in a ValueError."""
-    with contextlib.suppress(ValueError):  # non-ASCII text, or a failed cast
-        data = block.tobytes().decode("utf-32-le").encode("ascii")
-        if not data.translate(None, b"0123456789 .+-"):
-            return np.frombuffer(data, f"S{width}").astype(convert)
+def _read(field: str, convert, block: np.ndarray, width: int,
+          decimals: int = 0) -> np.ndarray:
+    """The width-column numbers of block's codes as convert reads them, int64
+    (float64 if decimals). From 200 rows on, a field in printf's shape,
+    ' *-?[0-9]+' then '.' and decimals digits if any, is its digits' integer
+    over 10**decimals, so float()'s bits; any other is read by convert,
+    naming field in a ValueError."""
+    codes = block.reshape(-1, width)
+    values = np.zeros(len(codes), np.float64 if decimals else np.int64)
+    others = np.arange(len(codes))
+    if len(codes) >= 200:  # on fewer rows convert beats ~40 NumPy calls
+        units = width - 1 - (decimals and decimals + 1)  # units digit column
+        digits = codes - 48  # wraps below '0', so only digits are < 10
+        is_digit = digits < 10
+        digits *= is_digit
+        printf, minus = is_digit[:, units].copy(), np.zeros(len(codes), bool)
+        value = np.zeros(len(codes), np.int64)
+        for j in range(width):  # column by column: a row-wise all() is slow
+            if j < units:  # a blank, or a sign or digit that a digit follows
+                sign = codes[:, j] == ord("-")
+                minus |= sign
+                printf &= ((sign | is_digit[:, j]) & is_digit[:, j + 1]
+                           | (codes[:, j] == ord(" ")))
+            elif j == units + 1:
+                printf &= codes[:, j] == ord(".")
+                continue
+            elif j > units:
+                printf &= is_digit[:, j]
+            value = value * 10 + digits[:, j]
+        values = value / 10.0 ** decimals if decimals else value
+        np.negative(values, out=values, where=minus)  # -0.000 reads as -0.0
+        others = np.flatnonzero(~printf)
     try:
-        return np.array(list(map(convert, _texts(block, width))))
+        values[others] = list(map(convert, _texts(codes[others], width)))
     except ValueError as exc:
         raise ValueError(f"bad {field}: {exc}") from exc
-
-
-def _floats(block: np.ndarray, default: float) -> np.ndarray:
-    """6-wide floats; a blank, garbled or non-finite field reads as default."""
-    try:
-        values = _read("", float, block, 6)
-    except ValueError:
-        values = np.array([_float_or(t, default) for t in _texts(block, 6)])
-    return np.where(np.isfinite(values), values, default)
+    return values
 
 
 def _float_or(text: str, default: float) -> float:
+    """float(text), or default if that raises or is not finite."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return default
+    return value if math.isfinite(value) else default
 
 
 def parse_pdb(text: str, structure_id: str = "") -> Structure:
@@ -137,10 +164,11 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
     dep_date = None
     method = None
     lines = text.splitlines()
-    chars = np.frombuffer(("%-80.80s" * len(lines) % tuple(lines)).encode(
-        "utf-32-le", "surrogatepass"), dtype="<u4").reshape(-1, 80)
-    tags = np.ascontiguousarray(chars[:, :6]).view("<U6").ravel()
-    record = (tags == "ATOM  ") | (tags == "HETATM")  # ATOM/HETATM of MODEL 1
+    chars = _codes("%-80.80s" * len(lines) % tuple(lines),
+                   text.isascii()).reshape(-1, 80)
+    tags = chars[:, :6].copy().view(f"S{chars.itemsize * 6}").ravel()
+    codec = _CODECS[chars.dtype]  # record: ATOM/HETATM of MODEL 1
+    record = (tags == "ATOM  ".encode(codec)) | (tags == "HETATM".encode(codec))
     models_seen = 0
     for i in np.flatnonzero(~record).tolist():
         line = lines[i]
@@ -187,9 +215,9 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
                 if mid - lo == 1:
                     raise MalformedRecord(int(rows[lo]) + 1, str(exc)) from exc
                 hi = mid
-    occupancy = _floats(block[:, 54:60], 1.0)
+    occupancy = _read("", lambda t: _float_or(t, 1.0), block[:, 54:60], 6, 2)
     occupancy = np.where(occupancy < 0.0, 0.0, np.minimum(occupancy, 1.0))
-    b_factor = _floats(block[:, 60:66], 0.0)
+    b_factor = _read("", lambda t: _float_or(t, 0.0), block[:, 60:66], 6, 2)
 
     keep = (block[:, 16] == ord(" ")) | (block[:, 16] == ord("A"))  # altloc
     hetero = block[:, 0] == ord("H")  # only HETATM starts with H
@@ -332,13 +360,10 @@ def _render(tag: str, chain_id: str, t: AtomTable) -> str:
                     for name in t.codes)
     kinds = {kind: code for code, kind in enumerate(dict.fromkeys(element))}
     elements = "".join("%2s\n" % kind for kind in kinds)  # columns 77-78
-    # a code per character: bytes for ASCII text, else code points
-    dtype, codec = ((np.uint8, "ascii") if (tag + names + residues + elements)
-                    .isascii() else ("<u4", "utf-32-le"))
-    tags, names, residues, elements = (np.frombuffer(text.encode(
-        codec, "surrogatepass"), dtype).reshape(-1, width) for text, width in
-        ((tag, 6), (names, 4), (residues, 14), (elements, 3)))
-    out = np.full((len(element), 79), ord(" "), dtype)  # a row per record
+    ascii = (tag + names + residues + elements).isascii()
+    tags, names, residues, elements = (_codes(text, ascii).reshape(-1, width)
+        for text, width in ((tag, 6), (names, 4), (residues, 14), (elements, 3)))
+    out = np.full((len(element), 79), ord(" "), tags.dtype)  # row per record
     out[:, :6] = tags
     out[:, 6:11] = _number(t.serial, 5)
     out[:, 12:16] = names.take(t.names, axis=0)
@@ -348,7 +373,7 @@ def _render(tag: str, chain_id: str, t: AtomTable) -> str:
     out[:, 60:66] = _number(t.b_factor, 6, 2)
     out[:, 76:] = elements.take(np.fromiter(
         map(kinds.__getitem__, element), np.intp, len(element)), axis=0)
-    return out.tobytes().decode(codec, "surrogatepass")
+    return out.tobytes().decode(_CODECS[out.dtype], "surrogatepass")
 
 
 def write_pdb(s: Structure) -> str:

@@ -1,6 +1,8 @@
 import datetime
 import math
+import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from foldkit.errors import (CoordinateOverflow, EmptyStructure,
                             FieldOverflow, FoldkitError, InvalidFilterSpec,
                             MalformedRecord, NoCompleteResidues)
-from foldkit.pdb import _number, parse_pdb, write_pdb
+from foldkit.pdb import _codes, _number, _read, parse_pdb, write_pdb
 from foldkit.structure import (Atom, Chain, FilterSpec, Granularity, Method,
                                Residue, Structure, filter_structures,
                                load_filter_spec, select_granularity)
@@ -151,6 +153,20 @@ class TestParse:
         keys = [(r.seq_index, r.insertion_code or "") for r in s.chains[0].residues]
         assert keys == sorted(keys)
 
+    def test_peak_memory_is_under_8x_the_text(self):
+        """One parse of 20 000 ASCII records peaks under 8x the text under
+        tracemalloc: ASCII lines are held as a byte per character."""
+        names = ("N", "CA", "C", "O")
+        text = "\n".join(atom_line(i + 1, names[i % 4], "ALA", "A", i // 4 + 1,
+                                   i % 97 * 0.5, 1.0, 2.0) for i in range(20000))
+        tracemalloc.start()
+        try:
+            parse_pdb(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(text)
+
     @settings(max_examples=200, deadline=None)
     @given(st.text(min_size=0, max_size=400))
     def test_fuzz_never_crashes(self, text):
@@ -231,6 +247,39 @@ def _pdb_texts(draw):
     return "\n".join(lines)
 
 
+def _malformed_at_scale():
+    """(text, line number): 500 records, one with a malformed field at the
+    first, a middle, the last or an altloc-B record."""
+    names = ("N", "CA", "C", "O")
+    lines = [_NON_ATOM[-1]] + [
+        atom_line(i + 1, names[i % 4], "ALA", "A", i // 4 + 1, i / 2, 1.0,
+                  -2.0, altloc="B" if i == 334 else " ")
+        for i in range(500)]
+    for start, field in _MALFORMED:
+        for i in (1, 252, 500, 335):
+            bad = list(lines)
+            bad[i] = bad[i][:start] + field + bad[i][start + len(field):]
+            yield "\n".join(bad), i + 1
+
+
+def _odd_numeric_fields():
+    """One record, alone and after a good one, per numeric field and text
+    that int() or float() reads or refuses but printf does not write."""
+    good = atom_line(1, "CA", "ALA", "A", 1, 1.0, 2.0, 3.0, occ=0.5, b=7.0)
+    ints = ["1_0", "\u0661\u0662", "\u0131\u0132", "1e1", "+12", "\t12",
+            "1\x002", "12\x00", "", "\x00", "-3"]
+    floats = ["1_0.5", "\u0661\u0662.\u0665", "\u0131.\u0132", "1.5e1",
+              "+1.5", "\t1.5", "1.\x005", "1.5\x00", "", "-0.0", "1e999"]
+    for start, stop, texts in ((6, 11, ints), (22, 26, ints),
+                               (30, 38, floats), (38, 46, floats),
+                               (46, 54, floats), (54, 60, floats),
+                               (60, 66, floats)):
+        for field in texts:
+            line = good[:start] + field.rjust(stop - start) + good[stop:]
+            yield line
+            yield good + "\n" + line
+
+
 class TestParseOracle:
     """parse_pdb against the per-line parser it replaced."""
 
@@ -251,19 +300,10 @@ class TestParseOracle:
         """500 records with one malformed field at the first, a middle, the
         last and an altloc-B record: the same record and message as the
         per-line oracle."""
-        names = ("N", "CA", "C", "O")
-        lines = [_NON_ATOM[-1]] + [
-            atom_line(i + 1, names[i % 4], "ALA", "A", i // 4 + 1, i / 2, 1.0,
-                      -2.0, altloc="B" if i == 334 else " ")
-            for i in range(500)]
-        for start, field in _MALFORMED:
-            for i in (1, 252, 500, 335):
-                bad = list(lines)
-                bad[i] = bad[i][:start] + field + bad[i][start + len(field):]
-                text = "\n".join(bad)
-                assert (_parse_outcome(parse_pdb, text)[:2]
-                        == (MalformedRecord, i + 1))
-                _assert_matches_oracle(text)
+        for text, line_no in _malformed_at_scale():
+            assert (_parse_outcome(parse_pdb, text)[:2]
+                    == (MalformedRecord, line_no))
+            _assert_matches_oracle(text)
 
     def test_first_malformed_line_in_file_order_wins(self):
         good = atom_line(1, "CA", "ALA", "A", 1, 1.0, 2.0, 3.0)
@@ -311,22 +351,20 @@ class TestParseOracle:
             _assert_matches_oracle(line)
 
     def test_numeric_fields_read_as_int_and_float_do(self):
-        """Every numeric field holding text the byte cast must not take:
+        """Every numeric field holding text outside printf's shape:
         underscores, Unicode digits, exponents, signs, tabs, NUL bytes and
         blanks, alone and after a good record."""
-        good = atom_line(1, "CA", "ALA", "A", 1, 1.0, 2.0, 3.0, occ=0.5, b=7.0)
-        ints = ["1_0", "\u0661\u0662", "\u0131\u0132", "1e1", "+12", "\t12",
-                "1\x002", "12\x00", "", "\x00", "-3"]
-        floats = ["1_0.5", "\u0661\u0662.\u0665", "\u0131.\u0132", "1.5e1",
-                  "+1.5", "\t1.5", "1.\x005", "1.5\x00", "", "-0.0", "1e999"]
-        for start, stop, texts in ((6, 11, ints), (22, 26, ints),
-                                   (30, 38, floats), (38, 46, floats),
-                                   (46, 54, floats), (54, 60, floats),
-                                   (60, 66, floats)):
-            for field in texts:
-                line = good[:start] + field.rjust(stop - start) + good[stop:]
-                for text in (line, good + "\n" + line):
-                    _assert_matches_oracle(text)
+        for text in _odd_numeric_fields():
+            _assert_matches_oracle(text)
+
+    def test_code_point_matrix_reads_as_byte_matrix_does(self):
+        """The two cases above again with a non-ASCII line appended, so the
+        records are read from code points rather than bytes."""
+        tail = "\nREMARK  99 \u00e9"
+        texts = [*_odd_numeric_fields(), *(t for t, _ in _malformed_at_scale())]
+        assert any(text.isascii() for text in texts)
+        for text in texts:
+            _assert_matches_oracle(text + tail)
 
     def test_text_columns_are_read_exactly(self):
         """Non-ASCII and NUL text in the name, residue, chain and element
@@ -613,6 +651,86 @@ class TestNumberColumns:
         values = np.arange(lo + 1, hi)
         assert _number(values, width, decimals).tobytes().decode() == (
             fmt * len(values) % tuple(values.tolist()))
+
+
+def _read_texts(convert, texts, width, decimals=0, ascii=None):
+    """_read over the fields texts, as bytes if ASCII, else code points,
+    unless ascii says which."""
+    text = "".join(texts)
+    codes = _codes(text, text.isascii() if ascii is None else ascii)
+    return _read("field", convert, codes.reshape(-1, width), width, decimals)
+
+
+def _bits(values):
+    return np.asarray(values, np.float64).view(np.int64).tolist()
+
+
+class TestNumberReader:
+    """The reader's digit columns against int() and float(), bit for bit."""
+
+    @pytest.mark.parametrize("width, lo, hi", [(5, -9999, 99999),
+                                               (4, -999, 9999)])
+    def test_every_integer_that_fits(self, width, lo, hi):
+        texts = ["%*d" % (width, v) for v in range(lo, hi + 1)]
+        for ascii in (True, False):
+            got = _read_texts(int, texts, width, ascii=ascii)
+            assert got.dtype == np.int64
+            assert got.tolist() == list(range(lo, hi + 1))
+
+    @pytest.mark.parametrize("fmt, width, decimals, lo, hi",
+                             _NUMBER_FIELDS[2:])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_float(self, fmt, width, decimals, lo, hi, data):
+        texts = [fmt % v for v in data.draw(st.lists(
+            _fixed_point(decimals, lo, hi), min_size=1, max_size=40))]
+        texts *= 200 // len(texts) + 1  # rows enough for the digit columns
+        got = _read_texts(float, texts, width, decimals)
+        assert _bits(got) == _bits(list(map(float, texts)))
+
+    @pytest.mark.parametrize("fmt, width, decimals, lo, hi",
+                             _NUMBER_FIELDS[2:])
+    def test_random_and_signed_zero_fields(self, fmt, width, decimals, lo, hi):
+        """Random fields, decimal ties rounded by printf, and -0.000/-0.00,
+        which must read as -0.0."""
+        rng = make_rng(18)
+        scale = 10 ** decimals
+        ties = (rng.integers(int(lo * scale), int(hi * scale), 2000) + 0.5) / scale
+        values = [*rng.uniform(lo, hi, 20000), *ties, -0.0, 0.0, -1e-9]
+        texts = [fmt % v for v in values if lo < v < hi]
+        assert fmt % -0.0 in texts
+        for ascii in (True, False):
+            got = _read_texts(float, texts, width, decimals, ascii)
+            assert _bits(got) == _bits(list(map(float, texts)))
+
+    @pytest.mark.parametrize("convert, width, decimals, odd", [
+        (float, 8, 3, ["+1.5", "1.5e1", "1_0.5", "\t1.5", "\u0661.\u0665",
+                       "1 2.5", "- 1.5", "--1.5", "1-2.5", "1,500"]),
+        (float, 6, 2, ["+1.5", "1.5e1", "1_0.5", "\t1.5", "\u0661.\u0665",
+                       "1 2.5", "- 1.5", "--1.5", "1-2.5", "1,50"]),
+        (int, 5, 0, ["+15", "1e1", "1_0", "\t12", "\u0661\u0662", "1 2",
+                     "- 12", "--12", "1-2"])])
+    def test_odd_rows_stay_in_place(self, convert, width, decimals, odd):
+        """A 500-field block of printf's fields with a field of another
+        shape at the first, a middle and the last row: each row keeps its
+        own value, or the block raises as convert does on that field."""
+        fmt = f"%{width}.{decimals}f" if decimals else f"%{width}d"
+        rng = make_rng(19)
+        block = [fmt % (v if decimals else int(v)) for v in rng.uniform(
+            -9.0, 99.0, 500)]
+        for field in odd:
+            texts = list(block)
+            for row in (0, 250, 499):
+                texts[row] = field.rjust(width)
+            try:
+                want = list(map(convert, texts))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(f"bad field: {exc}")):
+                    _read_texts(convert, texts, width, decimals)
+                continue
+            got = _read_texts(convert, texts, width, decimals)
+            assert got.dtype == (np.float64 if decimals else np.int64)
+            assert _bits(got) == _bits(want)
 
 
 # non-ASCII atom names, chain id and ligand code, each of which the parser
