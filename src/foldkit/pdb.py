@@ -109,35 +109,32 @@ def _texts(codes: np.ndarray, width: int) -> list[str]:
 def _read(field: str, convert, block: np.ndarray, width: int,
           decimals: int = 0) -> np.ndarray:
     """The width-column numbers of block's codes as convert reads them, int64
-    (float64 if decimals). From 200 rows on, a field in printf's shape,
-    ' *-?[0-9]+' then '.' and decimals digits if any, is its digits' integer
-    over 10**decimals, so float()'s bits; any other is read by convert,
-    naming field in a ValueError."""
+    (float64 if decimals). A field in printf's shape, ' *-?[0-9]+' then '.'
+    and decimals digits if any, is its digits' integer over 10**decimals,
+    so float()'s bits; any other is read by convert, naming field in a
+    ValueError."""
     codes = block.reshape(-1, width)
-    values = np.zeros(len(codes), np.float64 if decimals else np.int64)
-    others = np.arange(len(codes))
-    if len(codes) >= 200:  # on fewer rows convert beats ~40 NumPy calls
-        units = width - 1 - (decimals and decimals + 1)  # units digit column
-        digits = codes - 48  # wraps below '0', so only digits are < 10
-        is_digit = digits < 10
-        digits *= is_digit
-        printf, minus = is_digit[:, units].copy(), np.zeros(len(codes), bool)
-        value = np.zeros(len(codes), np.int64)
-        for j in range(width):  # column by column: a row-wise all() is slow
-            if j < units:  # a blank, or a sign or digit that a digit follows
-                sign = codes[:, j] == ord("-")
-                minus |= sign
-                printf &= ((sign | is_digit[:, j]) & is_digit[:, j + 1]
-                           | (codes[:, j] == ord(" ")))
-            elif j == units + 1:
-                printf &= codes[:, j] == ord(".")
-                continue
-            elif j > units:
-                printf &= is_digit[:, j]
-            value = value * 10 + digits[:, j]
-        values = value / 10.0 ** decimals if decimals else value
-        np.negative(values, out=values, where=minus)  # -0.000 reads as -0.0
-        others = np.flatnonzero(~printf)
+    units = width - 1 - (decimals and decimals + 1)  # units digit column
+    digits = codes - 48  # wraps below '0', so only digits are < 10
+    is_digit = digits < 10
+    digits *= is_digit
+    printf, minus = is_digit[:, units].copy(), np.zeros(len(codes), bool)
+    value = np.zeros(len(codes), np.int64)
+    for j in range(width):  # column by column: a row-wise all() is slow
+        if j < units:  # a blank, or a sign or digit that a digit follows
+            sign = codes[:, j] == ord("-")
+            minus |= sign
+            printf &= ((sign | is_digit[:, j]) & is_digit[:, j + 1]
+                       | (codes[:, j] == ord(" ")))
+        elif j == units + 1:
+            printf &= codes[:, j] == ord(".")
+            continue
+        elif j > units:
+            printf &= is_digit[:, j]
+        value = value * 10 + digits[:, j]
+    values = value / 10.0 ** decimals if decimals else value
+    np.negative(values, out=values, where=minus)  # -0.000 reads as -0.0
+    others = np.flatnonzero(~printf)
     try:
         values[others] = list(map(convert, _texts(codes[others], width)))
     except ValueError as exc:
