@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateConfiguration, DegenerateGeometry,
-                     MalformedRecord, MissingAtom, TooFewNodes)
+                     DimensionMismatch, MalformedRecord, MissingAtom,
+                     TooFewNodes)
 from .residues import CHI_ATOMS, MAX_CHI, RESIDUE_INDEX, VOCAB_SIZE, residue_index
 from .structure import BACKBONE_ATOMS, AtomTable, Chain, Residue, atom_table
 
@@ -235,7 +236,11 @@ class GraphTopology:
     edges: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(self.edges, dtype=np.int64)
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise DimensionMismatch(
+                f"edges must be an (E, 2) array, got shape {edges.shape}")
+        edges = edges.reshape(-1, 2)
         object.__setattr__(self, "edges", edges)
         if edges.size:
             if np.any(edges[:, 0] == edges[:, 1]):
@@ -248,15 +253,38 @@ class GraphTopology:
         return len(self.edges)
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a[0]), len(b[0])) squared distances between the points of two
+    (3, m) coordinate arrays, summed as (dx² + dz²) + dy²."""
+    d2, t = (np.subtract.outer(a[i], b[i]) for i in (0, 2))
+    d2 *= d2
+    d2 += np.square(t, out=t)
+    d2 += np.square(np.subtract.outer(a[1], b[1], out=t), out=t)
+    return d2
+
+
 def knn_graph(points, k: int) -> GraphTopology:
     """Directed k-nearest-neighbour edges (j -> i) for each node i.
 
     Neighbours are ranked by squared Euclidean distance, summed as
     (dx² + dz²) + dy² (the order NumPy 2.4's einsum sums a difference tensor
     in), with ties broken toward the lower index; k is clamped to n-1. Edges
-    are ordered by target node, then by (distance, index). Targets are
-    ranked in blocks of KNN_BLOCK (32, see docs/featurisation.md) rows,
-    which never changes the edges, so memory is O(KNN_BLOCK * n).
+    are ordered by target node, then by (distance, index).
+
+    Targets are ranked in blocks of KNN_BLOCK (32) rows against only the
+    points inside the block's bounding box, grown on every axis by
+    reach = sqrt(R²)·(1 + 1e-6) + 1e-9·(1 + max|p|), where R² is the largest
+    of the rows' k-th squared distances among the block's own rows. The
+    edges are those of ranking against all n points: a distance's bits do
+    not depend on the candidate set; each row's k-th distance over all
+    points is at most its k-th over the block, so at most R²; and a point at
+    squared distance D <= R² has fl(dx²) <= D on every axis (rounded sums
+    of non-negatives are monotone), so it lies inside the grown box, ties
+    at the k-th value included. The absolute slack covers the rounding of
+    the box bounds and differences whose squares underflow. A block of at
+    most k rows (the last one, or every one when k >= KNN_BLOCK) ranks all
+    n points. Memory is O(KNN_BLOCK * n). The gain needs spatially compact
+    blocks, such as CA in chain order; see docs/featurisation.md.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -268,28 +296,39 @@ def knn_graph(points, k: int) -> GraphTopology:
         raise DegenerateGeometry("non-finite point in k-NN graph")
     k = min(k, n - 1)
     edges = []
-    x, y, z = np.ascontiguousarray(pts.T)
+    xyz = np.ascontiguousarray(pts.T)
+    slack, everything = 1e-9 * (1.0 + np.abs(xyz).max()), np.arange(n)
     for lo in range(0, n, KNN_BLOCK):
-        block = slice(lo, lo + KNN_BLOCK)
-        d2, t = (np.subtract.outer(a[block], a) for a in (x, z))
-        d2 *= d2
-        d2 += np.square(t, out=t)
-        d2 += np.square(np.subtract.outer(y[block], y, out=t), out=t)
-        np.fill_diagonal(d2[:, lo:], np.inf)
-        t[...] = d2  # t is free again: partition the copy in place
-        t.partition(k - 1, axis=1)
-        kth = t[:, k - 1:k]
+        block = xyz[:, lo:lo + KNN_BLOCK]
+        own, candidates = np.arange(block.shape[1]), everything
+        if len(own) > k:
+            d2 = _squared_distances(block, block)
+            d2[own, own] = np.inf
+            r2 = np.partition(d2, k - 1, axis=1)[:, k - 1].max()
+            reach = np.sqrt(r2) * (1 + 1e-6) + slack
+            low, high = block.min(axis=1) - reach, block.max(axis=1) + reach
+            candidates = np.flatnonzero(np.logical_and.reduce([
+                (c >= l) & (c <= h) for c, l, h in zip(xyz, low, high)]))
+        d2 = _squared_distances(block, xyz.take(candidates, axis=1))
+        d2[own, np.searchsorted(candidates, lo + own)] = np.inf
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
         rows, cols = np.nonzero(d2 <= kth)  # >= k per row, rows ascending
         order = np.lexsort((cols, d2[rows, cols], rows))
         keep = order[np.arange(len(rows)) - np.searchsorted(rows, rows) < k]
-        edges.append(np.stack((cols[keep], rows[keep] + lo), axis=1))
+        edges.append(np.stack((candidates[cols[keep]], rows[keep] + lo), axis=1))
     return GraphTopology(n, np.concatenate(edges))
 
 
 def edges_to_text(topology: GraphTopology) -> str:
-    """Serialise edges as 'src<TAB>dst' lines, by one % format."""
-    return ("%d\t%d\n" * len(topology.edges)) % tuple(
-        topology.edges.ravel().tolist())
+    """Serialise edges as 'src<TAB>dst' lines: each source id in use is
+    rendered once as 'src<TAB>', each target id as 'dst<LF>', gathered by
+    edge."""
+    (src, at_src), (dst, at_dst) = (
+        np.unique(ids, return_inverse=True) for ids in topology.edges.T)
+    fields = np.array(["%d\t" % i for i in src.tolist()]
+                      + ["%d\n" % i for i in dst.tolist()], dtype=object)
+    at = np.stack((at_src, at_dst + len(src)), axis=1)
+    return "".join(fields[at].ravel().tolist())
 
 
 def check_cutoff(cutoff: float) -> None:

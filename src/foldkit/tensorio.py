@@ -17,7 +17,8 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagic, TruncatedPayload, VersionMismatch
+from .errors import (BadMagic, DimensionMismatch, TruncatedPayload,
+                     VersionMismatch)
 
 MAGIC = b"FKT1"
 MAX_RANK = 8
@@ -26,7 +27,7 @@ MAX_RANK = 8
 def tensor_to_bytes(array) -> bytes:
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim == 0 or arr.ndim > MAX_RANK:
-        raise ValueError(f"rank {arr.ndim} outside 1..{MAX_RANK}")
+        raise DimensionMismatch(f"rank {arr.ndim} outside 1..{MAX_RANK}")
     out = bytearray()
     out += MAGIC
     out += struct.pack("<B", arr.ndim)

@@ -243,6 +243,10 @@ class TestBuildGraph:
             dataclasses.replace(g, scalars=scalars)
         with pytest.raises(DegenerateGeometry):
             dataclasses.replace(g, node_vectors=2.0 * g.node_vectors)
+        for edges in ([[0, 1, 2], [3, 4, 5]], [[0, 1, 2]], [0, 1],
+                      np.zeros((2, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                GraphTopology(6, edges)
 
     def test_metadata_aligned(self):
         s = single_chain_structure(random_chain(10, make_rng(8)))
@@ -260,14 +264,18 @@ class TestEdgeTextFormat:
 
     def test_matches_oracle_on_random_topologies(self):
         rng = make_rng(31)
+        topologies = [GraphTopology(0, []),  # empty, and two ids of a million
+                      GraphTopology(10**6, [[0, 999999], [999999, 0]])]
         for n, m in ((2, 0), (5, 0), (2, 1), (7, 30), (60, 400), (3000, 50)):
             src = rng.integers(0, n, m)
             dst = (src + rng.integers(1, n, m)) % n  # no self-loops
-            topo = GraphTopology(n, np.stack((src, dst), axis=1))  # unsorted
+            topologies.append(  # unsorted
+                GraphTopology(n, np.stack((src, dst), axis=1)))
+        for topo in topologies:
             text = edges_to_text(topo)
             assert text == edges_to_text_oracle(topo)
-            back = edges_from_text(text, num_nodes=n)
-            assert back.edges.shape == (m, 2)
+            back = edges_from_text(text, num_nodes=topo.num_nodes)
+            assert back.edges.shape == topo.edges.shape
             assert np.array_equal(back.edges, topo.edges)
 
     @pytest.mark.parametrize("text, line_no", [
@@ -350,6 +358,11 @@ class TestTensorContainer:
         assert int.from_bytes(payload[5:9], "little") == 2
         assert int.from_bytes(payload[9:13], "little") == 3
         assert len(payload) == 13 + 4 * 6
+
+    def test_rank_outside_range_raises(self):
+        for array in (3.0, np.zeros((1,) * 9)):
+            with pytest.raises(DimensionMismatch):
+                tensor_to_bytes(array)
 
     def test_bad_magic(self):
         with pytest.raises(BadMagic):

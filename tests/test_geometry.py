@@ -308,9 +308,50 @@ class TestKnnGraph:
         swapped = np.concatenate((np.zeros((1, 3)), v, v[:, [2, 1, 0]],
                                   v[:, [1, 0, 2]], v[:, [0, 2, 1]]))
         cases = [(pts, k) for pts in clouds + [swapped] for k in (1, 5, 16, 30)]
+        # the block cull's edge cases: a walk of 32·12 + 5 points (a last
+        # block of 5 rows) in chain and in shuffled order, the same walk
+        # shrunk to 1e-9 steps at 1e4 and to 1e-170 (squared differences
+        # underflow, so only the box's slack keeps ties), two clusters of k duplicates in one
+        # block with points just off the first, a cluster of more duplicates
+        # than k, and 4 translated copies of a piece of the
+        # walk, whose blocks' boxes hold one copy each; k = 31, 32 and 40
+        # leave blocks of at most k rows
+        walk = np.round(np.cumsum(rng.normal(size=(389, 3)) * 2.2, axis=0), 3)
+        # first block: 16 copies each of a and of a + 3x̂, so the rows' 15th
+        # distances in the block are 0 but their 16th are 9 (k = 16)
+        a = walk[150]
+        cluster = np.concatenate((
+            np.repeat([a, a + (3.0, 0.0, 0.0)], 16, axis=0),
+            a + np.diag([-0.5, 0.5, 0.5]), np.repeat(walk[151:152], 45, 0),
+            walk[152:300]))
+        culled = [walk, walk[rng.permutation(len(walk))], 1e4 + walk * 1e-9,
+                  walk * 1e-170, cluster]
+        cases += [(pts, k) for pts in culled for k in (1, 16, 31, 32, 40)]
+        copies = np.concatenate([walk[:160] + (400.0 * i, 0, 0)
+                                 for i in range(4)])
+        cases += [(copies, 1), (copies, 16)]
         for pts, k in cases + [(swapped, len(swapped))]:
             assert np.array_equal(knn_graph(pts, k).edges,
                                   knn_graph_oracle(pts, k))
+
+    def test_translated_walks_at_scale(self):
+        # 8 translated 2 000-point walks: sampled target rows against a
+        # per-row einsum ranking with (distance, index) ties
+        rng = np.random.default_rng(19)
+        walk = np.round(np.cumsum(rng.normal(size=(2000, 3)) * 2.2, axis=0), 3)
+        pts = np.concatenate([walk + (150.0 * i, 60.0 * (i % 3), 0.0)
+                              for i in range(8)])
+        k, n = 16, len(pts)
+        edges = knn_graph(pts, k).edges
+        assert len(edges) == n * k
+        targets = rng.choice(n, 64, replace=False)
+        diff = pts[targets, None, :] - pts[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        d2[np.arange(len(targets)), targets] = np.inf
+        for i, row in zip(targets, d2):
+            nearest = np.lexsort((np.arange(n), row))[:k]
+            assert np.array_equal(edges[i * k:(i + 1) * k, 0], nearest)
+            assert np.all(edges[i * k:(i + 1) * k, 1] == i)
 
     def test_memory_is_not_quadratic(self):
         # the dense (n, n, 3) difference tensor alone would be 600 MB
