@@ -307,15 +307,18 @@ def knn_graph(points, k: int) -> GraphTopology:
             r2 = np.partition(d2, k - 1, axis=1)[:, k - 1].max()
             reach = np.sqrt(r2) * (1 + 1e-6) + slack
             low, high = block.min(axis=1) - reach, block.max(axis=1) + reach
-            candidates = np.flatnonzero(np.logical_and.reduce([
-                (c >= l) & (c <= h) for c, l, h in zip(xyz, low, high)]))
+            candidates = np.flatnonzero(((xyz >= low[:, None])
+                                         & (xyz <= high[:, None])).all(axis=0))
         d2 = _squared_distances(block, xyz.take(candidates, axis=1))
         d2[own, np.searchsorted(candidates, lo + own)] = np.inf
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        rows, cols = np.nonzero(d2 <= kth)  # >= k per row, rows ascending
-        order = np.lexsort((cols, d2[rows, cols], rows))
+        # >= k per row, rows ascending, columns ascending within a row, so
+        # the stable lexsort breaks distance ties toward the lower index
+        rows, cols = np.nonzero(d2 <= kth)
+        order = np.lexsort((d2[rows, cols], rows))
         keep = order[np.arange(len(rows)) - np.searchsorted(rows, rows) < k]
-        edges.append(np.stack((candidates[cols[keep]], rows[keep] + lo), axis=1))
+        edges.append(np.stack((candidates[cols[keep]], rows[keep] + lo),
+                              axis=1))
     return GraphTopology(n, np.concatenate(edges))
 
 
