@@ -297,13 +297,14 @@ def knn_graph(points, k: int) -> GraphTopology:
     k = min(k, n - 1)
     edges = []
     xyz = np.ascontiguousarray(pts.T)
-    slack, everything = 1e-9 * (1.0 + np.abs(xyz).max()), np.arange(n)
+    slack = 1e-9 * (1.0 + np.abs(xyz).max())
+    everything = np.arange(n)
     for lo in range(0, n, KNN_BLOCK):
         block = xyz[:, lo:lo + KNN_BLOCK]
         own, candidates = np.arange(block.shape[1]), everything
         if len(own) > k:
             d2 = _squared_distances(block, block)
-            d2[own, own] = np.inf
+            np.fill_diagonal(d2, np.inf)
             r2 = np.partition(d2, k - 1, axis=1)[:, k - 1].max()
             reach = np.sqrt(r2) * (1 + 1e-6) + slack
             low, high = block.min(axis=1) - reach, block.max(axis=1) + reach

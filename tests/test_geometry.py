@@ -311,11 +311,11 @@ class TestKnnGraph:
         # the block cull's edge cases: a walk of 32·12 + 5 points (a last
         # block of 5 rows) in chain and in shuffled order, the same walk
         # shrunk to 1e-9 steps at 1e4 and to 1e-170 (squared differences
-        # underflow, so only the box's slack keeps ties), two clusters of k duplicates in one
-        # block with points just off the first, a cluster of more duplicates
-        # than k, and 4 translated copies of a piece of the
-        # walk, whose blocks' boxes hold one copy each; k = 31, 32 and 40
-        # leave blocks of at most k rows
+        # underflow, so only the box's slack keeps the ties), two clusters
+        # of k duplicates in one block with points just off the first, a
+        # cluster of more duplicates than k, and 4 translated copies of a
+        # piece of the walk, whose blocks' boxes hold one copy each;
+        # k = 31, 32 and 40 leave blocks of at most k rows
         walk = np.round(np.cumsum(rng.normal(size=(389, 3)) * 2.2, axis=0), 3)
         # first block: 16 copies each of a and of a + 3x̂, so the rows' 15th
         # distances in the block are 0 but their 16th are 9 (k = 16)
