@@ -228,7 +228,8 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
                 value = above[value]
             above[value], kept[i] = value + 1, value
         serial[keep] = kept
-    columns = block, names, name, seq, xyz, elements, occupancy, b_factor, serial
+    codes = {n: code for code, n in enumerate(names.tolist())}  # shared by all
+    columns = block, codes, name, seq, xyz, elements, occupancy, b_factor, serial
     chains = _chains(np.flatnonzero(keep & ~hetero), *columns, polymer=True)
     ligands = _chains(np.flatnonzero(keep & ligand), *columns, polymer=False)
     if not chains and not ligands:
@@ -237,12 +238,13 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
                      dep_date, method, ligands)
 
 
-def _chains(records, block, names, name, seq_index, xyz, elements,
+def _chains(records, block, codes, name, seq_index, xyz, elements,
             occupancy, b_factor, serial, polymer) -> tuple[Chain, ...]:
     """The chains of the records (indices in file order): chains in
     first-seen order, residues sorted by (seq_index, insertion code) with
-    file order kept inside each, the first atom of each name kept. Polymer
-    residue types outside the vocabulary read as UNK."""
+    file order kept inside each, the first atom of each name kept. Atom
+    names are name's codes in codes. Polymer residue types outside the
+    vocabulary read as UNK."""
     if not len(records):
         return ()
     _, first, chain = np.unique(block[records, 21], return_index=True,
@@ -255,11 +257,7 @@ def _chains(records, block, names, name, seq_index, xyz, elements,
     head = np.ones(len(records), dtype=bool)
     head[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
     residue = np.cumsum(head) - 1
-    ids, first_at, code = np.unique(name[records], return_index=True,
-                                    return_inverse=True)
-    order = np.argsort(first_at)  # codes number names in first-seen order
-    codes = {names[i]: c for c, i in enumerate(ids[order].tolist())}
-    code = np.argsort(order)[code]
+    code = name[records]
     # the first atom of each name in each residue
     kept = np.sort(np.unique(residue * len(codes) + code, return_index=True)[1])
     atoms = records[kept]

@@ -330,59 +330,44 @@ def interface_labels(complex_structure: Structure,
 def corrupt_structure(s: Structure, spec: CorruptionSpec) -> CorruptionResult:
     """Apply a CorruptionSpec to a whole Structure (the CLI entry point).
 
-    Sequence kinds rewrite residue types; coordinate kinds noise every
-    polymer atom; the torsional kind runs corrupt_torsions on each chain,
-    which keeps every atom and all metadata and moves only positions.
-    Ligands are never changed. CO_DENOISE composes SEQ_MUTATE and
-    COORD_GAUSS with independent sub-streams of spec.seed.
+    One pass over s.table: the sequence op (stream 0 of spec.seed)
+    rewrites res_type; the coordinate op (stream 1) noises every polymer
+    atom, or corrupt_torsions (stream 1, chain by chain) moves only
+    positions, keeping every atom and all metadata. CO_DENOISE is
+    SEQ_MUTATE then COORD_GAUSS. The new columns replace the table's in
+    one step, cut back into s's chains; ligands are never changed.
     """
-    if spec.kind is CorruptionKind.CO_DENOISE:
-        seq_part = corrupt_structure(
-            s, replace(spec, kind=CorruptionKind.SEQ_MUTATE))
-        struct_part = corrupt_structure(
-            seq_part.corrupted, replace(spec, kind=CorruptionKind.COORD_GAUSS))
-        targets = DenoisingTargets(kind="co", sequence=seq_part.targets,
-                                   structure=struct_part.targets)
-        return CorruptionResult(struct_part.corrupted, targets,
-                                seq_part.corrupted_mask)
-
-    if spec.kind in (CorruptionKind.SEQ_MUTATE, CorruptionKind.SEQ_MASK):
-        rng = make_rng(spec.seed, stream=0)
+    table, kind, co = s.table, spec.kind, spec.kind is CorruptionKind.CO_DENOISE
+    columns, parts = {}, []
+    mask = np.ones(len(table.res_type), dtype=bool)
+    if co or kind in (CorruptionKind.SEQ_MUTATE, CorruptionKind.SEQ_MASK):
         indices = np.asarray([  # vocabulary index per residue, chain order
-            residue_index(t) for t in s.table.res_type])
-        result = _OPS[spec.kind](indices, spec.nu, rng)
-        corrupted = _with_column(s, "res_type", np.array(VOCABULARY, dtype=object)[result.corrupted])
-        return CorruptionResult(corrupted, result.targets, result.corrupted_mask)
-
-    if spec.kind in (CorruptionKind.COORD_GAUSS, CorruptionKind.COORD_UNIFORM):
-        rng = make_rng(spec.seed, stream=1)
-        result = _OPS[spec.kind](s.table.xyz, spec.sigma, rng)
-        corrupted = _with_column(s, "xyz", result.corrupted)
-        return CorruptionResult(corrupted, result.targets,
-                                np.ones(s.num_residues, dtype=bool))
-
-    if spec.kind is CorruptionKind.TORSION_GAUSS:
-        rng = make_rng(spec.seed, stream=1)
-        parts = [corrupt_torsions(chain, spec.sigma, rng) for chain in s.chains]
-        targets = DenoisingTargets(
+            residue_index(t) for t in table.res_type])
+        result = _OPS[CorruptionKind.SEQ_MUTATE if co else kind](
+            indices, spec.nu, make_rng(spec.seed, stream=0))
+        columns["res_type"] = np.array(VOCABULARY, dtype=object)[result.corrupted]
+        mask, parts = result.corrupted_mask, [result.targets]
+    rng = make_rng(spec.seed, stream=1)
+    if co or kind in (CorruptionKind.COORD_GAUSS, CorruptionKind.COORD_UNIFORM):
+        result = _OPS[CorruptionKind.COORD_GAUSS if co else kind](
+            table.xyz, spec.sigma, rng)
+        columns["xyz"] = result.corrupted
+        parts.append(result.targets)
+    elif kind is CorruptionKind.TORSION_GAUSS:
+        noised = [corrupt_torsions(chain, spec.sigma, rng) for chain in s.chains]
+        empty = [np.empty((0, 3))]  # no polymer chain: empty targets
+        columns["xyz"] = np.concatenate(
+            empty + [p.corrupted.table.xyz for p in noised])
+        parts.append(DenoisingTargets(
             kind="torsional", sigma=spec.sigma,
-            angular_noise=np.concatenate([p.targets.angular_noise for p in parts]),
-            original_angles=np.concatenate([p.targets.original_angles
-                                            for p in parts]))
-        return CorruptionResult(
-            replace(s, chains=tuple(p.corrupted for p in parts)), targets,
-            np.ones(s.num_residues, dtype=bool))
-
-    raise ValueError(f"unhandled corruption kind {spec.kind}")
-
-
-def _with_column(s: Structure, column: str, values) -> Structure:
-    """s with the column of every chain's table taken, in chain order, from
-    values (one entry per atom or residue of s.table)."""
-    chains, start = [], 0
-    for chain in s.chains:
-        stop = start + len(getattr(chain.table, column))
-        chains.append(Chain.from_table(chain.id, replace(
-            chain.table, **{column: values[start:stop]})))
-        start = stop
-    return replace(s, chains=tuple(chains))
+            angular_noise=np.concatenate(
+                empty + [p.targets.angular_noise for p in noised]),
+            original_angles=np.concatenate(
+                empty + [p.targets.original_angles for p in noised])))
+    table = replace(table, **columns)
+    bounds = np.cumsum([0] + [len(c.table.res_type) for c in s.chains]).tolist()
+    chains = tuple(Chain.from_table(chain.id, table.rows(start, stop))
+                   for chain, start, stop in zip(s.chains, bounds, bounds[1:]))
+    targets = parts[0] if len(parts) == 1 else DenoisingTargets(
+        kind="co", sequence=parts[0], structure=parts[1])
+    return CorruptionResult(replace(s, chains=chains), targets, mask)

@@ -39,6 +39,17 @@ def fixture_file():
     return os.path.join(FIXTURES, "chain_a.pdb")
 
 
+@pytest.fixture()
+def ligand_only_file(tmp_path):
+    """A PDB file of two ZN HETATM records and no polymer chain."""
+    from helpers import atom_line
+    path = tmp_path / "zn.pdb"
+    path.write_text("\n".join(
+        atom_line(i, "ZN", "ZN", "Z", i, 2.0 * i, 0.0, 0.0, element="ZN",
+                  record="HETATM") for i in (1, 2)))
+    return str(path)
+
+
 class TestEncodeDecode:
     def test_round_trip_exits_zero(self, tmp_path, fixture_file, capsys):
         fkc = tmp_path / "out.fkc"
@@ -66,9 +77,13 @@ class TestEncodeDecode:
         assert run_cli("decode", str(fkc), str(tmp_path / "bad.pdb")) == 2
         assert "BadMagic" in capsys.readouterr().err
 
-    def test_missing_input_exits_2(self, tmp_path):
+    def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run_cli("encode", str(tmp_path / "nope.pdb"),
                        str(tmp_path / "x.fkc")) == 2
+        (tmp_path / "empty").mkdir()  # a directory without *.pdb files
+        assert run_cli("encode", str(tmp_path / "empty"),
+                       str(tmp_path / "out")) == 2
+        assert "no *.pdb files" in capsys.readouterr().err
 
     def test_usage_error_exits_1(self, tmp_path, fixture_file, capsys):
         assert run_cli("featurise") == 1
@@ -211,6 +226,24 @@ class TestEncodeDecode:
         src.write_text(write_pdb(single_chain_structure(chain)))
         assert run_cli("encode", str(src), str(tmp_path / "no_o.fkc")) == 0
         assert "round-trip backbone RMSD" in capsys.readouterr().err
+
+    def test_chain_option_encodes_that_chain(self, tmp_path, capsys):
+        dimer = os.path.join(FIXTURES, "dimer.pdb")
+        out = tmp_path / "b.fkc"
+        assert run_cli("encode", dimer, str(out), "--chain", "B") == 0
+        assert "chains" not in capsys.readouterr().err
+        from foldkit.pdb import parse_pdb
+        chain_b = parse_pdb(Path(dimer).read_text()).chains[1]
+        assert chain_b.id == "B"
+        assert EncodedProtein.from_bytes(out.read_bytes()).n_residues == \
+            len(chain_b.residues)
+        assert run_cli("encode", dimer, str(tmp_path / "z.fkc"),
+                       "--chain", "Z") == 2
+        assert "'Z'" in capsys.readouterr().err
+
+    def test_ligand_only_file_exits_2(self, tmp_path, capsys, ligand_only_file):
+        assert run_cli("encode", ligand_only_file, str(tmp_path / "x.fkc")) == 2
+        assert "structure has no polymer chains" in capsys.readouterr().err
 
     def test_version_and_help_exit_0(self, capsys):
         assert run_cli("--version") == 0
@@ -384,6 +417,17 @@ class TestCorrupt:
         assert run_cli("corrupt", str(src), str(tmp_path / "t"),
                        "--kind", "torsion_gauss") == 2
 
+    def test_torsional_on_ligand_only_file_writes_empty_targets(
+            self, tmp_path, ligand_only_file):
+        out = tmp_path / "t"
+        assert run_cli("corrupt", ligand_only_file, str(out),
+                       "--kind", "torsion_gauss") == 0
+        for name in ("angular_noise.fkt", "original_angles.fkt"):
+            assert read_tensor(out / name).shape == (0, 3)
+        assert [line for line in (out / "corrupted.pdb").read_text()
+                .splitlines() if line.startswith("HETATM")] == [
+            line for line in Path(ligand_only_file).read_text().splitlines()]
+
 
 class TestLabel:
     def test_metal_labels_match_library(self, tmp_path):
@@ -480,6 +524,23 @@ class TestFilterCommand:
         spec.write_text("nonsense==\n")
         assert run_cli("filter", FIXTURES, str(tmp_path / "m.txt"),
                        "--spec", str(spec)) == 2
+
+    def test_file_input_exits_2(self, tmp_path, fixture_file):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("")
+        assert run_cli("filter", fixture_file, str(tmp_path / "m.txt"),
+                       "--spec", str(spec)) == 2
+
+    def test_unparseable_file_is_skipped(self, tmp_path, capsys):
+        spec, tree = tmp_path / "spec.cfg", tmp_path / "in"
+        spec.write_text("")
+        tree.mkdir()
+        (tree / "bad.pdb").write_text("ATOM  bad\n")
+        manifest = tmp_path / "m.txt"
+        assert run_cli("filter", str(tree), str(manifest),
+                       "--spec", str(spec)) == 0
+        assert f"{tree / 'bad.pdb'}: skipped (" in capsys.readouterr().err
+        assert manifest.read_text() == ""
 
 
 class TestDirectoryJobs:

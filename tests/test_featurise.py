@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from foldkit.errors import (DegenerateGeometry, DimensionMismatch, MissingAtom,
                             MalformedRecord, OddDimension, BadMagic,
-                            TruncatedPayload, FoldkitError)
+                            TruncatedPayload, VersionMismatch, FoldkitError)
 from foldkit.featurise import (FeatureScheme, build_graph, embed_angle,
                                positional_encoding, scalar_features,
                                vector_features)
@@ -247,6 +247,9 @@ class TestBuildGraph:
                       np.zeros((2, 2, 2))):
             with pytest.raises(DimensionMismatch):
                 GraphTopology(6, edges)
+        for edges in ([[0, -1]], [[6, 0]]):  # ids outside 0..num_nodes-1
+            with pytest.raises(DegenerateGeometry):
+                GraphTopology(6, edges)
 
     def test_metadata_aligned(self):
         s = single_chain_structure(random_chain(10, make_rng(8)))
@@ -363,6 +366,9 @@ class TestTensorContainer:
         for array in (3.0, np.zeros((1,) * 9)):
             with pytest.raises(DimensionMismatch):
                 tensor_to_bytes(array)
+        for rank in (0, 9):
+            with pytest.raises(VersionMismatch):
+                tensor_from_bytes(b"FKT1" + bytes([rank]) + bytes(40))
 
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
@@ -372,3 +378,7 @@ class TestTensorContainer:
         payload = tensor_to_bytes(np.zeros(4))
         with pytest.raises(TruncatedPayload):
             tensor_from_bytes(payload[:-3])
+        payload = tensor_to_bytes(np.zeros((2, 3)))
+        for length in range(len(payload)):  # short magic, rank, dims, data
+            with pytest.raises(TruncatedPayload):
+                tensor_from_bytes(payload[:length])

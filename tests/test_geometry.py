@@ -258,6 +258,8 @@ class TestKnnGraph:
     def test_too_few_nodes(self):
         with pytest.raises(TooFewNodes):
             knn_graph([(0, 0, 0)], k=1)
+        with pytest.raises(TooFewNodes):
+            knn_graph([(0, 0, 0), (1, 0, 0)], k=0)
 
     def test_lattice_ties_match_oracle(self):
         # integer points: squared distances are exact, so ties abound;

@@ -469,6 +469,17 @@ class TestParsedTable:
         s = parse_pdb((FIXTURES / "dimer.pdb").read_text())
         assert s.chains[0].table.codes is s.chains[1].table.codes
 
+    def test_ligands_share_the_sorted_name_codes(self):
+        """Polymer and ligand tables share one dict: every atom name read,
+        numbered in sorted order."""
+        text = (FIXTURES / "helix_zn.pdb").read_text()
+        s = parse_pdb(text)
+        codes = s.chains[0].table.codes
+        assert s.ligands[0].table.codes is codes
+        read = {line[12:16].strip() for line in text.splitlines()
+                if line.startswith(("ATOM", "HETATM"))}
+        assert codes == {name: i for i, name in enumerate(sorted(read))}
+
 
 class TestWrite:
     def test_single_atom_fixed_width(self):

@@ -9,7 +9,8 @@ from foldkit.errors import (DegenerateConfiguration, DegenerateGeometry,
                             TooFewNodes)
 from foldkit.featurise import FeatureScheme, build_graph
 from foldkit.geometry import dihedral, kabsch
-from foldkit.residues import MASK_INDEX, RESIDUE_INDEX
+from foldkit.pdb import parse_pdb
+from foldkit.residues import MASK_INDEX, RESIDUE_INDEX, UNK_INDEX
 from foldkit.rng import make_rng
 from foldkit.structure import Atom, Chain, Residue, Structure
 from foldkit.synth import random_chain, single_chain_structure
@@ -21,8 +22,9 @@ from foldkit.tasks import (CorruptionKind, CorruptionSpec, MaskedAttribute,
                            interface_labels, masked_attribute_targets,
                            plddt_targets)
 
-from helpers import (angle_close, corrupt_torsions_oracle, full_atom_dimer,
-                     proximity_oracle, random_rotation, transform_structure)
+from helpers import (angle_close, atom_line, corrupt_torsions_oracle,
+                     full_atom_dimer, proximity_oracle, random_rotation,
+                     transform_structure)
 
 
 class TestSequenceMutate:
@@ -51,6 +53,12 @@ class TestSequenceMutate:
         out = corrupt_sequence_mutate(res, 0.5, make_rng(6))
         assert np.array_equal(out.targets.original_residues,
                               res[out.targets.positions])
+
+    def test_non_canonical_originals_draw_all_20(self):
+        res = np.tile([UNK_INDEX, MASK_INDEX], 200)
+        out = corrupt_sequence_mutate(res, 1.0, make_rng(8))
+        assert np.all(out.corrupted < 20)
+        assert set(out.corrupted.tolist()) == set(range(20))
 
     def test_replacement_uniform_over_19(self):
         # single fixed original type; 1e5 mutations; 3-sigma multinomial bounds
@@ -609,6 +617,49 @@ class TestStructureCorruption:
         types0 = [r.res_type for _, r in s.iter_residues()]
         types1 = [r.res_type for _, r in out.corrupted.iter_residues()]
         assert types0 == types1
+
+    def test_one_pass_composes_the_stand_alone_kinds(self):
+        """CO_DENOISE takes SEQ_MUTATE's residue types and COORD_GAUSS's
+        positions; TORSION_GAUSS runs corrupt_torsions on each chain in
+        turn on stream 1. Every kind keeps the chains' ids and atom counts
+        and the ligands."""
+        s = full_atom_dimer()
+        run = {kind: corrupt_structure(s, CorruptionSpec(kind, nu=0.5,
+                                                         sigma=0.3, seed=5))
+               for kind in CorruptionKind}
+        co = run[CorruptionKind.CO_DENOISE]
+        seq, coord = (run[CorruptionKind.SEQ_MUTATE],
+                      run[CorruptionKind.COORD_GAUSS])
+        assert np.array_equal(co.corrupted.table.res_type,
+                              seq.corrupted.table.res_type)
+        assert np.array_equal(co.corrupted.table.xyz, coord.corrupted.table.xyz)
+        assert np.array_equal(co.targets.sequence.positions,
+                              seq.targets.positions)
+        assert np.array_equal(co.targets.structure.noise, coord.targets.noise)
+        assert np.array_equal(co.corrupted_mask, seq.corrupted_mask)
+        rng = make_rng(5, stream=1)
+        for chain, got in zip(s.chains,
+                              run[CorruptionKind.TORSION_GAUSS].corrupted.chains):
+            want = corrupt_torsions(chain, 0.3, rng).corrupted
+            assert np.array_equal(got.table.xyz, want.table.xyz)
+        for result in run.values():
+            assert [(c.id, len(c.table.owner)) for c in result.corrupted.chains] \
+                == [(c.id, len(c.table.owner)) for c in s.chains]
+            assert result.corrupted.ligands is s.ligands
+
+    def test_ligand_only_structure_gives_empty_targets(self):
+        s = parse_pdb("\n".join(
+            atom_line(i, "ZN", "ZN", "Z", i, 2.0 * i, 0.0, 0.0, element="ZN",
+                      record="HETATM") for i in (1, 2)))
+        for kind in CorruptionKind:
+            out = corrupt_structure(s, CorruptionSpec(kind, nu=1.0, seed=1))
+            assert out.corrupted.chains == ()
+            assert out.corrupted.ligands is s.ligands
+            assert len(out.corrupted_mask) == 0
+        targets = corrupt_structure(
+            s, CorruptionSpec(CorruptionKind.TORSION_GAUSS)).targets
+        assert targets.angular_noise.shape == (0, 3)
+        assert targets.original_angles.shape == (0, 3)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
