@@ -18,7 +18,7 @@ from .structure import (Atom, Chain, FilterSpec, Granularity, Method, Residue,
                         select_granularity)
 from .tasks import (CorruptionKind, CorruptionResult, CorruptionSpec,
                     DenoisingTargets, LabelSet, MaskedAttribute,
-                    binding_site_labels, co_corrupt, corrupt_coords_gaussian,
+                    binding_site_labels, corrupt_coords_gaussian,
                     corrupt_coords_uniform, corrupt_sequence_mask,
                     corrupt_sequence_mutate, corrupt_structure,
                     corrupt_torsions, interface_labels,

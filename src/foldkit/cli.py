@@ -4,10 +4,12 @@ Subcommands compose the library into file pipelines: encode/decode (FKC1
 codec), featurise (FKT1 tensors), corrupt (denoising inputs + targets),
 label (proximity CSV labels), filter (dataset manifests).
 
-Exit codes: 0 success, 1 usage error, 2 data error. Every input may be a
-single file or a directory; directories are walked breadth-first in
-lexicographic order and can be processed with --jobs N, with per-file
-seeds derived from the relative path so outputs do not depend on N.
+Exit codes: 0 success, 1 usage error (argparse's, or the
+DegenerateConfiguration of a subcommand's argument check, made before any
+file is read), 2 data error. Every input may be a single file or a
+directory; directories are walked breadth-first in lexicographic order
+and can be processed with --jobs N, with per-file seeds derived from the
+relative path so outputs do not depend on N.
 Each file's notes or error print in input order for any --jobs, and a
 file that fails writes nothing: workers return outputs, _run_jobs writes.
 """
@@ -32,9 +34,9 @@ from .residues import vocabulary_sha256
 from .rng import path_seed
 from .structure import load_filter_spec, logger as structure_logger
 from .synth import single_chain_structure
-from .tasks import (DEFAULT_CUTOFF, DEFAULT_NU, DEFAULT_SIGMA, CorruptionKind,
-                    CorruptionSpec, binding_site_labels, corrupt_structure,
-                    interface_labels)
+from .tasks import (DEFAULT_CUTOFF, DEFAULT_LAMBDA_AUX, DEFAULT_NU,
+                    DEFAULT_SIGMA, CorruptionKind, CorruptionSpec,
+                    binding_site_labels, corrupt_structure, interface_labels)
 from .tensorio import write_tensor
 
 
@@ -193,11 +195,9 @@ def run_decode(args) -> int:
 
 
 def run_featurise(args) -> int:
-    scheme = FeatureScheme.from_name(args.scheme)
-    if args.k < 1:  # reject a bad k once, before any file is read
-        print(f"foldkit featurise: error: k must be >= 1, got {args.k}",
-              file=sys.stderr)
-        return 1
+    scheme = FeatureScheme(args.scheme)
+    if args.k < 1:  # argument checks come before any file is read
+        raise DegenerateConfiguration(f"k must be >= 1, got {args.k}")
 
     def worker(plan):
         in_path, out_path, _ = plan
@@ -216,12 +216,9 @@ def run_featurise(args) -> int:
 
 
 def run_corrupt(args) -> int:
-    try:  # reject a bad kind or spec once, before any file is read
-        kind = CorruptionKind(args.kind)
-        CorruptionSpec(kind, nu=args.nu, sigma=args.sigma)
-    except ValueError as exc:
-        print(f"foldkit corrupt: error: {exc}", file=sys.stderr)
-        return 1
+    kind = CorruptionKind(args.kind)
+    CorruptionSpec(kind, nu=args.nu, sigma=args.sigma,  # checks the spec
+                   seed=args.seed)
 
     def worker(plan):
         in_path, out_path, rel = plan
@@ -233,7 +230,7 @@ def run_corrupt(args) -> int:
             "corrupted.pdb": write_pdb(result.corrupted),
             **_target_arrays(result.targets)}, {
                 "kind": kind.value, "nu": spec.nu, "sigma": spec.sigma,
-                "seed": spec.seed, "lambda_aux": spec.lambda_aux}), []
+                "seed": spec.seed, "lambda_aux": DEFAULT_LAMBDA_AUX}), []
 
     return _run_jobs(args, ".pdb", None, worker)
 
@@ -254,16 +251,11 @@ def _target_arrays(targets) -> dict:
 
 
 def run_label(args) -> int:
-    try:  # reject a bad cutoff once, before any file is read
-        check_cutoff(args.cutoff)
-    except DegenerateConfiguration as exc:
-        print(f"foldkit label: error: {exc}", file=sys.stderr)
-        return 1
+    check_cutoff(args.cutoff)
     ligands = {code.strip().upper() for code in args.ligands.split(",")
                if code.strip()}
     if args.mode == "metal" and not ligands:  # no file could match
-        print("foldkit label: error: metal mode needs --ligands", file=sys.stderr)
-        return 1
+        raise DegenerateConfiguration("metal mode needs --ligands")
 
     def worker(plan):
         in_path, out_path, _ = plan
@@ -369,6 +361,9 @@ def main(argv=None) -> int:
     structure_logger.addFilter(_name_input)
     try:
         return args.func(args)
+    except DegenerateConfiguration as exc:  # checked before any file is read
+        print(f"foldkit {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     except FoldkitError as exc:
         print(f"foldkit {args.command}: {type(exc).__name__}: {exc}",
               file=sys.stderr)

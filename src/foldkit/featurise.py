@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DimensionMismatch, OddDimension
+from .errors import (DegenerateConfiguration, DegenerateGeometry,
+                     DimensionMismatch, OddDimension)
 from .geometry import (GraphTopology, backbone_frames, backbone_torsions,
                        knn_graph, row_norms, table_chi,
                        virtual_angle_array)
@@ -46,15 +47,6 @@ class FeatureScheme(enum.Enum):
     def dim(self) -> int:
         return _SCHEME_DIMS[self]
 
-    @classmethod
-    def from_name(cls, name: str) -> "FeatureScheme":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown scheme {name!r}; choose from "
-                f"{', '.join(s.value for s in cls)}") from None
-
 
 # Each scheme ends one block further along the normative order.
 _SCHEME_DIMS = dict(zip(FeatureScheme, itertools.accumulate(
@@ -64,6 +56,8 @@ _SCHEME_DIMS = dict(zip(FeatureScheme, itertools.accumulate(
 def _positional_block(indices: np.ndarray, dim: int = POSITION_DIM) -> np.ndarray:
     if dim % 2 != 0:
         raise OddDimension(f"dim must be even, got {dim}")
+    if dim < 0:
+        raise DegenerateConfiguration(f"dim must be >= 0, got {dim}")
     k = np.arange(dim // 2)
     rates = indices[:, None] / np.power(10000.0, 2.0 * k / dim)
     pe = np.empty((len(indices), dim))

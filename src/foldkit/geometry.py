@@ -430,12 +430,15 @@ def superpose(A, B) -> tuple[np.ndarray, np.ndarray]:
     the SVD corrected, so det(R) = +1) and (r, 3) translations t
     minimising the RMSD of R @ a + t against B. Raises
     DegenerateConfiguration for stacks of different shape, fewer than 3
-    points or a collinear reference row."""
+    points or a collinear reference row, DegenerateGeometry on a
+    non-finite point."""
     A, B = (np.asarray(p, dtype=np.float64) for p in (A, B))
     if A.shape != B.shape:
         raise DegenerateConfiguration("point sets differ in length")
     if A.shape[1] < 3:
         raise DegenerateConfiguration("need at least 3 points")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise DegenerateGeometry("non-finite point in superposition")
     a_mean = A.mean(axis=1)
     b_mean = B.mean(axis=1)
     Ac = A - a_mean[:, None]

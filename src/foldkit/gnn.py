@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentNodes, DegenerateFrame, DimensionMismatch
+from .errors import (CoincidentNodes, DegenerateConfiguration,
+                     DegenerateFrame, DimensionMismatch)
 from .geometry import GraphTopology
 from .rng import make_rng
 from .tensorio import read_tensor, write_tensor
@@ -161,6 +162,9 @@ class SchNetParams:
 
 def schnet_params(feature_dim: int, hidden: int = 32, n_rbf: int = 16,
                   r_max: float = 12.0, seed: int = 0) -> SchNetParams:
+    if n_rbf < 2 or not 0 < r_max < np.inf:
+        raise DegenerateConfiguration(
+            f"need n_rbf >= 2 and finite r_max > 0, got {n_rbf}, {r_max}")
     centers = np.linspace(0.0, r_max, n_rbf)
     gamma = 1.0 / (centers[1] - centers[0])**2
     mlp = seeded_init((n_rbf, hidden, feature_dim), seed=seed)

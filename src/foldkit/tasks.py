@@ -13,16 +13,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import backbone_walk, to_internal
-from .errors import MissingConfidence, SelectorEmpty, SingleChain, TooFewNodes
+from .errors import (DegenerateConfiguration, MissingConfidence, SelectorEmpty,
+                     SingleChain, TooFewNodes)
 from .featurise import ProteinGraph
 from .geometry import (bond_angles, defined, dihedrals, near_masks, row_norms,
                        superpose)
-from .residues import MASK_INDEX, VOCAB_SIZE, VOCABULARY, residue_index
+from .residues import MASK_INDEX, VOCABULARY, residue_index
 from .rng import make_rng
 from .structure import BACKBONE_ATOMS, Chain, Structure, joined
 
-# Sequence-denoising auxiliary loss weight; carried as metadata so
-# downstream consumers share one recorded constant.
+# Sequence-denoising auxiliary loss weight; the corrupt manifest records
+# it so downstream consumers share one constant.
 DEFAULT_LAMBDA_AUX = 0.1
 DEFAULT_NU = 0.25
 DEFAULT_SIGMA = 0.1
@@ -43,14 +44,14 @@ class CorruptionSpec:
     kind: CorruptionKind
     nu: float = DEFAULT_NU
     sigma: float = DEFAULT_SIGMA
-    lambda_aux: float = DEFAULT_LAMBDA_AUX
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.nu <= 1.0:
-            raise ValueError(f"nu must be in [0, 1], got {self.nu}")
-        if not 0.0 <= self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        check_fraction(self.nu)
+        check_sigma(self.sigma)
+        if self.seed < 0:
+            raise DegenerateConfiguration(
+                f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,16 @@ class LabelSet:
     selector: str
 
 
-def _pick_positions(n: int, nu: float, rng: np.random.Generator) -> np.ndarray:
+def check_fraction(fraction: float, name: str = "nu") -> None:
+    """Raise DegenerateConfiguration unless fraction is in [0, 1]."""
+    if not 0.0 <= fraction <= 1.0:
+        raise DegenerateConfiguration(
+            f"{name} must be in [0, 1], got {fraction}")
+
+
+def _pick_positions(n: int, nu: float, rng: np.random.Generator,
+                    name: str = "nu") -> np.ndarray:
+    check_fraction(nu, name)
     m = int(np.floor(nu * n))
     if m == 0:
         return np.empty(0, dtype=np.int64)
@@ -146,7 +156,15 @@ def corrupt_coords_uniform(X, sigma: float,
     return _noise_coords(X, sigma, rng.uniform(-1.0, 1.0, size=np.shape(X)))
 
 
+def check_sigma(sigma: float) -> None:
+    """Raise DegenerateConfiguration unless sigma is finite and >= 0."""
+    if not 0.0 <= sigma < np.inf:
+        raise DegenerateConfiguration(
+            f"sigma must be finite and >= 0, got {sigma}")
+
+
 def _noise_coords(X, sigma: float, eps: np.ndarray) -> CorruptionResult:
+    check_sigma(sigma)
     X = np.asarray(X, dtype=np.float64)
     noised = X if sigma == 0.0 else X + sigma * eps
     targets = DenoisingTargets(kind="coordinate", noise=eps, sigma=sigma)
@@ -172,6 +190,7 @@ def corrupt_torsions(chain: Chain, sigma: float,
     metadata are the input's. Targets hold the per-residue angular noise
     triplets (primary) and the original angles (auxiliary).
     """
+    check_sigma(sigma)
     ic = to_internal(chain)
     table = chain.table
     backbone = table.backbone[0]
@@ -196,35 +215,6 @@ def corrupt_torsions(chain: Chain, sigma: float,
                                original_angles=original, sigma=sigma)
     return CorruptionResult(Chain.from_table(chain.id, replace(table, xyz=xyz)),
                             targets, np.ones(n, dtype=bool))
-
-
-def co_corrupt(graph: ProteinGraph, seq_spec: CorruptionSpec,
-               struct_spec: CorruptionSpec, seed: int = 0) -> CorruptionResult:
-    """Sequence corruption then coordinate corruption on one graph.
-
-    The two stages draw from independent sub-streams of seed (streams 0
-    and 1), so each half reproduces the stand-alone op run with
-    make_rng(seed, stream). The one-hot block of S is updated in place;
-    angle-derived scalar columns are not recomputed here - callers wanting
-    consistent features re-featurise from the corrupted coordinates.
-    """
-    if seq_spec.kind not in (CorruptionKind.SEQ_MUTATE, CorruptionKind.SEQ_MASK):
-        raise ValueError(f"co_corrupt sequence stage got {seq_spec.kind}")
-    if struct_spec.kind not in (CorruptionKind.COORD_GAUSS,
-                                CorruptionKind.COORD_UNIFORM):
-        raise ValueError(f"co_corrupt structure stage got {struct_spec.kind}")
-    seq_result = _OPS[seq_spec.kind](graph.res_types, seq_spec.nu,
-                                     make_rng(seed, stream=0))
-    struct_result = _OPS[struct_spec.kind](graph.coords, struct_spec.sigma,
-                                           make_rng(seed, stream=1))
-    new_types = np.asarray(seq_result.corrupted, dtype=np.int64)
-    scalars = graph.scalars.copy()
-    scalars[:, :VOCAB_SIZE] = np.eye(VOCAB_SIZE)[new_types]
-    corrupted_graph = replace(graph, coords=struct_result.corrupted,
-                              scalars=scalars, res_types=tuple(new_types))
-    targets = DenoisingTargets(kind="co", sequence=seq_result.targets,
-                               structure=struct_result.targets)
-    return CorruptionResult(corrupted_graph, targets, seq_result.corrupted_mask)
 
 
 class MaskedAttribute(enum.Enum):
@@ -258,7 +248,8 @@ def masked_attribute_targets(graph: ProteinGraph, kind: MaskedAttribute,
         candidates = _consecutive_tuples(graph, kind.value)
     if len(candidates) == 0:
         raise TooFewNodes(f"no candidate tuples for {kind.name}")
-    tuples = candidates[_pick_positions(len(candidates), fraction, rng)]
+    tuples = candidates[_pick_positions(len(candidates), fraction, rng,
+                                        "fraction")]
     points = graph.coords[tuples.T]
     if kind is MaskedAttribute.DISTANCE:
         values = row_norms(points[0] - points[1])

@@ -90,7 +90,7 @@ class TestEncodeDecode:
         assert run_cli("label", "a", "b") == 1  # --mode required
         # a bad corruption spec is rejected before any file is read
         for bad in (("--nu", "2"), ("--sigma", "-1"), ("--sigma", "nan"),
-                    ("--sigma", "inf")):
+                    ("--sigma", "inf"), ("--seed", "-1")):
             for source, jobs in ((fixture_file, "1"), (FIXTURES, "1"),
                                  (FIXTURES, "2")):
                 out = tmp_path / "corrupt"

@@ -5,18 +5,18 @@ import pytest
 
 from foldkit.codec import to_internal
 from foldkit.errors import (DegenerateConfiguration, DegenerateGeometry,
-                            MissingConfidence, SelectorEmpty, SingleChain,
-                            TooFewNodes)
-from foldkit.featurise import FeatureScheme, build_graph
-from foldkit.geometry import dihedral, kabsch
+                            FoldkitError, MissingConfidence, SelectorEmpty,
+                            SingleChain, TooFewNodes)
+from foldkit.featurise import FeatureScheme, build_graph, positional_encoding
+from foldkit.geometry import dihedral, kabsch, superpose
+from foldkit.gnn import schnet_params
 from foldkit.pdb import parse_pdb
 from foldkit.residues import MASK_INDEX, RESIDUE_INDEX, UNK_INDEX
 from foldkit.rng import make_rng
 from foldkit.structure import Atom, Chain, Residue, Structure
 from foldkit.synth import random_chain, single_chain_structure
 from foldkit.tasks import (CorruptionKind, CorruptionSpec, MaskedAttribute,
-                           binding_site_labels, co_corrupt,
-                           corrupt_coords_gaussian, corrupt_coords_uniform,
+                           binding_site_labels, corrupt_coords_gaussian, corrupt_coords_uniform,
                            corrupt_sequence_mask, corrupt_sequence_mutate,
                            corrupt_structure, corrupt_torsions,
                            interface_labels, masked_attribute_targets,
@@ -86,13 +86,11 @@ class TestSequenceMask:
 
     def test_onehot_rows_at_mask_index(self):
         s = single_chain_structure(random_chain(12, make_rng(10)))
-        graph = build_graph(s, FeatureScheme.CA_IDENT, k=4)
-        result = co_corrupt(graph,
-                            CorruptionSpec(CorruptionKind.SEQ_MASK, nu=0.5),
-                            CorruptionSpec(CorruptionKind.COORD_GAUSS, sigma=0.0),
-                            seed=11)
-        S = result.corrupted.scalars
-        for pos in result.targets.sequence.positions:
+        result = corrupt_structure(
+            s, CorruptionSpec(CorruptionKind.SEQ_MASK, nu=0.5, seed=11))
+        S = build_graph(result.corrupted, FeatureScheme.CA_IDENT, k=4).scalars
+        assert len(result.targets.positions) == 6
+        for pos in result.targets.positions:
             row = np.zeros(23)
             row[MASK_INDEX] = 1.0
             assert np.array_equal(S[pos], row)
@@ -275,51 +273,12 @@ class TestTorsionNoiseKeepsAtoms:
                                       out.corrupted.iter_residues()):
             for a, b in zip(res.atoms, new.atoms):
                 assert np.max(np.abs(a.position - b.position)) <= 1e-9
-
-
-class TestCoCorrupt:
-    def _graph(self, seed=26, n=15):
-        s = single_chain_structure(random_chain(n, make_rng(seed)))
-        return build_graph(s, FeatureScheme.CA_IDENT, k=4)
-
-    def test_zero_strength_identity(self):
-        g = self._graph()
-        out = co_corrupt(g, CorruptionSpec(CorruptionKind.SEQ_MUTATE, nu=0.0),
-                         CorruptionSpec(CorruptionKind.COORD_GAUSS, sigma=0.0),
-                         seed=1)
-        assert out.corrupted.res_types == g.res_types
-        assert np.array_equal(out.corrupted.coords, g.coords)
-
-    def test_sequence_stage_matches_standalone_substream(self):
-        g = self._graph()
-        out = co_corrupt(g, CorruptionSpec(CorruptionKind.SEQ_MUTATE, nu=0.4),
-                         CorruptionSpec(CorruptionKind.COORD_GAUSS, sigma=0.1),
-                         seed=99)
-        alone = corrupt_sequence_mutate(g.res_types, 0.4, make_rng(99, stream=0))
-        assert np.array_equal(np.asarray(out.corrupted.res_types),
-                              alone.corrupted)
-        assert np.array_equal(out.targets.sequence.positions,
-                              alone.targets.positions)
-
-    def test_structure_stage_matches_standalone_substream(self):
-        g = self._graph()
-        out = co_corrupt(g, CorruptionSpec(CorruptionKind.SEQ_MUTATE, nu=0.4),
-                         CorruptionSpec(CorruptionKind.COORD_GAUSS, sigma=0.1),
-                         seed=99)
-        alone = corrupt_coords_gaussian(g.coords, 0.1, make_rng(99, stream=1))
-        assert np.array_equal(out.corrupted.coords, alone.corrupted)
-        assert np.array_equal(out.targets.structure.noise, alone.targets.noise)
-
-    def test_modality_separation(self):
-        g = self._graph()
-        seq_only = co_corrupt(g, CorruptionSpec(CorruptionKind.SEQ_MUTATE, nu=0.5),
-                              CorruptionSpec(CorruptionKind.COORD_GAUSS, sigma=0.0),
-                              seed=5)
-        assert np.array_equal(seq_only.corrupted.coords, g.coords)
-        coord_only = co_corrupt(g, CorruptionSpec(CorruptionKind.SEQ_MUTATE, nu=0.0),
-                                CorruptionSpec(CorruptionKind.COORD_GAUSS, sigma=0.2),
-                                seed=5)
-        assert coord_only.corrupted.res_types == g.res_types
+        # co-denoising at zero strength is the identity, bit for bit
+        co = corrupt_structure(s, CorruptionSpec(CorruptionKind.CO_DENOISE,
+                                                 nu=0.0, sigma=0.0, seed=1))
+        assert np.array_equal(co.corrupted.table.res_type, s.table.res_type)
+        assert np.array_equal(co.corrupted.table.xyz, s.table.xyz)
+        assert not co.corrupted_mask.any()
 
 
 class TestMaskedAttributes:
@@ -662,11 +621,48 @@ class TestStructureCorruption:
         assert targets.original_angles.shape == (0, 3)
 
     def test_invalid_spec(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateConfiguration):
             CorruptionSpec(CorruptionKind.SEQ_MUTATE, nu=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateConfiguration):
             CorruptionSpec(CorruptionKind.COORD_GAUSS, sigma=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateConfiguration):
             CorruptionSpec(CorruptionKind.COORD_GAUSS, sigma=float("nan"))
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateConfiguration):
             CorruptionSpec(CorruptionKind.TORSION_GAUSS, sigma=float("inf"))
+        with pytest.raises(DegenerateConfiguration):
+            CorruptionSpec(CorruptionKind.SEQ_MUTATE, seed=-1)
+
+
+_RES, _XYZ = np.arange(20) % 20, make_rng(50).normal(size=(10, 3))
+_CHAIN = random_chain(6, make_rng(51))
+# Each public call with an invalid argument, by the rule it breaks.
+_INVALID_ARGUMENTS = {
+    "mutate nu > 1": lambda: corrupt_sequence_mutate(_RES, 1.5, make_rng(1)),
+    "mutate nu < 0": lambda: corrupt_sequence_mutate(_RES, -0.1, make_rng(1)),
+    "mask nu > 1": lambda: corrupt_sequence_mask(_RES, 2.0, make_rng(1)),
+    "mask nu nan": lambda: corrupt_sequence_mask(_RES, np.nan, make_rng(1)),
+    "masked fraction > 1": lambda: masked_attribute_targets(
+        build_graph(single_chain_structure(_CHAIN), FeatureScheme.CA_IDENT,
+                    k=3), MaskedAttribute.DISTANCE, 1.5, make_rng(1)),
+    "gaussian sigma < 0": lambda: corrupt_coords_gaussian(_XYZ, -0.1,
+                                                          make_rng(1)),
+    "gaussian sigma nan": lambda: corrupt_coords_gaussian(_XYZ, np.nan,
+                                                          make_rng(1)),
+    "uniform sigma inf": lambda: corrupt_coords_uniform(_XYZ, np.inf,
+                                                        make_rng(1)),
+    "torsion sigma < 0": lambda: corrupt_torsions(_CHAIN, -1.0, make_rng(1)),
+    "torsion sigma nan": lambda: corrupt_torsions(_CHAIN, np.nan, make_rng(1)),
+    "schnet n_rbf 1": lambda: schnet_params(4, n_rbf=1),
+    "schnet n_rbf 0": lambda: schnet_params(4, n_rbf=0),
+    "schnet r_max 0": lambda: schnet_params(4, r_max=0.0),
+    "positional dim < 0": lambda: positional_encoding(0, -2),
+    "kabsch nan point": lambda: kabsch(_XYZ * [1.0, np.nan, 1.0], _XYZ),
+    "superpose inf point": lambda: superpose(_XYZ[None], (_XYZ + np.inf)[None]),
+}
+
+
+@pytest.mark.parametrize("call", _INVALID_ARGUMENTS.values(),
+                         ids=_INVALID_ARGUMENTS.keys())
+def test_invalid_argument_raises_a_foldkit_error(call):
+    with pytest.raises(FoldkitError):
+        call()
