@@ -28,7 +28,7 @@ from . import __version__
 from .codec import EncodedProtein, decode, encode
 from .errors import DegenerateConfiguration, FoldkitError
 from .featurise import DEFAULT_K, FeatureScheme, build_graph
-from .geometry import backbone_array, check_cutoff, edges_to_text, kabsch
+from .geometry import backbone_array, check_cutoff, check_k, edges_to_text, kabsch
 from .pdb import parse_pdb, write_pdb
 from .residues import vocabulary_sha256
 from .rng import path_seed
@@ -196,8 +196,7 @@ def run_decode(args) -> int:
 
 def run_featurise(args) -> int:
     scheme = FeatureScheme(args.scheme)
-    if args.k < 1:  # argument checks come before any file is read
-        raise DegenerateConfiguration(f"k must be >= 1, got {args.k}")
+    check_k(args.k)  # argument checks come before any file is read
 
     def worker(plan):
         in_path, out_path, _ = plan

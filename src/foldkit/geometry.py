@@ -290,8 +290,7 @@ def knn_graph(points, k: int) -> GraphTopology:
     n = len(pts)
     if n < 2:
         raise TooFewNodes("k-NN graph needs at least 2 points")
-    if k < 1:
-        raise TooFewNodes("k must be >= 1")
+    check_k(k)
     if not np.isfinite(pts).all():
         raise DegenerateGeometry("non-finite point in k-NN graph")
     k = min(k, n - 1)
@@ -333,6 +332,12 @@ def edges_to_text(topology: GraphTopology) -> str:
                       + ["%d\n" % i for i in dst.tolist()], dtype=object)
     at = np.stack((at_src, at_dst + len(src)), axis=1)
     return "".join(fields[at].ravel().tolist())
+
+
+def check_k(k: int) -> None:
+    """Raise DegenerateConfiguration unless k >= 1."""
+    if k < 1:
+        raise DegenerateConfiguration(f"k must be >= 1, got {k}")
 
 
 def check_cutoff(cutoff: float) -> None:

@@ -68,27 +68,37 @@ def _parse_method(text: str) -> Method:
 
 def _columns(block: np.ndarray, lines: list[str], rows: np.ndarray):
     """The serial, atom name and element, residue number and coordinate
-    columns of records lines[rows], whose space-padded codes are block.
-    Raises ValueError naming the first bad field, in the order the columns
-    are read; it raises for a set of records exactly if one is bad."""
-    if any(len(lines[i]) < 54 for i in rows[block[:, 53] == 32].tolist()):
-        raise ValueError("record shorter than coordinate fields")
-    serials = _read("serial", int, block[:, 6:11], 5)
-    pairs = np.ascontiguousarray(block[:, np.r_[12:16, 76:78]])
+    columns of records lines[rows], whose space-padded codes are block, each
+    field read once. Raises MalformedRecord for the first bad record in file
+    order, naming its first bad field in column order."""
+    short = block[:, 53] == 32  # a blank that may be padding
+    short[short] = [len(lines[i]) < 54 for i in rows[short].tolist()]
+    serials, bad_serial = _read("serial", int, block[:, 6:11], 5)
+    pairs = np.ascontiguousarray(block[:, [12, 13, 14, 15, 76, 77]])
     fields, field = np.unique(pairs.view(f"S{pairs.itemsize * 6}").ravel(),
                               return_inverse=True)
     fields = _texts(fields.view(block.dtype), 6)  # distinct name-and-element
     names, name = np.unique(object_array(f[:4].strip() for f in fields),
                             return_inverse=True)  # names that strip alike
-    if "" in names:
-        raise ValueError("blank atom name")
-    seq_index = _read("residue number", int, block[:, 22:26], 4)
-    xyz = _read("coordinates", float, block[:, 30:54], 8, 3).reshape(-1, 3)
-    if not np.isfinite(xyz).all():
-        raise ValueError("non-finite coordinates")
+    seq_index, bad_seq = _read("residue number", int, block[:, 22:26], 4)
+    xyz, bad_xyz = _read("coordinates", float, block[:, 30:54], 8, 3)
+    xyz = xyz.reshape(-1, 3)
+    fault = min(filter(None, (  # (row, reason) per field, in column order
+        _first(short, "record shorter than coordinate fields"), bad_serial,
+        _first((names == "")[name[field]], "blank atom name"), bad_seq,
+        bad_xyz, _first(~np.isfinite(xyz), "non-finite coordinates"),
+    )), key=lambda fault: fault[0], default=None)  # ties: the first field
+    if fault:
+        raise MalformedRecord(int(rows[fault[0]]) + 1, fault[1])
     elements = object_array(f[4:].strip() or next(
         (c for c in f[:4] if c.isalpha()), "X") for f in fields)
     return serials, names, name[field], elements[field], seq_index, xyz
+
+
+def _first(bad: np.ndarray, reason: str) -> tuple[int, str] | None:
+    """(the first row that bad marks in any column, reason), or None."""
+    hit = np.flatnonzero(bad)  # flat: a row-wise any() is slow
+    return (int(hit[0]) * len(bad) // bad.size, reason) if len(hit) else None
 
 
 _CODECS = {np.dtype(np.uint8): "ascii", np.dtype("<u4"): "utf-32-le"}
@@ -107,12 +117,13 @@ def _texts(codes: np.ndarray, width: int) -> list[str]:
 
 
 def _read(field: str, convert, block: np.ndarray, width: int,
-          decimals: int = 0) -> np.ndarray:
+          decimals: int = 0) -> tuple[np.ndarray, tuple[int, str] | None]:
     """The width-column numbers of block's codes as convert reads them, int64
-    (float64 if decimals). A field in printf's shape, ' *-?[0-9]+' then '.'
-    and decimals digits if any, is its digits' integer over 10**decimals,
-    so float()'s bits; any other is read by convert, naming field in a
-    ValueError."""
+    (float64 if decimals), and the first row of block with a field convert
+    rejects, with the reason naming field (None if it rejects none). A
+    field in printf's shape, ' *-?[0-9]+' then '.' and decimals digits if
+    any, is its digits' integer over 10**decimals, so float()'s bits; any
+    other is read by convert, row by row, up to the first it rejects."""
     codes = block.reshape(-1, width)
     units = width - 1 - (decimals and decimals + 1)  # units digit column
     digits = codes - 48  # wraps below '0', so only digits are < 10
@@ -135,11 +146,12 @@ def _read(field: str, convert, block: np.ndarray, width: int,
     values = value / 10.0 ** decimals if decimals else value
     np.negative(values, out=values, where=minus)  # -0.000 reads as -0.0
     others = np.flatnonzero(~printf)
-    try:
-        values[others] = list(map(convert, _texts(codes[others], width)))
-    except ValueError as exc:
-        raise ValueError(f"bad {field}: {exc}") from exc
-    return values
+    for at, text in zip(others.tolist(), _texts(codes[others], width)):
+        try:
+            values[at] = convert(text)
+        except ValueError as exc:  # a row of block holds several fields
+            return values, (at * width // block.shape[-1], f"bad {field}: {exc}")
+    return values, None
 
 
 def _float_or(text: str, default: float) -> float:
@@ -154,12 +166,10 @@ def _float_or(text: str, default: float) -> float:
 def parse_pdb(text: str, structure_id: str = "") -> Structure:
     """Parse PDB-format text into a Structure.
 
-    Raises MalformedRecord for an un-parseable ATOM/HETATM line and
-    EmptyStructure when neither polymer nor ligand atoms parse.
+    Raises MalformedRecord for the first bad ATOM/HETATM record of MODEL 1,
+    naming its first bad field; EmptyStructure with no polymer or ligand atom.
     """
-    resolution = None
-    dep_date = None
-    method = None
+    resolution = dep_date = method = None
     lines = text.splitlines()
     chars = _codes("%-80.80s" * len(lines) % tuple(lines),
                    text.isascii()).reshape(-1, 80)
@@ -187,39 +197,25 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
         elif tag == "EXPDTA":
             method = _parse_method(line[10:].strip())
         elif tag == "REMARK" and line[6:10].strip() == "2":
-            for token in line[10:].replace("RESOLUTION.", " ").split():
-                try:
-                    resolution = float(token)
-                    break
-                except ValueError:
-                    continue
+            values = (_float_or(token, None) for token in
+                      line[10:].replace("RESOLUTION.", " ").split())
+            resolution = next((v for v in values if v is not None), resolution)
 
-    # The fields that can be malformed are read a whole column at a time;
-    # on any failure, halving the records finds the first bad one.
     rows = np.flatnonzero(record)
     block = chars[rows]
     del chars  # the records' rows are all that is read from here on
-    try:
-        serial, names, name, elements, seq, xyz = _columns(block, lines, rows)
-    except ValueError:
-        lo, hi = 0, len(rows)  # rows[lo:hi] holds the first bad record
-        while True:
-            mid = (lo + hi + 1) // 2  # lo < mid <= hi
-            try:
-                _columns(block[lo:mid], lines, rows[lo:mid])
-                lo = mid
-            except ValueError as exc:
-                if mid - lo == 1:
-                    raise MalformedRecord(int(rows[lo]) + 1, str(exc)) from exc
-                hi = mid
-    occupancy = _read("", lambda t: _float_or(t, 1.0), block[:, 54:60], 6, 2)
-    occupancy = np.where(occupancy < 0.0, 0.0, np.minimum(occupancy, 1.0))
-    b_factor = _read("", lambda t: _float_or(t, 0.0), block[:, 60:66], 6, 2)
-
     keep = (block[:, 16] == ord(" ")) | (block[:, 16] == ord("A"))  # altloc
     hetero = block[:, 0] == ord("H")  # only HETATM starts with H
-    ligand = hetero.copy()  # HETATM records but waters (HOH)
-    ligand[hetero] = (block[hetero, 17:20] != [*map(ord, "HOH")]).any(axis=1)
+    polymer, ligand = keep & ~hetero, keep & hetero  # ligand: HETATM but HOH
+    ligand[ligand] = (block[ligand, 17:20] != [*map(ord, "HOH")]).any(axis=1)
+    columns = _columns(block, lines, rows) if len(rows) else ()  # raises first
+    if not (polymer | ligand).any():
+        raise EmptyStructure("no ATOM or HETATM records parsed")
+    serial, names, name, elements, seq, xyz = columns
+    occupancy, b_factor = _read("", lambda t: _float_or(t, np.nan),
+                                block[:, 54:66], 6, 2)[0].reshape(-1, 2).T
+    occupancy = np.where(occupancy < 0.0, 0.0, np.fmin(occupancy, 1.0))  # NaN: 1
+    b_factor = np.where(np.isnan(b_factor), 0.0, b_factor)  # unread (NaN): 0
     if (np.diff(np.sort(serial[keep])) == 0).any():  # repeats move up
         kept, above = serial[keep].tolist(), {}  # taken -> <= the next free
         for i, value in enumerate(kept):
@@ -230,10 +226,8 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
         serial[keep] = kept
     codes = {n: code for code, n in enumerate(names.tolist())}  # shared by all
     columns = block, codes, name, seq, xyz, elements, occupancy, b_factor, serial
-    chains = _chains(np.flatnonzero(keep & ~hetero), *columns, polymer=True)
-    ligands = _chains(np.flatnonzero(keep & ligand), *columns, polymer=False)
-    if not chains and not ligands:
-        raise EmptyStructure("no ATOM or HETATM records parsed")
+    chains = _chains(np.flatnonzero(polymer), *columns, polymer=True)
+    ligands = _chains(np.flatnonzero(ligand), *columns, polymer=False)
     return Structure(structure_id, chains, resolution,
                      dep_date, method, ligands)
 

@@ -307,6 +307,8 @@ class FilterSpec:
             raise InvalidFilterSpec("min_length > max_length")
         if self.date_range is not None and self.date_range[0] > self.date_range[1]:
             raise InvalidFilterSpec("date_range start after end")
+        if self.max_resolution is not None and np.isnan(self.max_resolution):
+            raise InvalidFilterSpec("max_resolution is NaN")  # would pass all
 
     def matches(self, s: Structure) -> bool:
         n = s.num_residues

@@ -550,10 +550,12 @@ def parse_pdb_oracle(text: str, structure_id: str = "") -> Structure:
         if tag == "REMARK" and _field_oracle(line, 6, 10).strip() == "2":
             for token in line[10:].replace("RESOLUTION.", " ").split():
                 try:
-                    resolution = float(token)
-                    break
+                    value = float(token)
                 except ValueError:
                     continue
+                if math.isfinite(value):  # the first finite number
+                    resolution = value
+                    break
             continue
         if tag not in ("ATOM", "HETATM"):
             continue

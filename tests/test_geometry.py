@@ -258,8 +258,13 @@ class TestKnnGraph:
     def test_too_few_nodes(self):
         with pytest.raises(TooFewNodes):
             knn_graph([(0, 0, 0)], k=1)
-        with pytest.raises(TooFewNodes):
-            knn_graph([(0, 0, 0), (1, 0, 0)], k=0)
+
+    def test_k_below_one(self):
+        """A k below 1 is an argument error, as the CLI reports it."""
+        for k in (0, -3):
+            with pytest.raises(DegenerateConfiguration,
+                               match=f"^k must be >= 1, got {k}$"):
+                knn_graph([(0, 0, 0), (1, 0, 0)], k=k)
 
     def test_lattice_ties_match_oracle(self):
         # integer points: squared distances are exact, so ties abound;

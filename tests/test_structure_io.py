@@ -1,6 +1,5 @@
 import datetime
 import math
-import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -112,11 +111,17 @@ class TestParse:
         assert s.id == "1ABC"
 
     def test_resolution_not_applicable(self):
-        text = "\n".join([
-            "REMARK   2 RESOLUTION. NOT APPLICABLE.",
-            atom_line(1, "CA", "ALA", "A", 1, 0.0, 0.0, 0.0),
-        ])
-        assert parse_pdb(text).resolution is None
+        """No finite number: no resolution, which write_pdb then omits."""
+        for value in ("NOT APPLICABLE.", "NAN ANGSTROMS.", "inf ANGSTROMS.",
+                      "1e400 ANGSTROMS."):
+            text = "\n".join([
+                f"REMARK   2 RESOLUTION. {value}",
+                atom_line(1, "CA", "ALA", "A", 1, 0.0, 0.0, 0.0),
+            ])
+            s = parse_pdb(text)
+            assert s.resolution is None
+            assert "RESOLUTION" not in write_pdb(s)
+            assert parse_pdb_oracle(text) == s
 
     def test_garbled_header_date_ignored(self):
         text = "\n".join([
@@ -316,6 +321,14 @@ class TestParseOracle:
                 parse_pdb(text)
             assert err.value.line_no == 2
             _assert_matches_oracle(text)
+        # one record bad in two fields names the first in column order
+        both = bad_serial[:30] + "     nan" + bad_serial[38:]
+        text = "\n".join([good, both, nan_coords])
+        with pytest.raises(MalformedRecord) as err:
+            parse_pdb(text)
+        assert (err.value.line_no, err.value.reason) == (
+            2, "bad serial: invalid literal for int() with base 10: '  x12'")
+        _assert_matches_oracle(text)
 
     def test_malformed_altloc_b_line_raises(self):
         good = atom_line(1, "CA", "ALA", "A", 1, 1.0, 2.0, 3.0, altloc="A")
@@ -431,8 +444,12 @@ class TestParseOracle:
                 for r in c.residues for a in r.atoms] == [
             ("ZN", 1, "ZN"), ("LIG", 3, "C"), ("ZN", 4, "ZN")]
         _assert_matches_oracle("\n".join(lines))
-        with pytest.raises(EmptyStructure):
-            parse_pdb(lines[1])
+        header = "\n".join(_NON_ATOM)  # no record, and a water alone
+        for text in (lines[1], header, header + "\n" + lines[1]):
+            with pytest.raises(EmptyStructure) as err:
+                parse_pdb(text)
+            assert str(err.value) == "no ATOM or HETATM records parsed"
+            _assert_matches_oracle(text)
 
 
 def _columns(table):
@@ -666,7 +683,7 @@ class TestNumberColumns:
 
 def _read_texts(convert, texts, width, decimals=0, ascii=None):
     """_read over the fields texts, as bytes if ASCII, else code points,
-    unless ascii says which."""
+    unless ascii says which: the values and the first rejected row."""
     text = "".join(texts)
     codes = _codes(text, text.isascii() if ascii is None else ascii)
     return _read("field", convert, codes.reshape(-1, width), width, decimals)
@@ -684,7 +701,8 @@ class TestNumberReader:
     def test_every_integer_that_fits(self, width, lo, hi):
         texts = ["%*d" % (width, v) for v in range(lo, hi + 1)]
         for ascii in (True, False):
-            got = _read_texts(int, texts, width, ascii=ascii)
+            got, fault = _read_texts(int, texts, width, ascii=ascii)
+            assert fault is None
             assert got.dtype == np.int64
             assert got.tolist() == list(range(lo, hi + 1))
 
@@ -695,7 +713,8 @@ class TestNumberReader:
     def test_matches_float(self, fmt, width, decimals, lo, hi, data):
         texts = [fmt % v for v in data.draw(st.lists(
             _fixed_point(decimals, lo, hi), min_size=1, max_size=40))]
-        got = _read_texts(float, texts, width, decimals)
+        got, fault = _read_texts(float, texts, width, decimals)
+        assert fault is None
         assert _bits(got) == _bits(list(map(float, texts)))
 
     @pytest.mark.parametrize("fmt, width, decimals, lo, hi",
@@ -710,7 +729,8 @@ class TestNumberReader:
         texts = [fmt % v for v in values if lo < v < hi]
         assert fmt % -0.0 in texts
         for ascii in (True, False):
-            got = _read_texts(float, texts, width, decimals, ascii)
+            got, fault = _read_texts(float, texts, width, decimals, ascii)
+            assert fault is None
             assert _bits(got) == _bits(list(map(float, texts)))
 
     @pytest.mark.parametrize("convert, width, decimals, odd", [
@@ -723,7 +743,8 @@ class TestNumberReader:
     def test_odd_rows_stay_in_place(self, convert, width, decimals, odd):
         """A 500-field block of printf's fields with a field of another
         shape at the first, a middle and the last row: each row keeps its
-        own value, or the block raises as convert does on that field."""
+        own value, or the first row (0) is reported with the message
+        convert raises on that field."""
         fmt = f"%{width}.{decimals}f" if decimals else f"%{width}d"
         rng = make_rng(19)
         block = [fmt % (v if decimals else int(v)) for v in rng.uniform(
@@ -735,10 +756,11 @@ class TestNumberReader:
             try:
                 want = list(map(convert, texts))
             except ValueError as exc:
-                with pytest.raises(ValueError, match=re.escape(f"bad field: {exc}")):
-                    _read_texts(convert, texts, width, decimals)
+                _, fault = _read_texts(convert, texts, width, decimals)
+                assert fault == (0, f"bad field: {exc}")
                 continue
-            got = _read_texts(convert, texts, width, decimals)
+            got, fault = _read_texts(convert, texts, width, decimals)
+            assert fault is None
             assert got.dtype == (np.float64 if decimals else np.int64)
             assert _bits(got) == _bits(want)
 
@@ -1003,6 +1025,8 @@ class TestFilter:
     def test_invalid_bounds(self):
         with pytest.raises(InvalidFilterSpec):
             FilterSpec(min_length=10, max_length=5)
+        with pytest.raises(InvalidFilterSpec):
+            FilterSpec(max_resolution=float("nan"))
 
 
 class TestFilterSpecConfig:
@@ -1026,8 +1050,11 @@ class TestFilterSpecConfig:
             load_filter_spec("frobnicate=1\n")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(InvalidFilterSpec):
-            load_filter_spec("min_length=ten\n")
+        # a NaN bound compares false with every resolution: it would pass all
+        for text in ("min_length=ten\n", "max_resolution=nan\n",
+                     "max_resolution = NaN\n"):
+            with pytest.raises(InvalidFilterSpec):
+                load_filter_spec(text)
 
 
 class TestHelixFixture:
