@@ -25,7 +25,8 @@ import os
 import sys
 
 from . import __version__
-from .codec import EncodedProtein, decode, encode
+from .codec import (EncodedProtein, backbone_walk, decode, dequantise,
+                    encode)
 from .errors import DegenerateConfiguration, FoldkitError
 from .featurise import DEFAULT_K, FeatureScheme, build_graph
 from .geometry import backbone_array, check_cutoff, check_k, edges_to_text, kabsch
@@ -176,7 +177,7 @@ def run_encode(args) -> int:
         chain, notes = _pick_chain(_parse_file(in_path), args.chain)
         encoded = encode(chain)  # measures the backbone array read below
         xyz, present = backbone_array(chain)
-        sup = kabsch(xyz[present], backbone_array(decode(encoded))[0][present])
+        sup = kabsch(xyz[present], backbone_walk(dequantise(encoded))[present])
         notes.append(f"{encoded.n_residues} residues, "
                      f"round-trip backbone RMSD {sup.rmsd:.4f} A")
         return {out_path: encoded.to_bytes()}, notes

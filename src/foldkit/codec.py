@@ -1,5 +1,8 @@
 """Internal-coordinate codec: Cartesian <-> torsion/bond-angle state,
-13-byte-per-residue quantisation, and sequential NeRF reconstruction.
+13-byte-per-residue quantisation, and NeRF reconstruction. Coordinates
+are defined by sequential NeRF placement and computed as one prefix
+product of rigid transforms, which agrees with it to 1e-9 A at n = 3000
+(a '%8.3f' digit can flip at a rounding tie).
 
 Binary layout (FKC1, little-endian, normative):
 
@@ -99,29 +102,38 @@ class InternalCoords:
         return mask
 
 
-def _place(a, b, c, length: float, bond_angle_value: float,
-           torsion: float) -> tuple:
-    """One NeRF step on float triples (see nerf_place)."""
-    if length <= 0.0:
-        raise DegenerateFrame("bond length must be positive")
-    ux, uy, uz = b[0] - c[0], b[1] - c[1], b[2] - c[2]
-    nbc = math.sqrt(ux * ux + uy * uy + uz * uz)
+def _frame(a, b, c) -> np.ndarray:
+    """The (4, 4) NeRF frame [u m n | c] of points a, b, c: u = (b-c)/|b-c|,
+    n along (b-a) x u and m = n x u. Raises DegenerateFrame when b and c
+    coincide or a, b, c are collinear."""
+    u = b - c
+    nbc = np.linalg.norm(u)
     if nbc < 1e-12:
         raise DegenerateFrame("coincident frame atoms b and c")
-    ux, uy, uz = ux / nbc, uy / nbc, uz / nbc
-    wx, wy, wz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    nx, ny, nz = wy * uz - wz * uy, wz * ux - wx * uz, wx * uy - wy * ux
-    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if not math.isfinite(nn) or nn < 1e-12:
+    u = u / nbc
+    n = np.cross(b - a, u)
+    nn = np.linalg.norm(n)
+    if not (math.isfinite(nn) and nn >= 1e-12):
         raise DegenerateFrame("collinear frame atoms")
-    nx, ny, nz = nx / nn, ny / nn, nz / nn
-    mx, my, mz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
-    s = math.sin(bond_angle_value)
-    d0 = length * math.cos(bond_angle_value)
-    d1, d2 = length * (s * math.cos(torsion)), length * (s * math.sin(torsion))
-    return (c[0] + d0 * ux + d1 * mx - d2 * nx,
-            c[1] + d0 * uy + d1 * my - d2 * ny,
-            c[2] + d0 * uz + d1 * mz - d2 * nz)
+    n = n / nn
+    frame = np.eye(4)
+    frame[:3] = np.stack([u, np.cross(n, u), n, c], axis=1)
+    return frame
+
+
+def _steps(length, bond_angle_value, torsion) -> np.ndarray:
+    """(k, 4, 4) rigid transforms from the frame of a, b, c to that of
+    b, c, d, where d is placed at the given |d-c|, angle(b,c,d) and
+    dihedral(a,b,c,d): right-multiplied, they chain NeRF steps (pNeRF)."""
+    if not (length > 0.0).all():
+        raise DegenerateFrame("bond length must be positive")
+    C, S = np.cos(bond_angle_value), np.sin(bond_angle_value)
+    c, s = np.cos(torsion), np.sin(torsion)
+    zero, one = np.zeros_like(C), np.ones_like(C)
+    return np.stack([-C, S, zero, length * C,
+                     -S * c, -c * C, s, length * (S * c),
+                     S * s, s * C, c, -length * (S * s),
+                     zero, zero, zero, one], axis=1).reshape(-1, 4, 4)
 
 
 def nerf_place(a, b, c, length: float, bond_angle_value: float,
@@ -131,12 +143,14 @@ def nerf_place(a, b, c, length: float, bond_angle_value: float,
     d satisfies |d-c| = length, angle(b,c,d) = bond_angle_value and
     dihedral(a,b,c,d) = torsion: one step of backbone_walk(). Raises
     DegenerateFrame when a,b,c are collinear (or coincident) and cannot
-    define a frame, or the length or an angle is not finite.
+    define a frame, or a point, the length or an angle is not finite.
     """
-    if not np.isfinite([length, bond_angle_value, torsion]).all():
-        raise DegenerateFrame("non-finite bond length, angle or torsion")
-    a, b, c = (np.asarray(p, dtype=np.float64).tolist() for p in (a, b, c))
-    return np.array(_place(a, b, c, length, bond_angle_value, torsion))
+    a, b, c = (np.asarray(p, dtype=np.float64) for p in (a, b, c))
+    values = np.array([[length], [bond_angle_value], [torsion]], dtype=np.float64)
+    if not (np.isfinite(values).all() and np.isfinite([a, b, c]).all()):
+        raise DegenerateFrame("non-finite point, bond length, angle or torsion")
+    step = _steps(*values)[0]
+    return (_frame(a, b, c) @ step)[:3, 3]
 
 
 def to_internal(chain: Chain) -> InternalCoords:
@@ -157,29 +171,43 @@ def to_internal(chain: Chain) -> InternalCoords:
 
 
 def backbone_walk(ic: InternalCoords) -> np.ndarray:
-    """(n, 4, 3) N/CA/C/O positions rebuilt by sequential NeRF placement.
+    """(n, 4, 3) N/CA/C/O positions defined by sequential NeRF placement.
 
     The anchor fixes the first N, CA, C absolutely; every later backbone
     atom uses the stored torsions/bond angles with the canonical bond
     lengths. Carbonyl O sits in the C frame at torsion psi + pi from N(i+1).
+    The frames are computed at once, as the prefix products of the anchor
+    frame and the 3(n-1) step transforms (log2(3n) doubling steps).
     """
     angles = np.stack([ic.phi, ic.psi, ic.omega, ic.theta_n, ic.theta_ca,
                        ic.theta_c])
     if not (np.isfinite(ic.anchor).all() and np.isfinite(angles).all()):
         raise DegenerateFrame("non-finite anchor, bond angle or torsion")
     g = DEFAULT_GEOMETRY
-    phi, psi, omega, theta_n, theta_ca, theta_c = angles.tolist()
-    N, CA, C = ic.anchor.tolist()
-    frames = [(N, CA, C)]
-    for i in range(ic.n_residues - 1):
-        N = _place(N, CA, C, g.c_n, theta_ca[i], psi[i])
-        CA = _place(CA, C, N, g.n_ca, theta_c[i], omega[i])
-        C = _place(C, N, CA, g.ca_c, theta_n[i + 1], phi[i + 1])
-        frames.append((N, CA, C))
+    n = ic.n_residues
+    if n == 0:
+        return np.empty((0, 4, 3))
+    # step 3i + j places atom j (N, CA, C) of residue i + 1
+    length = np.tile([g.c_n, g.n_ca, g.ca_c], n - 1)
+    theta = np.stack([ic.theta_ca[:-1], ic.theta_c[:-1], ic.theta_n[1:]],
+                     axis=1).ravel()
+    torsion = np.stack([ic.psi[:-1], ic.omega[:-1], ic.phi[1:]], axis=1).ravel()
+    N, CA, C = ic.anchor
+    P = np.concatenate([_frame(N, CA, C)[None], _steps(length, theta, torsion)])
+    # The frame after step k has |(b-a) x u| = |b-a| sin(theta[k]), where
+    # b-a is the bond step k - 1 placed (the anchor's C-CA for k = 0).
+    if not (np.append(np.linalg.norm(C - CA), length[:-1])
+            * np.abs(np.sin(theta)) >= 1e-12).all():
+        raise DegenerateFrame("collinear frame atoms")
+    shift = 1
+    while shift < len(P):  # inclusive scan: P[k] becomes P[0] @ ... @ P[k]
+        P[shift:] = P[:-shift] @ P[shift:]
+        shift *= 2
     # psi[-1] is stored as 0, so the last O uses torsion pi exactly.
-    return np.array([(N, CA, C, _place(N, CA, C, g.c_o, g.angle_ca_c_o,
-                                       (p + math.pi + math.pi) % TWO_PI - math.pi))
-                     for (N, CA, C), p in zip(frames, psi)])
+    O = P[::3] @ _steps(np.full(n, g.c_o), np.full(n, g.angle_ca_c_o),
+                        (ic.psi + math.pi + math.pi) % TWO_PI - math.pi)
+    atoms = np.concatenate([ic.anchor[:2], P[:, :3, 3]]).reshape(n, 3, 3)
+    return np.concatenate([atoms, O[:, None, :3, 3]], axis=1)
 
 
 def from_internal(ic: InternalCoords, chain_id: str = "A") -> Chain:
@@ -305,12 +333,16 @@ def encode(chain: Chain) -> EncodedProtein:
     return EncodedProtein(VERSION, anchor, codes, quantised)
 
 
-def decode(e: EncodedProtein, chain_id: str = "A") -> Chain:
-    """Dequantise and rebuild the chain."""
-    ic = InternalCoords(
+def dequantise(e: EncodedProtein) -> InternalCoords:
+    """The internal coordinates a payload stores, which decode() walks."""
+    return InternalCoords(
         tuple(VOCABULARY[c] if c < len(VOCABULARY) else UNK
               for c in e.res_type_codes),
         *_dequantise_torsions(e.quantised[:, :3]).T,  # phi, psi, omega
         *_dequantise_bond_angles(e.quantised[:, 3:]).T,  # theta_n, _ca, _c
         anchor=e.anchor)
-    return from_internal(ic, chain_id)
+
+
+def decode(e: EncodedProtein, chain_id: str = "A") -> Chain:
+    """Dequantise and rebuild the chain."""
+    return from_internal(dequantise(e), chain_id)

@@ -380,6 +380,7 @@ def write_pdb(s: Structure) -> str:
     if s.method is not None:
         parts.append(f"EXPDTA    {_METHOD_TEXT[s.method]}\n")
     if s.resolution is not None:
+        _check_field("resolution", s.resolution, -999.995, 9999.995, 7)
         parts.append(f"REMARK   2 RESOLUTION. {s.resolution:7.2f} ANGSTROMS.\n")
     for chain in s.chains:
         parts += (_render("ATOM  ", chain.id, chain.table), "TER\n")

@@ -52,6 +52,14 @@ def transform_structure(s: Structure, R: np.ndarray, t: np.ndarray) -> Structure
                    ligands=tuple(map(move, s.ligands)))
 
 
+def jittered_chain(n: int, rng: np.random.Generator, sd: float) -> Chain:
+    """random_chain(n, rng) with every atom moved by N(0, sd) noise per
+    axis, drawn in atom order, so no bond length or angle is canonical."""
+    table = random_chain(n, rng).table
+    return Chain.from_table("A", replace(
+        table, xyz=table.xyz + rng.normal(0.0, sd, table.xyz.shape)))
+
+
 def with_atom(chain: Chain, index: int, name: str, position) -> Chain:
     """Chain whose residue `index` has atom `name` at position, replacing
     the atom of that name or appending it."""
@@ -270,18 +278,21 @@ def kabsch_oracle(A, B) -> Superposition:
     return Superposition(R, t, rmsd)
 
 
-def corrupt_torsions_oracle(chain: Chain, sigma: float, rng) -> np.ndarray:
+def corrupt_torsions_oracle(chain: Chain, sigma: float, rng,
+                            walk=backbone_walk) -> np.ndarray:
     """(m, 3) atom positions of `foldkit.tasks.corrupt_torsions`, placed one
     atom at a time with one kabsch_oracle call per residue that has a
-    non-backbone atom, as the per-residue loop did before superpose."""
+    non-backbone atom, as the per-residue loop did before superpose. The
+    backbone comes from `walk`: backbone_walk_oracle makes the oracle
+    independent of the library's walk."""
     ic = to_internal(chain)
     noise = rng.standard_normal((ic.n_residues, 3)) * sigma
     noise[~ic.defined_torsions] = 0.0
     original = np.stack([ic.phi, ic.psi, ic.omega], axis=1)
     noised = np.mod(original + noise + np.pi, 2.0 * np.pi) - np.pi
     noised[~ic.defined_torsions] = 0.0
-    walked = backbone_walk(replace(ic, phi=noised[:, 0], psi=noised[:, 1],
-                                   omega=noised[:, 2]))
+    walked = walk(replace(ic, phi=noised[:, 0], psi=noised[:, 1],
+                          omega=noised[:, 2]))
     names = ("N", "CA", "C", "O")
     coords = []
     for res, before, after in zip(chain.residues, backbone_array(chain)[0],

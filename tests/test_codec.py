@@ -5,20 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldkit.codec import (DEFAULT_GEOMETRY, EncodedProtein, backbone_walk,
-                           decode, dequantise_bond_angle, dequantise_torsion,
-                           encode, from_internal, nerf_place,
-                           quantise_bond_angle, quantise_torsion, to_internal)
+from foldkit.codec import (DEFAULT_GEOMETRY, EncodedProtein, InternalCoords,
+                           backbone_walk, decode, dequantise,
+                           dequantise_bond_angle, dequantise_torsion, encode,
+                           from_internal, nerf_place, quantise_bond_angle,
+                           quantise_torsion, to_internal)
 from foldkit.errors import (BadMagic, ChainTooShort, DegenerateFrame,
                             DegenerateGeometry, FoldkitError, TruncatedPayload,
                             VersionMismatch)
-from foldkit.geometry import backbone_dihedrals, bond_angle, dihedral, kabsch
+from foldkit.geometry import (backbone_array, backbone_dihedrals, bond_angle,
+                              dihedral, kabsch)
 from foldkit.rng import make_rng
-from foldkit.structure import Chain
-from foldkit.synth import helix_chain, make_internal, random_chain
+from foldkit.synth import (default_anchor, helix_chain, make_internal,
+                           random_chain, single_chain_structure)
 
-from helpers import (angle_close, backbone_walk_oracle, nerf_place_oracle,
-                     random_rotation, with_atom)
+from helpers import (angle_close, backbone_walk_oracle, jittered_chain,
+                     nerf_place_oracle, random_rotation, transform_structure,
+                     with_atom)
 
 
 def backbone_coords(chain):
@@ -84,16 +87,9 @@ class TestNerfPlace:
 
 
 class TestBackboneWalk:
-    @pytest.mark.parametrize("n", [10, 100, 1000])
+    @pytest.mark.parametrize("n", [10, 100, 1000, 3000])
     def test_from_internal_matches_oracle_walk(self, n):
-        rng = make_rng(600 + n)
-        chain = random_chain(n, rng)
-        # jittered, so no bond length or angle is canonical
-        jittered = Chain("A", tuple(
-            dataclasses.replace(res, atoms=tuple(dataclasses.replace(
-                a, position=a.position + rng.normal(0.0, 0.05, 3))
-                for a in res.atoms)) for res in chain.residues))
-        ic = to_internal(jittered)
+        ic = to_internal(jittered_chain(n, make_rng(600 + n), 0.05))
         walked = backbone_coords(from_internal(ic)).reshape(n, 4, 3)
         assert np.array_equal(walked, backbone_walk(ic))
         assert np.max(np.abs(walked - backbone_walk_oracle(ic))) <= 1e-9
@@ -114,6 +110,44 @@ class TestBackboneWalk:
         angles[2] = value
         with pytest.raises(DegenerateFrame, match="non-finite"):
             backbone_walk(dataclasses.replace(ic, **{name: angles}))
+
+    @pytest.mark.parametrize("q", [0, 65535])
+    @pytest.mark.parametrize("residue, column, raises", [
+        (10, 3, True), (10, 4, True), (10, 5, True),  # theta_n, _ca, _c
+        (19, 3, True), (19, 4, False), (19, 5, False)])  # last: _ca, _c unused
+    def test_straight_bond_angle_table(self, residue, column, q, raises):
+        """A bond angle of 0 or pi makes the frame after it collinear,
+        except the last residue's theta_ca and theta_c, which place nothing."""
+        e = encode(random_chain(20, make_rng(30)))
+        quantised = e.quantised.copy()
+        quantised[residue, column] = q
+        bad = dataclasses.replace(e, quantised=quantised)
+        if raises:
+            with pytest.raises(DegenerateFrame, match="collinear"):
+                decode(bad)
+        else:
+            assert len(decode(bad).residues) == 20
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_and_two_residue_payloads_decode(self, n):
+        payload = encode(random_chain(20, make_rng(31))).to_bytes()
+        e = EncodedProtein.from_bytes(payload[:41 + 13 * n])
+        walked = backbone_walk(dequantise(e))
+        assert walked.shape == (n, 4, 3)
+        assert np.max(np.abs(walked - backbone_walk_oracle(dequantise(e)))) <= 1e-12
+        assert np.array_equal(backbone_coords(decode(e)), walked.reshape(-1, 3))
+
+    def test_no_residues_walk_to_nothing(self):
+        empty = InternalCoords((), *[[]] * 6, anchor=default_anchor())
+        assert backbone_walk(empty).shape == (0, 4, 3)
+        assert from_internal(empty).residues == ()
+
+    def test_decode_walks_the_dequantised_payload(self):
+        """The CLI's encode RMSD walks dequantise(e) without a Chain: the
+        same bits decode() writes."""
+        e = encode(jittered_chain(120, make_rng(32), 0.02))
+        assert np.array_equal(backbone_array(decode(e))[0],
+                              backbone_walk(dequantise(e)))
 
 
 class TestInternalRoundTrip:
@@ -244,15 +278,18 @@ class TestBinaryFormat:
         then reproduces it on chains far from the origin."""
         rng = make_rng(500)
         for _ in range(400):
-            chain = random_chain(30, rng)
+            s = single_chain_structure(jittered_chain(30, rng, 0.02))
             R, t = random_rotation(rng), rng.uniform(-80.0, 80.0, size=3)
-            moved = Chain("A", tuple(dataclasses.replace(res, atoms=tuple(
-                dataclasses.replace(a, position=R @ (
-                    a.position + rng.normal(0.0, 0.02, 3)) + t)
-                for a in res.atoms)) for res in chain.residues))
+            moved = transform_structure(s, R, t).chains[0]
             payload = encode(moved).to_bytes()
             again = encode(decode(EncodedProtein.from_bytes(payload)))
             assert again.to_bytes() == payload
+
+    @pytest.mark.parametrize("n", [300, 1000, 3000])
+    def test_fixed_point_on_long_jittered_chains(self, n):
+        payload = encode(jittered_chain(n, make_rng(700 + n), 0.02)).to_bytes()
+        again = encode(decode(EncodedProtein.from_bytes(payload)))
+        assert again.to_bytes() == payload
 
     def test_encode_decode_encode_fixed_point(self):
         for seed in range(5):

@@ -848,6 +848,19 @@ class TestFieldOverflow:
         with pytest.raises(FieldOverflow, match=message):
             write_pdb(s)
 
+    @pytest.mark.parametrize("resolution", [9999.995, 12345.5, -999.995,
+                                            -1000.0, math.nan])
+    def test_resolution_that_does_not_fit_raises(self, resolution):
+        s = Structure("X", _one_atom().chains, resolution)
+        with pytest.raises(FieldOverflow, match=f"resolution {resolution} "):
+            write_pdb(s)
+
+    @pytest.mark.parametrize("resolution", [9999.99, -999.99, 0.0])
+    def test_widest_resolutions_that_fit_round_trip(self, resolution):
+        text = write_pdb(Structure("X", _one_atom().chains, resolution))
+        assert f"RESOLUTION. {resolution:7.2f} ANGSTROMS." in text
+        assert parse_pdb(text).resolution == resolution
+
     def test_widest_values_that_fit_round_trip(self):
         s = _one_atom(serial=99999, seq_index=-999, occupancy=-99.99,
                       b_factor=999.99)

@@ -22,9 +22,9 @@ from foldkit.tasks import (CorruptionKind, CorruptionSpec, MaskedAttribute,
                            interface_labels, masked_attribute_targets,
                            plddt_targets)
 
-from helpers import (angle_close, atom_line, corrupt_torsions_oracle,
-                     full_atom_dimer, proximity_oracle, random_rotation,
-                     transform_structure)
+from helpers import (angle_close, atom_line, backbone_walk_oracle,
+                     corrupt_torsions_oracle, full_atom_dimer, jittered_chain,
+                     proximity_oracle, random_rotation, transform_structure)
 
 
 class TestSequenceMutate:
@@ -213,6 +213,14 @@ class TestTorsionNoiseKeepsAtoms:
                             for a in res.atoms])
             assert np.array_equal(
                 got, corrupt_torsions_oracle(chain, 0.3, make_rng(8)))
+
+    @pytest.mark.parametrize("chain", [*full_atom_dimer().chains,
+                                       jittered_chain(300, make_rng(9), 0.02)])
+    def test_positions_match_an_independent_walk(self, chain):
+        out = corrupt_torsions(chain, 0.3, make_rng(8))
+        expected = corrupt_torsions_oracle(chain, 0.3, make_rng(8),
+                                           walk=backbone_walk_oracle)
+        assert np.max(np.abs(out.corrupted.table.xyz - expected)) <= 1e-9
 
     def test_side_chains_move_rigidly(self, case):
         s, out = case
