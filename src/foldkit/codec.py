@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import (BadMagic, ChainTooShort, DegenerateFrame,
                      TruncatedPayload, VersionMismatch)
-from .geometry import (TWO_PI, backbone_frames,
-                       backbone_torsions, bond_angles, defined)
+from .geometry import (TWO_PI, backbone_frames, backbone_torsions,
+                       bond_angles, defined, shaped_array)
 from .residues import UNK, VOCABULARY, residue_index
 from .structure import BACKBONE_ATOMS, AtomTable, Chain, object_array
 
@@ -142,10 +142,11 @@ def nerf_place(a, b, c, length: float, bond_angle_value: float,
 
     d satisfies |d-c| = length, angle(b,c,d) = bond_angle_value and
     dihedral(a,b,c,d) = torsion: one step of backbone_walk(). Raises
+    DimensionMismatch unless each point is three numbers, and
     DegenerateFrame when a,b,c are collinear (or coincident) and cannot
     define a frame, or a point, the length or an angle is not finite.
     """
-    a, b, c = (np.asarray(p, dtype=np.float64) for p in (a, b, c))
+    a, b, c = (shaped_array(p, (3,), "point") for p in (a, b, c))
     values = np.array([[length], [bond_angle_value], [torsion]], dtype=np.float64)
     if not (np.isfinite(values).all() and np.isfinite([a, b, c]).all()):
         raise DegenerateFrame("non-finite point, bond length, angle or torsion")

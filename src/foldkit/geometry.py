@@ -334,6 +334,18 @@ def edges_to_text(topology: GraphTopology) -> str:
     return "".join(fields[at].ravel().tolist())
 
 
+def shaped_array(a, shape: tuple, what: str) -> np.ndarray:
+    """a as float64 of the given shape (None matches any length); raises
+    DimensionMismatch otherwise, for ragged or non-numeric input too."""
+    try:
+        a = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{what} is not a numeric array") from None
+    if a.ndim != len(shape) or any(w not in (None, d) for d, w in zip(a.shape, shape)):
+        raise DimensionMismatch(f"{what} has shape {a.shape}, expected {shape}")
+    return a
+
+
 def check_k(k: int) -> None:
     """Raise DegenerateConfiguration unless k >= 1."""
     if k < 1:

@@ -10,18 +10,15 @@ starting from 0.0, so outputs do not depend on how the scatter runs.
 from __future__ import annotations
 
 import enum
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CoincidentNodes, DegenerateConfiguration,
                      DegenerateFrame, DimensionMismatch)
-from .geometry import GraphTopology
+from .geometry import GraphTopology, shaped_array
 from .rng import make_rng
-from .tensorio import read_tensor, write_tensor
 
 _EPS = 1e-12
 
@@ -53,7 +50,6 @@ class MlpParams:
     weights: tuple           # (out_i, in_i) arrays
     biases: tuple            # (out_i,) arrays
     activation: Activation = Activation.SILU
-    seed: int | None = None
 
     @property
     def in_dim(self) -> int:
@@ -78,7 +74,7 @@ def seeded_init(widths, activation: Activation = Activation.SILU,
         bound = np.sqrt(6.0 / fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpParams(widths, tuple(weights), tuple(biases), activation, seed)
+    return MlpParams(widths, tuple(weights), tuple(biases), activation)
 
 
 def mlp_forward(p: MlpParams, x) -> np.ndarray:
@@ -98,39 +94,12 @@ def mlp_forward(p: MlpParams, x) -> np.ndarray:
     return x[0] if squeeze else x
 
 
-def save_mlp_params(p: MlpParams, directory) -> None:
-    """Write weights/biases as FKT1 tensors plus a JSON manifest."""
-    os.makedirs(directory, exist_ok=True)
-    for i, (W, b) in enumerate(zip(p.weights, p.biases)):
-        write_tensor(os.path.join(directory, f"w{i}.fkt"), W)
-        write_tensor(os.path.join(directory, f"b{i}.fkt"), b)
-    manifest = {"widths": list(p.widths), "activation": p.activation.value,
-                "seed": p.seed}
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_mlp_params(directory) -> MlpParams:
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    widths = tuple(manifest["widths"])
-    weights = []
-    biases = []
-    for i in range(len(widths) - 1):
-        weights.append(read_tensor(os.path.join(directory, f"w{i}.fkt")))
-        biases.append(read_tensor(os.path.join(directory, f"b{i}.fkt")))
-    return MlpParams(widths, tuple(weights), tuple(biases),
-                     Activation(manifest["activation"]), manifest["seed"])
-
-
-def _node_arrays(topology: GraphTopology, *arrays) -> list:
-    """The per-node inputs as float64 arrays of one row per graph node."""
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    if any(a.shape[:1] != (topology.num_nodes,) for a in arrays):
-        raise DimensionMismatch(f"per-node inputs {[a.shape for a in arrays]}"
-                                f" for {topology.num_nodes} nodes")
-    return arrays
+def _node_arrays(topology: GraphTopology, **arrays) -> list:
+    """The per-node inputs as float64 arrays of one row per graph node:
+    S (n, d), X (n, 3) and V (n, v, 3); DimensionMismatch otherwise."""
+    n = topology.num_nodes
+    shapes = {"S": (n, None), "X": (n, 3), "V": (n, None, 3)}
+    return [shaped_array(a, shapes[name], name) for name, a in arrays.items()]
 
 
 def _edge_geometry(X: np.ndarray, topology: GraphTopology):
@@ -179,7 +148,7 @@ def rbf_expand(d, p: SchNetParams) -> np.ndarray:
 
 def schnet_layer(S, X, topology: GraphTopology, p: SchNetParams) -> np.ndarray:
     """s'_i = s_i + sum_j s_j * filter(||x_i - x_j||), invariant to E(3)."""
-    S, X = _node_arrays(topology, S, X)
+    S, X = _node_arrays(topology, S=S, X=X)
     if p.filter_mlp.out_dim != S.shape[1]:
         raise DimensionMismatch("filter output dim != feature dim")
     if topology.num_edges == 0:
@@ -208,7 +177,7 @@ def egnn_params(feature_dim: int, hidden: int = 32, seed: int = 0) -> EgnnParams
 
 def egnn_layer(S, X, topology: GraphTopology, p: EgnnParams):
     """E(3)-equivariant update of scalars and coordinates."""
-    S, X = _node_arrays(topology, S, X)
+    S, X = _node_arrays(topology, S=S, X=X)
     if p.coord_mlp.out_dim != 1:
         raise DimensionMismatch("coordinate gate must be scalar")
     src, dst, diff, dist = _edge_geometry(X, topology)
@@ -236,7 +205,7 @@ class GcpFrame:
 
 def gcp_frames(X, topology: GraphTopology) -> GcpFrame:
     """Geometry-complete frames for every stored edge (receiver = target)."""
-    X = np.asarray(X, dtype=np.float64)
+    X, = _node_arrays(topology, X=X)
     return _frames(X, *_edge_geometry(X, topology))
 
 
@@ -281,7 +250,7 @@ def gcp_layer(S, V, X, topology: GraphTopology, p: GcpParams):
     vectors are gated combinations of the frame axes and endpoint vectors;
     node updates are residual.
     """
-    S, V, X = _node_arrays(topology, S, V, X)
+    S, V, X = _node_arrays(topology, S=S, V=V, X=X)
     n, n_vec = V.shape[0], V.shape[1]
     src, dst, diff, dist = _edge_geometry(X, topology)
     frames = _frames(X, src, dst, diff, dist)
@@ -330,7 +299,7 @@ def noise_predictor(S, X, topology: GraphTopology,
     eps_i = sum_j m_ij * (x_i - x_j) / ||x_i - x_j|| over incoming edges:
     translation-invariant by construction, rotation-equivariant.
     """
-    S, X = _node_arrays(topology, S, X)
+    S, X = _node_arrays(topology, S=S, X=X)
     if p.score_mlp.out_dim != 1:
         raise DimensionMismatch("edge score must be scalar")
     src, dst, diff, dist = _edge_geometry(X, topology)

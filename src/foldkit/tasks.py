@@ -111,13 +111,10 @@ def corrupt_sequence_mutate(residues, nu: float,
     residues = np.asarray(residues, dtype=np.int64)
     positions = _pick_positions(len(residues), nu, rng)
     corrupted = residues.copy()
-    for p in positions:
-        original = residues[p]
-        if original < 20:
-            draw = int(rng.integers(0, 19))
-            corrupted[p] = draw if draw < original else draw + 1
-        else:
-            corrupted[p] = int(rng.integers(0, 20))
+    original = residues[positions]
+    canonical = original < 20
+    draw = rng.integers(0, np.where(canonical, 19, 20))
+    corrupted[positions] = draw + (canonical & (draw >= original))
     return _sequence_result(residues, positions, corrupted)
 
 
@@ -297,20 +294,18 @@ def binding_site_labels(s: Structure, selector, cutoff: float = DEFAULT_CUTOFF) 
 def interface_labels(complex_structure: Structure,
                      cutoff: float = DEFAULT_CUTOFF) -> LabelSet:
     """Label 1 for residues with any atom within cutoff (inclusive) of an
-    atom of a chain with another id. Chains go in order of atom count and
-    each searches all later ones once (near_masks), so each cross-chain
-    contact is found once. Raises DegenerateGeometry on a non-finite
-    coordinate."""
+    atom of a chain with another id. Each chain id searches the atoms of
+    all later ids once (near_masks), so each pair of chain ids is met
+    once. Raises DegenerateGeometry on a non-finite coordinate."""
     if len(complex_structure.chains) < 2:
         raise SingleChain("interface labels need at least 2 chains")
     table = complex_structure.table
     positions, owner = table.xyz, table.owner
     ids, group = np.unique(table.chain, return_inverse=True)
-    sizes = np.bincount(group[owner], minlength=len(ids))
-    rank = np.argsort(np.argsort(sizes, kind="stable"))[group[owner]]
+    group = group[owner]
     hit = np.zeros(len(positions), dtype=bool)
     for r in range(len(ids) - 1):
-        mine, later = rank == r, rank > r
+        mine, later = group == r, group > r
         mine_hit, later_hit = near_masks(positions[mine], positions[later], cutoff)
         hit[mine] |= mine_hit
         hit[later] |= later_hit

@@ -308,6 +308,26 @@ def corrupt_torsions_oracle(chain: Chain, sigma: float, rng,
     return np.asarray(coords)
 
 
+def corrupt_sequence_mutate_oracle(residues, nu: float, rng):
+    """(corrupted, positions) of `foldkit.tasks.corrupt_sequence_mutate`
+    from the per-position loop that one batched draw replaced, kept as its
+    reference: positions as floor(nu * n) sorted picks without
+    replacement, then one scalar integers() draw per position."""
+    residues = np.asarray(residues, dtype=np.int64)
+    m = int(np.floor(nu * len(residues)))
+    positions = (np.sort(rng.choice(len(residues), size=m, replace=False))
+                 if m else np.empty(0, dtype=np.int64))
+    corrupted = residues.copy()
+    for p in positions:
+        original = residues[p]
+        if original < 20:
+            draw = int(rng.integers(0, 19))
+            corrupted[p] = draw if draw < original else draw + 1
+        else:
+            corrupted[p] = int(rng.integers(0, 20))
+    return corrupted, positions
+
+
 def backbone_array_oracle(chain: Chain):
     """The per-residue Residue.atom loop that `foldkit.geometry.backbone_array`
     replaced, kept as its reference."""

@@ -153,15 +153,6 @@ class TestSeededInit:
         assert np.max(np.abs(p.weights[0])) < np.sqrt(6.0 / 100)
         assert p.weights[0].size == 10_000
 
-    def test_params_round_trip_fkt(self, tmp_path):
-        p = gnn.seeded_init((4, 5, 2), gnn.Activation.RELU, seed=9)
-        gnn.save_mlp_params(p, tmp_path / "mlp")
-        q = gnn.load_mlp_params(tmp_path / "mlp")
-        assert q.widths == p.widths
-        assert q.activation is p.activation
-        for wa, wb in zip(p.weights, q.weights):
-            assert np.max(np.abs(wa - wb)) < 1e-6  # f32 container
-
 
 class TestRbf:
     def test_unit_at_center(self):

@@ -23,8 +23,9 @@ from foldkit.tasks import (CorruptionKind, CorruptionSpec, MaskedAttribute,
                            plddt_targets)
 
 from helpers import (angle_close, atom_line, backbone_walk_oracle,
-                     corrupt_torsions_oracle, full_atom_dimer, jittered_chain,
-                     proximity_oracle, random_rotation, transform_structure)
+                     corrupt_sequence_mutate_oracle, corrupt_torsions_oracle,
+                     full_atom_dimer, jittered_chain, proximity_oracle,
+                     random_rotation, transform_structure)
 
 
 class TestSequenceMutate:
@@ -71,6 +72,25 @@ class TestSequenceMutate:
         sigma = np.sqrt(n * p * (1 - p))
         others = np.delete(counts, RESIDUE_INDEX["ALA"])
         assert np.all(np.abs(others - n * p) <= 3.0 * sigma)
+
+
+    def test_matches_per_position_loop(self):
+        # residue indices 0-22 take in UNK and MASK (20-22), which draw
+        # from all 20 types; the generators must also agree afterwards
+        cases = make_rng(9)
+        for trial in range(1200):
+            n = int(cases.integers(0, 401))
+            res = cases.integers(0, 23, size=n)
+            nu = (0.0, 0.1, 0.25, 0.5, 1.0, cases.random())[trial % 6]
+            rng, oracle_rng = make_rng(trial), make_rng(trial)
+            out = corrupt_sequence_mutate(res, nu, rng)
+            corrupted, positions = corrupt_sequence_mutate_oracle(
+                res, nu, oracle_rng)
+            assert np.array_equal(out.corrupted, corrupted)
+            assert np.array_equal(out.targets.positions, positions)
+            assert rng.random() == oracle_rng.random()
+            assert np.array_equal(rng.integers(0, 7, size=3),
+                                  oracle_rng.integers(0, 7, size=3))
 
 
 class TestSequenceMask:
@@ -501,8 +521,8 @@ class TestInterfaceLabels:
 
     def test_four_chains_match_oracle(self):
         # chain ids not in size order (A 30 atoms, B and D 12 each, C 15 and
-        # far from the rest): each contact is found once, from the smaller
-        # chain, and must mark both of its sides
+        # far from the rest): each pair of chain ids is searched once, and
+        # a contact must mark both of its sides
         rng = np.random.default_rng(43)
         layout = {"C": (5, 3, 500.0), "A": (10, 3, 0.0), "D": (6, 2, 0.0),
                   "B": (4, 3, 0.0)}
