@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BadMagic, ChainTooShort, DegenerateFrame,
-                     TruncatedPayload, VersionMismatch)
+                     DimensionMismatch, TruncatedPayload, VersionMismatch)
 from .geometry import (TWO_PI, backbone_frames, backbone_torsions,
                        bond_angles, defined, shaped_array)
 from .residues import UNK, VOCABULARY, residue_index
@@ -41,7 +41,8 @@ from .structure import BACKBONE_ATOMS, AtomTable, Chain, object_array
 MAGIC = b"FKC1"
 VERSION = 1
 HEADER_SIZE = 41
-RESIDUE_SIZE = 13
+_RECORD = np.dtype([("type", "u1"), ("q", "<u2", 6)])  # packed
+RESIDUE_SIZE = _RECORD.itemsize
 
 _Q = 65535.0
 
@@ -66,26 +67,26 @@ DEFAULT_GEOMETRY = CanonicalGeometry()
 
 @dataclass(frozen=True)
 class InternalCoords:
-    """Torsions and bond angles per residue, plus the Cartesian anchor.
+    """Per-residue backbone torsions (n, 3: phi, psi, omega) and bond
+    angles (n, 3: theta_n, theta_ca, theta_c), plus the first N, CA, C.
 
-    Undefined terminal entries (phi[0], psi[-1], omega[-1], theta_ca[-1],
-    theta_c[-1]) hold 0.0; the defined_* properties give their masks.
+    Raveled, each is in walk order: entry k + 1 (k = 0 ... 3n - 4) places
+    atom k + 3 (from 0) of N1 CA1 C1 N2 ...; the first entry and the last
+    two place no N, CA or C, and the undefined ones hold 0.0 (psi[-1]
+    still orients the last O). Other shapes than (n, 3) and a (3, 3)
+    anchor raise DimensionMismatch.
     """
     res_types: tuple
-    phi: np.ndarray
-    psi: np.ndarray
-    omega: np.ndarray
-    theta_n: np.ndarray
-    theta_ca: np.ndarray
-    theta_c: np.ndarray
+    torsions: np.ndarray
+    angles: np.ndarray
     anchor: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
 
     def __post_init__(self):
-        for name in ("phi", "psi", "omega", "theta_n", "theta_ca", "theta_c"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=np.float64))
-        object.__setattr__(self, "anchor",
-                           np.asarray(self.anchor, dtype=np.float64).reshape(3, 3))
+        n = len(self.res_types)
+        for name, shape in (("torsions", (n, 3)), ("angles", (n, 3)),
+                            ("anchor", (3, 3))):
+            object.__setattr__(self, name, shaped_array(
+                getattr(self, name), shape, name))
 
     @property
     def n_residues(self) -> int:
@@ -93,13 +94,11 @@ class InternalCoords:
 
     @property
     def defined_torsions(self) -> np.ndarray:
-        """(n, 3) mask over (phi, psi, omega)."""
-        n = self.n_residues
-        mask = np.ones((n, 3), dtype=bool)
-        mask[0, 0] = False
-        mask[-1, 1] = False
-        mask[-1, 2] = False
-        return mask
+        """(n, 3) mask over (phi, psi, omega): True exactly at
+        ravel()[1:-2], the torsions the walk reads."""
+        mask = np.zeros(3 * self.n_residues, dtype=bool)
+        mask[1:-2] = True
+        return mask.reshape(-1, 3)
 
 
 def _frame(a, b, c) -> np.ndarray:
@@ -161,14 +160,14 @@ def to_internal(chain: Chain) -> InternalCoords:
     if n < 3:
         raise ChainTooShort(f"need >= 3 residues, got {n}")
     frames = backbone_frames(table)
-    torsions = np.nan_to_num(backbone_torsions(frames))
     # consecutive triples of N0 CA0 C0 N1 ... are theta_n(0), theta_ca(0),
     # theta_c(0), theta_n(1), ...; the last two are undefined (0)
     atoms = frames.reshape(-1, 3)
-    theta = np.append(defined(bond_angles, atoms[:-2], atoms[1:-1], atoms[2:]),
-                      [0.0, 0.0]).reshape(n, 3)
+    angles = np.append(defined(bond_angles, atoms[:-2], atoms[1:-1], atoms[2:]),
+                       [0.0, 0.0]).reshape(n, 3)
     return InternalCoords(tuple(table.res_type.tolist()),
-                          *torsions.T, *theta.T, anchor=frames[0])
+                          np.nan_to_num(backbone_torsions(frames)), angles,
+                          frames[0])
 
 
 def backbone_walk(ic: InternalCoords) -> np.ndarray:
@@ -180,9 +179,7 @@ def backbone_walk(ic: InternalCoords) -> np.ndarray:
     The frames are computed at once, as the prefix products of the anchor
     frame and the 3(n-1) step transforms (log2(3n) doubling steps).
     """
-    angles = np.stack([ic.phi, ic.psi, ic.omega, ic.theta_n, ic.theta_ca,
-                       ic.theta_c])
-    if not (np.isfinite(ic.anchor).all() and np.isfinite(angles).all()):
+    if not all(np.isfinite(a).all() for a in (ic.anchor, ic.torsions, ic.angles)):
         raise DegenerateFrame("non-finite anchor, bond angle or torsion")
     g = DEFAULT_GEOMETRY
     n = ic.n_residues
@@ -190,9 +187,7 @@ def backbone_walk(ic: InternalCoords) -> np.ndarray:
         return np.empty((0, 4, 3))
     # step 3i + j places atom j (N, CA, C) of residue i + 1
     length = np.tile([g.c_n, g.n_ca, g.ca_c], n - 1)
-    theta = np.stack([ic.theta_ca[:-1], ic.theta_c[:-1], ic.theta_n[1:]],
-                     axis=1).ravel()
-    torsion = np.stack([ic.psi[:-1], ic.omega[:-1], ic.phi[1:]], axis=1).ravel()
+    theta, torsion = ic.angles.ravel()[1:-2], ic.torsions.ravel()[1:-2]
     N, CA, C = ic.anchor
     P = np.concatenate([_frame(N, CA, C)[None], _steps(length, theta, torsion)])
     # The frame after step k has |(b-a) x u| = |b-a| sin(theta[k]), where
@@ -206,7 +201,7 @@ def backbone_walk(ic: InternalCoords) -> np.ndarray:
         shift *= 2
     # psi[-1] is stored as 0, so the last O uses torsion pi exactly.
     O = P[::3] @ _steps(np.full(n, g.c_o), np.full(n, g.angle_ca_c_o),
-                        (ic.psi + math.pi + math.pi) % TWO_PI - math.pi)
+                        (ic.torsions[:, 1] + math.pi + math.pi) % TWO_PI - math.pi)
     atoms = np.concatenate([ic.anchor[:2], P[:, :3, 3]]).reshape(n, 3, 3)
     return np.concatenate([atoms, O[:, None, :3, 3]], axis=1)
 
@@ -225,13 +220,13 @@ def from_internal(ic: InternalCoords, chain_id: str = "A") -> Chain:
         object_array([chain_id] * n)))
 
 
-def _quantise_torsions(theta):
+def quantise_torsions(theta):
     """Map [-pi, pi) monotonically onto [0, 65535], rounding half to even;
     the round-trip error stays under half a step."""
     return np.rint((theta + np.pi) / (2.0 * np.pi) * _Q)
 
 
-def _dequantise_torsions(q):
+def dequantise_torsions(q):
     # The two boundary bins come back a quarter-step inside (-pi, pi):
     # dequantising them to exactly +-pi would let fp noise flip the sign
     # when a rebuilt structure is re-measured, breaking the
@@ -242,31 +237,13 @@ def _dequantise_torsions(q):
                              q / _Q * 2.0 * np.pi - np.pi))
 
 
-def _quantise_bond_angles(theta):
+def quantise_bond_angles(theta):
     """Map (0, pi) onto [0, 65535]."""
     return np.rint(theta / np.pi * _Q)
 
 
-def _dequantise_bond_angles(q):
+def dequantise_bond_angles(q):
     return q / _Q * np.pi
-
-
-def quantise_torsion(theta: float) -> int:
-    """Map [-pi, pi) onto u16; monotone, half-step round-trip error."""
-    return int(_quantise_torsions(theta))
-
-
-def dequantise_torsion(q: int) -> float:
-    return float(_dequantise_torsions(q))
-
-
-def quantise_bond_angle(theta: float) -> int:
-    """Map (0, pi) onto u16."""
-    return int(_quantise_bond_angles(theta))
-
-
-def dequantise_bond_angle(q: int) -> float:
-    return float(_dequantise_bond_angles(q))
 
 
 @dataclass(frozen=True)
@@ -277,21 +254,23 @@ class EncodedProtein:
     res_type_codes: np.ndarray  # (n,) uint8
     quantised: np.ndarray       # (n, 6) uint16
 
+    def __post_init__(self):
+        n = np.size(self.res_type_codes)
+        for name, shape in (("anchor", (3, 3)), ("res_type_codes", (n,)),
+                            ("quantised", (n, 6))):
+            if np.shape(getattr(self, name)) != shape:
+                raise DimensionMismatch(f"{name} must have shape {shape}")
+
     @property
     def n_residues(self) -> int:
         return len(self.res_type_codes)
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
-        out += MAGIC
-        out += struct.pack("<B", self.version)
-        out += np.asarray(self.anchor, dtype="<f4").tobytes()
-        body = np.empty((self.n_residues, RESIDUE_SIZE), dtype=np.uint8)
-        body[:, 0] = self.res_type_codes
-        body[:, 1:] = (np.asarray(self.quantised, dtype="<u2")
-                       .view(np.uint8).reshape(self.n_residues, 12))
-        out += body.tobytes()
-        return bytes(out)
+        body = np.empty(self.n_residues, dtype=_RECORD)
+        body["type"], body["q"] = self.res_type_codes, self.quantised
+        return b"".join((MAGIC, struct.pack("<B", self.version),
+                         np.asarray(self.anchor, dtype="<f4").tobytes(),
+                         body.tobytes()))
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "EncodedProtein":
@@ -314,22 +293,18 @@ class EncodedProtein:
         with np.errstate(invalid="ignore"):  # fuzzed payloads carry NaN bits
             anchor = np.frombuffer(payload, dtype="<f4", count=9,
                                    offset=5).reshape(3, 3).astype(np.float64)
-        rows = np.frombuffer(body, dtype=np.uint8).reshape(n, RESIDUE_SIZE)
-        codes = rows[:, 0].copy()
-        quantised = rows[:, 1:].copy().view("<u2").reshape(n, 6)
-        return cls(version, anchor, codes, quantised)
+        rows = np.frombuffer(body, dtype=_RECORD)
+        return cls(version, anchor, rows["type"].copy(), rows["q"].copy())
 
 
 def encode(chain: Chain) -> EncodedProtein:
     """Quantise a backbone-complete chain into the 13-byte-per-residue form."""
     ic = to_internal(chain)
     anchor = ic.anchor.astype(np.float32)
-    torsions = np.stack([ic.phi, ic.psi, ic.omega], axis=1)
-    angles = np.stack([ic.theta_n, ic.theta_ca, ic.theta_c], axis=1)
     # residue 1's N-CA-C is the anchor's: measure it as the payload stores it
-    angles[0, 0] = defined(bond_angles, *anchor)[0]
-    quantised = np.hstack([_quantise_torsions(torsions),
-                           _quantise_bond_angles(angles)]).astype(np.uint16)
+    ic.angles[0, 0] = defined(bond_angles, *anchor)[0]
+    quantised = np.hstack([quantise_torsions(ic.torsions),
+                           quantise_bond_angles(ic.angles)]).astype(np.uint16)
     codes = np.array([residue_index(t) for t in ic.res_types], dtype=np.uint8)
     return EncodedProtein(VERSION, anchor, codes, quantised)
 
@@ -339,9 +314,8 @@ def dequantise(e: EncodedProtein) -> InternalCoords:
     return InternalCoords(
         tuple(VOCABULARY[c] if c < len(VOCABULARY) else UNK
               for c in e.res_type_codes),
-        *_dequantise_torsions(e.quantised[:, :3]).T,  # phi, psi, omega
-        *_dequantise_bond_angles(e.quantised[:, 3:]).T,  # theta_n, _ca, _c
-        anchor=e.anchor)
+        dequantise_torsions(e.quantised[:, :3]),
+        dequantise_bond_angles(e.quantised[:, 3:]), e.anchor)
 
 
 def decode(e: EncodedProtein, chain_id: str = "A") -> Chain:

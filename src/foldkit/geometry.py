@@ -4,6 +4,8 @@ Angles are radians. Torsions live in [-pi, pi) with +pi normalised to -pi;
 bond angles live in [0, pi]. Every angle comes from the batched kernels
 dihedrals() and bond_angles(). Angles that do not exist (chain termini,
 absent sidechain atoms) are NaN in arrays and None, never NaN, in tuples.
+A point that is not three numbers, or a point set that is not (n, 3),
+raises DimensionMismatch.
 """
 
 from __future__ import annotations
@@ -97,13 +99,15 @@ def defined(kernel, *points) -> np.ndarray:
 def dihedral(p1, p2, p3, p4) -> float:
     """Signed torsion of the bond p2-p3: one row of dihedrals(). Raises
     DegenerateGeometry when either bonded triple is collinear."""
-    return float(defined(dihedrals, p1, p2, p3, p4)[0])
+    points = (shaped_array(p, (3,), "point") for p in (p1, p2, p3, p4))
+    return float(defined(dihedrals, *points)[0])
 
 
 def bond_angle(p1, p2, p3) -> float:
     """Angle at p2 between the bonds to p1 and p3, in [0, pi]: one row of
     bond_angles()."""
-    return float(defined(bond_angles, p1, p2, p3)[0])
+    points = (shaped_array(p, (3,), "point") for p in (p1, p2, p3))
+    return float(defined(bond_angles, *points)[0])
 
 
 def _optional(values: np.ndarray) -> tuple:
@@ -180,7 +184,7 @@ def backbone_dihedrals(chain: Chain) -> DihedralSet:
 def virtual_angle_array(ca_trace) -> np.ndarray:
     """(n, 2) kappa/alpha of a CA trace, NaN where undefined (see
     virtual_angles)."""
-    pts = np.asarray(ca_trace, dtype=np.float64).reshape(-1, 3)
+    pts = shaped_array(ca_trace, (None, 3), "CA trace")
     n = len(pts)
     if n < 2:
         raise TooFewNodes("need at least 2 CA positions")
@@ -286,7 +290,7 @@ def knn_graph(points, k: int) -> GraphTopology:
     n points. Memory is O(KNN_BLOCK * n). The gain needs spatially compact
     blocks, such as CA in chain order; see docs/featurisation.md.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    pts = shaped_array(points, (None, 3), "points")
     n = len(pts)
     if n < 2:
         raise TooFewNodes("k-NN graph needs at least 2 points")
@@ -367,6 +371,8 @@ def near_masks(points: np.ndarray, targets: np.ndarray,
     searches the sorted keys of the larger one (cut to its box) over nine
     ranges of three x-adjacent cells; swapping the sets swaps the masks.
     Raises DegenerateGeometry on a non-finite coordinate."""
+    points, targets = (shaped_array(p, (None, 3), "points")
+                       for p in (points, targets))
     check_cutoff(cutoff)
     hits = np.zeros(len(points), dtype=bool), np.zeros(len(targets), dtype=bool)
     if not (np.isfinite(points).all() and np.isfinite(targets).all()):
@@ -474,7 +480,7 @@ def superpose(A, B) -> tuple[np.ndarray, np.ndarray]:
 def kabsch(A, B) -> Superposition:
     """Optimal proper-rotation superposition of A onto B: one row of
     superpose(), with the RMSD of the motion."""
-    A, B = (np.asarray(p, dtype=np.float64).reshape(-1, 3) for p in (A, B))
+    A, B = (shaped_array(p, (None, 3), "points") for p in (A, B))
     (R,), (t,) = superpose(A[None], B[None])
     residual = (A @ R.T + t) - B
     rmsd = float(np.sqrt(np.mean(np.sum(residual**2, axis=1))))

@@ -31,20 +31,16 @@ def make_internal(phi, psi, omega, res_types=None,
     Terminal entries of phi/psi/omega are overwritten with the 0.0
     placeholder the codec uses for undefined torsions.
     """
-    phi, psi, omega = (np.array(x, dtype=np.float64) for x in (phi, psi, omega))
-    phi[0] = psi[-1] = omega[-1] = 0.0
-    n = len(phi)
+    torsions = np.stack([phi, psi, omega], axis=1).astype(np.float64)
+    torsions.flat[[0, -2, -1]] = 0.0  # phi[0], psi[-1], omega[-1]
+    n = len(torsions)
     if res_types is None:
         res_types = tuple(CANONICAL_RESIDUES[i % 20] for i in range(n))
     g = DEFAULT_GEOMETRY
-    theta_ca = np.full(n, g.angle_ca_c_n)
-    theta_c = np.full(n, g.angle_c_n_ca)
-    theta_ca[-1] = theta_c[-1] = 0.0  # undefined trailing angles, codec convention
-    return InternalCoords(
-        res_types=tuple(res_types), phi=phi, psi=psi, omega=omega,
-        theta_n=np.full(n, g.angle_n_ca_c),
-        theta_ca=theta_ca, theta_c=theta_c,
-        anchor=default_anchor() if anchor is None else anchor)
+    angles = np.tile([g.angle_n_ca_c, g.angle_ca_c_n, g.angle_c_n_ca], (n, 1))
+    angles[-1, 1:] = 0.0  # undefined trailing angles, codec convention
+    return InternalCoords(tuple(res_types), torsions, angles,
+                          default_anchor() if anchor is None else anchor)
 
 
 def random_chain(n: int, rng: np.random.Generator,

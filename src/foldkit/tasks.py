@@ -194,11 +194,9 @@ def corrupt_torsions(chain: Chain, sigma: float,
     n = ic.n_residues
     noise = rng.standard_normal((n, 3)) * sigma
     noise[~ic.defined_torsions] = 0.0
-    original = np.stack([ic.phi, ic.psi, ic.omega], axis=1)
-    noised = np.mod(original + noise + np.pi, 2.0 * np.pi) - np.pi
+    noised = np.mod(ic.torsions + noise + np.pi, 2.0 * np.pi) - np.pi
     noised[~ic.defined_torsions] = 0.0
-    walked = backbone_walk(replace(ic, phi=noised[:, 0], psi=noised[:, 1],
-                                   omega=noised[:, 2]))
+    walked = backbone_walk(replace(ic, torsions=noised))
     owner = table.owner
     slots = table.named(BACKBONE_ATOMS)  # (m, 4)
     has_side = np.bincount(owner, ~slots.any(axis=1), n) > 0
@@ -209,7 +207,7 @@ def corrupt_torsions(chain: Chain, sigma: float,
     atom, slot = np.nonzero(slots)
     xyz[atom] = walked[owner[atom], slot]
     targets = DenoisingTargets(kind="torsional", angular_noise=noise,
-                               original_angles=original, sigma=sigma)
+                               original_angles=ic.torsions, sigma=sigma)
     return CorruptionResult(Chain.from_table(chain.id, replace(table, xyz=xyz)),
                             targets, np.ones(n, dtype=bool))
 

@@ -237,17 +237,19 @@ def backbone_walk_oracle(ic) -> np.ndarray:
     the codec's reconstruction loop did before backbone_walk."""
     g = DEFAULT_GEOMETRY
     n = ic.n_residues
+    phi, psi, omega = ic.torsions.T
+    theta_n, theta_ca, theta_c = ic.angles.T
     N, CA, C = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
     N[0], CA[0], C[0] = ic.anchor
     for i in range(n - 1):
         N[i + 1] = nerf_place_oracle(N[i], CA[i], C[i], g.c_n,
-                                     ic.theta_ca[i], ic.psi[i])
+                                     theta_ca[i], psi[i])
         CA[i + 1] = nerf_place_oracle(CA[i], C[i], N[i + 1], g.n_ca,
-                                      ic.theta_c[i], ic.omega[i])
+                                      theta_c[i], omega[i])
         C[i + 1] = nerf_place_oracle(C[i], N[i + 1], CA[i + 1], g.ca_c,
-                                     ic.theta_n[i + 1], ic.phi[i + 1])
+                                     theta_n[i + 1], phi[i + 1])
     O = [nerf_place_oracle(N[i], CA[i], C[i], g.c_o, g.angle_ca_c_o,
-                           wrap_angle(ic.psi[i] + np.pi)) for i in range(n)]
+                           wrap_angle(psi[i] + np.pi)) for i in range(n)]
     return np.stack([N, CA, C, np.asarray(O)], axis=1)
 
 
@@ -288,11 +290,9 @@ def corrupt_torsions_oracle(chain: Chain, sigma: float, rng,
     ic = to_internal(chain)
     noise = rng.standard_normal((ic.n_residues, 3)) * sigma
     noise[~ic.defined_torsions] = 0.0
-    original = np.stack([ic.phi, ic.psi, ic.omega], axis=1)
-    noised = np.mod(original + noise + np.pi, 2.0 * np.pi) - np.pi
+    noised = np.mod(ic.torsions + noise + np.pi, 2.0 * np.pi) - np.pi
     noised[~ic.defined_torsions] = 0.0
-    walked = walk(replace(ic, phi=noised[:, 0], psi=noised[:, 1],
-                          omega=noised[:, 2]))
+    walked = walk(replace(ic, torsions=noised))
     names = ("N", "CA", "C", "O")
     coords = []
     for res, before, after in zip(chain.residues, backbone_array(chain)[0],

@@ -86,8 +86,7 @@ def test_criterion_3_nerf_inverse_property():
             torsions = rng.uniform(-np.pi, np.pi, size=(3, n))
             ic = make_internal(*torsions)
             measured = to_internal(from_internal(ic))
-            for name in ("phi", "psi", "omega", "theta_n", "theta_ca",
-                         "theta_c"):
+            for name in ("torsions", "angles"):
                 a = getattr(ic, name)
                 b = getattr(measured, name)
                 assert np.max(np.abs(a - b)) < 1e-9
@@ -197,9 +196,7 @@ def test_criterion_6_corruption_statistics():
         chain = random_chain(40, make_rng(9503))
         out = corrupt_torsions(chain, 0.1, make_rng(9504))
         ic0, ic1 = to_internal(chain), to_internal(out.corrupted)
-        for name in ("theta_n", "theta_ca", "theta_c"):
-            assert np.max(np.abs(getattr(ic0, name)
-                                 - getattr(ic1, name))) < 1e-6
+        assert np.max(np.abs(ic0.angles - ic1.angles)) < 1e-6
 
 
 def test_criterion_7_featurisation():

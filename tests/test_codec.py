@@ -1,15 +1,17 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from foldkit.codec import (DEFAULT_GEOMETRY, EncodedProtein, InternalCoords,
                            backbone_walk, decode, dequantise,
-                           dequantise_bond_angle, dequantise_torsion, encode,
-                           from_internal, nerf_place, quantise_bond_angle,
-                           quantise_torsion, to_internal)
+                           dequantise_bond_angles, dequantise_torsions, encode,
+                           from_internal, nerf_place, quantise_bond_angles,
+                           quantise_torsions, to_internal)
 from foldkit.errors import (BadMagic, ChainTooShort, DegenerateFrame,
                             DegenerateGeometry, FoldkitError, TruncatedPayload,
                             VersionMismatch)
@@ -22,6 +24,12 @@ from foldkit.synth import (default_anchor, helix_chain, make_internal,
 from helpers import (angle_close, backbone_walk_oracle, jittered_chain,
                      nerf_place_oracle, random_rotation, transform_structure,
                      with_atom)
+
+
+# Where each per-residue angle lives in InternalCoords: (field, column).
+_COLUMNS = {"phi": ("torsions", 0), "psi": ("torsions", 1),
+            "omega": ("torsions", 2), "theta_n": ("angles", 0),
+            "theta_ca": ("angles", 1), "theta_c": ("angles", 2)}
 
 
 def backbone_coords(chain):
@@ -106,10 +114,11 @@ class TestBackboneWalk:
                                       "theta_ca", "theta_c"])
     def test_non_finite_angle_raises(self, name, value):
         ic = make_internal(np.full(5, 0.5), np.full(5, 0.5), np.full(5, 0.5))
-        angles = getattr(ic, name).copy()
-        angles[2] = value
+        field, column = _COLUMNS[name]
+        angles = getattr(ic, field).copy()
+        angles[2, column] = value
         with pytest.raises(DegenerateFrame, match="non-finite"):
-            backbone_walk(dataclasses.replace(ic, **{name: angles}))
+            backbone_walk(dataclasses.replace(ic, **{field: angles}))
 
     @pytest.mark.parametrize("q", [0, 65535])
     @pytest.mark.parametrize("residue, column, raises", [
@@ -138,7 +147,8 @@ class TestBackboneWalk:
         assert np.array_equal(backbone_coords(decode(e)), walked.reshape(-1, 3))
 
     def test_no_residues_walk_to_nothing(self):
-        empty = InternalCoords((), *[[]] * 6, anchor=default_anchor())
+        empty = InternalCoords((), np.empty((0, 3)), np.empty((0, 3)),
+                               default_anchor())
         assert backbone_walk(empty).shape == (0, 4, 3)
         assert from_internal(empty).residues == ()
 
@@ -159,12 +169,8 @@ class TestInternalRoundTrip:
             ic = make_internal(*torsions)
             chain = from_internal(ic)
             measured = to_internal(chain)
-            assert np.max(np.abs(measured.phi - ic.phi)) < 1e-9
-            assert np.max(np.abs(measured.psi - ic.psi)) < 1e-9
-            assert np.max(np.abs(measured.omega - ic.omega)) < 1e-9
-            assert np.max(np.abs(measured.theta_n - ic.theta_n)) < 1e-9
-            assert np.max(np.abs(measured.theta_ca - ic.theta_ca)) < 1e-9
-            assert np.max(np.abs(measured.theta_c - ic.theta_c)) < 1e-9
+            assert np.max(np.abs(measured.torsions - ic.torsions)) < 1e-9
+            assert np.max(np.abs(measured.angles - ic.angles)) < 1e-9
 
     def test_coincident_n_and_ca_raise(self):
         chain = random_chain(8, make_rng(25))
@@ -211,11 +217,11 @@ class TestInternalRoundTrip:
         torsions = rng.uniform(-np.pi, np.pi, size=(3, 50))
         ic = make_internal(*torsions)
         chain = from_internal(ic)
-        flipped_omega = ic.omega.copy()
-        flipped_omega[20] = float(np.mod(flipped_omega[20] + np.pi + np.pi,
-                                         2 * np.pi) - np.pi)
+        flipped = ic.torsions.copy()
+        flipped[20, 2] = float(np.mod(flipped[20, 2] + np.pi + np.pi,
+                                      2 * np.pi) - np.pi)
         import dataclasses
-        ic2 = dataclasses.replace(ic, omega=flipped_omega)
+        ic2 = dataclasses.replace(ic, torsions=flipped)
         chain2 = from_internal(ic2)
         sup = kabsch(backbone_coords(chain), backbone_coords(chain2))
         assert sup.rmsd > 1.0
@@ -236,28 +242,30 @@ class TestInternalRoundTrip:
 
 class TestQuantiser:
     def test_endpoints(self):
-        assert quantise_torsion(-np.pi) == 0
-        assert quantise_torsion(np.nextafter(np.pi, 0.0)) == 65535
+        assert quantise_torsions(-np.pi) == 0
+        assert quantise_torsions(np.nextafter(np.pi, 0.0)) == 65535
 
     def test_round_trip_error_below_half_step(self):
         rng = make_rng(12)
-        for theta in rng.uniform(-np.pi, np.pi, 2000):
-            q = quantise_torsion(theta)
-            assert 0 <= q <= 65535
-            assert angle_close(dequantise_torsion(q), theta, np.pi / 65535 + 1e-12)
-        for theta in rng.uniform(1e-3, np.pi - 1e-3, 2000):
-            q = quantise_bond_angle(theta)
-            assert abs(dequantise_bond_angle(q) - theta) <= np.pi / 65535 + 1e-12
+        thetas = rng.uniform(-np.pi, np.pi, 2000)
+        q = quantise_torsions(thetas)
+        assert np.all((0 <= q) & (q <= 65535))
+        for back, theta in zip(dequantise_torsions(q), thetas):
+            assert angle_close(back, theta, np.pi / 65535 + 1e-12)
+        thetas = rng.uniform(1e-3, np.pi - 1e-3, 2000)
+        q = quantise_bond_angles(thetas)
+        assert np.all(np.abs(dequantise_bond_angles(q) - thetas)
+                      <= np.pi / 65535 + 1e-12)
 
     @given(st.floats(-np.pi, np.pi, exclude_max=True))
     def test_torsion_round_trip_property(self, theta):
-        q = quantise_torsion(theta)
-        assert angle_close(dequantise_torsion(q), theta, np.pi / 65535 + 1e-12)
+        q = quantise_torsions(theta)
+        assert angle_close(dequantise_torsions(q), theta, np.pi / 65535 + 1e-12)
 
     def test_monotone(self):
         thetas = np.linspace(-np.pi, np.pi - 1e-9, 4096)
-        qs = [quantise_torsion(t) for t in thetas]
-        assert all(a <= b for a, b in zip(qs, qs[1:]))
+        qs = quantise_torsions(thetas)
+        assert np.all(qs[:-1] <= qs[1:])
 
 
 class TestBinaryFormat:
@@ -320,8 +328,7 @@ class TestBinaryFormat:
         rebuilt = to_internal(decode(EncodedProtein.from_bytes(
             encode(chain).to_bytes())))
         mask = ic.defined_torsions
-        for a, b in ((ic.phi, rebuilt.phi), (ic.psi, rebuilt.psi),
-                     (ic.omega, rebuilt.omega)):
+        for a, b in zip(ic.torsions.T, rebuilt.torsions.T):
             for x, y, m in zip(a, b, mask[:, 0]):
                 assert angle_close(x, y, np.pi / 65535 + 1e-9)
 
@@ -344,3 +351,36 @@ class TestBinaryFormat:
         rebuilt = decode(encode(chain))
         assert [r.res_type for r in rebuilt.residues] == \
             [r.res_type for r in chain.residues]
+
+
+@st.composite
+def encoded_fields(draw):
+    """(anchor, codes, quantised) of a random FKC1 payload: n = 1-40, every
+    u8 code, u16 values with both ends, f32 anchor values."""
+    n = draw(st.integers(1, 40))
+    codes = draw(arrays(np.uint8, n))
+    quantised = draw(arrays(np.uint16, (n, 6), elements=st.sampled_from(
+        (0, 65535)) | st.integers(0, 65535)))
+    anchor = draw(arrays(np.float32, (3, 3),
+                         elements=st.floats(width=32, allow_nan=False)))
+    return anchor, codes, quantised
+
+
+class TestRecordLayout:
+    """The FKC1 body against struct, an independent packer of its layout."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(encoded_fields())
+    def test_body_matches_struct_packer(self, fields):
+        anchor, codes, quantised = fields
+        records = np.column_stack([codes, quantised]).ravel().tolist()
+        packed = struct.pack("<4sB9f" + "B6H" * len(codes), b"FKC1", 1,
+                             *anchor.ravel().tolist(), *records)
+        assert EncodedProtein(1, anchor, codes, quantised).to_bytes() == packed
+        back = EncodedProtein.from_bytes(packed)
+        assert back.version == 1
+        assert np.array_equal(back.anchor, anchor)
+        assert back.res_type_codes.dtype == np.uint8
+        assert back.quantised.dtype == np.uint16
+        assert np.array_equal(back.res_type_codes, codes)
+        assert np.array_equal(back.quantised, quantised)

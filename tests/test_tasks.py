@@ -162,8 +162,7 @@ class TestTorsionNoise:
         ic0 = to_internal(chain)
         ic1 = to_internal(out.corrupted)
         noise = out.targets.angular_noise
-        originals = np.stack([ic0.phi, ic0.psi, ic0.omega], axis=1)
-        measured = np.stack([ic1.phi, ic1.psi, ic1.omega], axis=1)
+        originals, measured = ic0.torsions, ic1.torsions
         mask = ic0.defined_torsions
         for i in range(len(originals)):
             for k in range(3):
@@ -176,9 +175,7 @@ class TestTorsionNoise:
         out = corrupt_torsions(chain, 0.4, make_rng(23))
         ic0 = to_internal(chain)
         ic1 = to_internal(out.corrupted)
-        assert np.max(np.abs(ic0.theta_n - ic1.theta_n)) < 1e-6
-        assert np.max(np.abs(ic0.theta_ca - ic1.theta_ca)) < 1e-6
-        assert np.max(np.abs(ic0.theta_c - ic1.theta_c)) < 1e-6
+        assert np.max(np.abs(ic0.angles - ic1.angles)) < 1e-6
 
     def test_bond_lengths_stay_canonical(self):
         from foldkit.codec import DEFAULT_GEOMETRY as g
@@ -197,7 +194,7 @@ class TestTorsionNoise:
         chain = random_chain(10, make_rng(24))
         out = corrupt_torsions(chain, 0.2, make_rng(25))
         ic0 = to_internal(chain)
-        assert np.array_equal(out.targets.original_angles[:, 0], ic0.phi)
+        assert np.array_equal(out.targets.original_angles, ic0.torsions)
 
 
 class TestTorsionNoiseKeepsAtoms:
@@ -273,8 +270,7 @@ class TestTorsionNoiseKeepsAtoms:
     def test_torsions_are_original_plus_noise(self, case):
         s, out = case
         measured = np.concatenate([
-            np.stack([ic.phi, ic.psi, ic.omega], axis=1)
-            for ic in map(to_internal, out.corrupted.chains)])
+            ic.torsions for ic in map(to_internal, out.corrupted.chains)])
         originals = out.targets.original_angles
         noise = out.targets.angular_noise
         assert noise.shape == originals.shape == (16, 3)

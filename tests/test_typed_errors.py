@@ -10,11 +10,12 @@ one more row, and another kind of array one more entry of _MALFORMED.
 import numpy as np
 import pytest
 
-from foldkit import gnn
-from foldkit.codec import nerf_place
+from foldkit import geometry, gnn
+from foldkit.codec import EncodedProtein, InternalCoords, backbone_walk, nerf_place
 from foldkit.errors import FoldkitError
 from foldkit.geometry import GraphTopology
 from foldkit.rng import make_rng
+from foldkit.synth import make_internal
 
 _N = 5
 _TOPOLOGY = GraphTopology(_N, np.array([[0, 1], [1, 2], [2, 3], [3, 4],
@@ -35,7 +36,7 @@ _MALFORMED = {
         "text": [["a"] * 4] * _N},
     "points (n, 3)": {
         "(n,)": _numbers(_N), "(n, 2)": _numbers(_N, 2),
-        "(n, 4)": _numbers(_N, 4),
+        "(n, 4)": _numbers(_N, 4), "(2, 6)": _numbers(2, 6),
         "ragged": _numbers(_N - 1, 3).tolist() + [[1.0, 2.0]],
         "text": _numbers(_N - 1, 3).tolist() + [["a", "b", "c"]]},
     "vectors (n, v, 3)": {
@@ -46,6 +47,22 @@ _MALFORMED = {
         "(2,)": (1.0, 2.0), "(4,)": (1.0, 2.0, 3.0, 4.0),
         "(1, 3)": [[1.0, 2.0, 3.0]], "ragged": [[1.0, 2.0, 3.0], [4.0]],
         "text": "abc"},
+    "per residue (n, 3)": {
+        "(n - 1, 3)": _numbers(_N - 1, 3), "(n + 1, 3)": _numbers(_N + 1, 3),
+        "(n,)": _numbers(_N), "(n, 3, 1)": _numbers(_N, 3, 1),
+        "ragged": _numbers(_N - 1, 3).tolist() + [[1.0, 2.0]],
+        "text": [["a", "b", "c"]] * _N},
+    "anchor (3, 3)": {
+        "(9,)": _numbers(9), "(2, 3)": _numbers(2, 3),
+        "(3, 4)": _numbers(3, 4)},
+    "codes (n,)": {
+        "(n - 1,)": np.arange(_N - 1, dtype=np.uint8),
+        "(n + 1,)": np.arange(_N + 1, dtype=np.uint8),
+        "(n, 1)": np.arange(_N, dtype=np.uint8)[:, None]},
+    "quantised (n, 6)": {
+        "(n, 5)": np.ones((_N, 5), dtype=np.uint16),
+        "(n - 1, 6)": np.ones((_N - 1, 6), dtype=np.uint16),
+        "(n,)": np.ones(_N, dtype=np.uint16)},
 }
 
 _S, _X, _V = _numbers(_N, 4), _numbers(_N, 3), _numbers(_N, 2, 3)
@@ -53,6 +70,7 @@ _SCHNET, _EGNN = gnn.schnet_params(4, seed=96), gnn.egnn_params(4, seed=97)
 _GCP, _NOISE = gnn.gcp_params(4, seed=98), gnn.noise_predictor_params(4, seed=99)
 _NODES = {"S": "features (n, d)", "X": "points (n, 3)"}
 _POINTS = dict.fromkeys("abc", "point (3,)")
+_IC = make_internal(*np.full((3, _N), 0.5))
 
 # name: (call taking its array arguments by keyword, their kinds)
 _ENTRY_POINTS = {
@@ -69,6 +87,35 @@ _ENTRY_POINTS = {
     "codec.nerf_place": (lambda a=(0.0, 0.0, 0.0), b=(1.0, 0.0, 0.0),
                          c=(1.0, 1.0, 0.0): nerf_place(a, b, c, 1.5, 2.0, 0.5),
                          _POINTS),
+    "codec.InternalCoords": (lambda torsions=_IC.torsions, angles=_IC.angles,
+                             anchor=_IC.anchor: backbone_walk(InternalCoords(
+                                 _IC.res_types, torsions, angles, anchor)),
+                             {"torsions": "per residue (n, 3)",
+                              "angles": "per residue (n, 3)",
+                              "anchor": "anchor (3, 3)"}),
+    "codec.EncodedProtein": (lambda anchor=np.ones((3, 3), dtype=np.float32),
+                             res_type_codes=np.arange(_N, dtype=np.uint8),
+                             quantised=np.ones((_N, 6), dtype=np.uint16):
+                             EncodedProtein(1, anchor, res_type_codes,
+                                            quantised).to_bytes(),
+                             {"anchor": "anchor (3, 3)",
+                              "res_type_codes": "codes (n,)",
+                              "quantised": "quantised (n, 6)"}),
+    "geometry.dihedral": (lambda a=(0.0, 0.0, 0.0), b=(1.0, 0.0, 0.0),
+                          c=(1.0, 1.0, 0.0), d=(1.0, 1.0, 1.0):
+                          geometry.dihedral(a, b, c, d),
+                          dict.fromkeys("abcd", "point (3,)")),
+    "geometry.bond_angle": (lambda a=(0.0, 0.0, 0.0), b=(1.0, 0.0, 0.0),
+                            c=(1.0, 1.0, 0.0): geometry.bond_angle(a, b, c),
+                            _POINTS),
+    "geometry.virtual_angles": (lambda X=_X: geometry.virtual_angles(X),
+                                {"X": "points (n, 3)"}),
+    "geometry.knn_graph": (lambda X=_X: geometry.knn_graph(X, 2),
+                           {"X": "points (n, 3)"}),
+    "geometry.kabsch": (lambda A=_X, B=_X + 1.0: geometry.kabsch(A, B),
+                        dict.fromkeys("AB", "points (n, 3)")),
+    "geometry.near_masks": (lambda A=_X, B=_X + 1.0: geometry.near_masks(
+        A, B, 3.5), dict.fromkeys("AB", "points (n, 3)")),
 }
 
 _CASES = [(entry, arg, label)
