@@ -255,11 +255,14 @@ class EncodedProtein:
     quantised: np.ndarray       # (n, 6) uint16
 
     def __post_init__(self):
-        n = np.size(self.res_type_codes)
-        for name, shape in (("anchor", (3, 3)), ("res_type_codes", (n,)),
-                            ("quantised", (n, 6))):
-            if np.shape(getattr(self, name)) != shape:
-                raise DimensionMismatch(f"{name} must have shape {shape}")
+        try:  # np.shape and np.size raise ValueError for a ragged field
+            n = np.size(self.res_type_codes)
+            for name, shape in (("anchor", (3, 3)), ("res_type_codes", (n,)),
+                                ("quantised", (n, 6))):
+                if np.shape(getattr(self, name)) != shape:
+                    raise DimensionMismatch(f"{name} must have shape {shape}")
+        except ValueError:
+            raise DimensionMismatch("EncodedProtein field is ragged") from None
 
     @property
     def n_residues(self) -> int:

@@ -413,14 +413,12 @@ def near_masks(points: np.ndarray, targets: np.ndarray,
 def edges_from_text(text: str, num_nodes: int | None = None) -> GraphTopology:
     """Parse edges_to_text() lines, skipping blank ones; raises
     MalformedRecord for a line that is not two tab-separated int64
-    integers. Canonical text is read in one call, any other line by line."""
-    edges = None
-    if re.fullmatch(r"(?:-?[0-9]+\t-?[0-9]+\n)*", text):
-        try:
-            edges = np.array(text.split(), dtype=np.int64)
-        except OverflowError:  # outside int64: the loop names the line
-            pass
-    if edges is None:
+    integers. Canonical text of at most 18 digits per integer, which all
+    fit int64, is read in one call; any other text line by line, which
+    names the line of an integer outside int64 (fromstring saturates it)."""
+    if re.fullmatch(r"(?:-?[0-9]{1,18}\t-?[0-9]{1,18}\n)*", text):
+        edges = np.fromstring(text, dtype=np.int64, sep=" ")
+    else:
         pairs = []
         for line_no, line in enumerate(text.splitlines(), start=1):
             if line.strip():

@@ -4,13 +4,15 @@ Edges follow the graph module's (source, target) storage; the target is
 the receiving node, so relative geometry uses x_target - x_source. All
 functions are pure: identical inputs and params give bit-identical
 outputs. Each node's incoming messages are summed in stored-edge order,
-starting from 0.0, so outputs do not depend on how the scatter runs.
+starting from 0.0, so outputs do not depend on how the scatter runs. An
+edge MLP's first layer is applied to the endpoint features once per node
+and gathered per edge: outputs differ from a forward over concatenated
+edge rows in the last bits only.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,22 +104,53 @@ def _node_arrays(topology: GraphTopology, **arrays) -> list:
     return [shaped_array(a, shapes[name], name) for name, a in arrays.items()]
 
 
-def _edge_geometry(X: np.ndarray, topology: GraphTopology):
+def _edge_geometry(X: np.ndarray, edges: np.ndarray):
     """Distances and receiver-minus-sender difference vectors per edge."""
-    src = topology.edges[:, 0]
-    dst = topology.edges[:, 1]
+    src = edges[:, 0]
+    dst = edges[:, 1]
     diff = X[dst] - X[src]
     dist = np.linalg.norm(diff, axis=1)
     return src, dst, diff, dist
 
 
-def _aggregate(values: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    """Per-node sums in stored-edge order from 0.0, as np.add.at adds:
-    bincount adds its weights into zeros one after another, in order."""
-    width = math.prod(values.shape[1:])
-    cells = dst[:, None] * width + np.arange(width)
-    sums = np.bincount(cells.ravel(), values.reshape(-1), n * width)
-    return sums.reshape((n,) + values.shape[1:])
+def _summation_order(dst: np.ndarray, n: int):
+    """(perm, position, counts): perm lists edges by rank (a receiver's r-th
+    stored edge has rank r), then by receiver position in the nodes stably
+    sorted by falling in-degree, so rank r adds into positions < counts[r]."""
+    by_dst = np.argsort(dst, kind="stable")
+    first = np.searchsorted(dst[by_dst], np.arange(n + 1))  # runs in by_dst
+    degree = np.diff(first)
+    position = np.argsort(np.argsort(-degree, kind="stable"))
+    rank = np.arange(len(dst)) - np.repeat(first[:-1], degree)
+    perm = by_dst[np.argsort(rank * n + np.repeat(position, degree))]
+    counts = np.searchsorted(np.sort(-degree), -np.arange(degree.max(initial=0)))
+    return perm, position, counts
+
+
+def _aggregate(values: np.ndarray, order) -> np.ndarray:
+    """Per-node sums of values given in summation order: each node adds its
+    incoming values in stored-edge order into 0.0, as np.add.at does."""
+    _, position, counts = order
+    sums = np.zeros((len(position),) + values.shape[1:])
+    for rank in np.split(values, np.cumsum(counts[:-1])):
+        sums[:len(rank)] += rank
+    return sums[position]
+
+
+def _edge_mlp(p: MlpParams, S: np.ndarray, src, dst, per_edge) -> np.ndarray:
+    """p on the rows [S[dst], S[src], per_edge], whose S blocks of the
+    first layer are applied once per node and gathered per edge."""
+    d = S.shape[1]
+    if p.in_dim != 2 * d + per_edge.shape[1]:
+        raise DimensionMismatch(f"edge MLP input dim {p.in_dim} != 2d + extra")
+    W = p.weights[0]
+    x = (S @ W[:, :d].T + p.biases[0])[dst]
+    x += (S @ W[:, d:2 * d].T)[src]
+    x += per_edge @ W[:, 2 * d:].T
+    if len(p.weights) > 1:
+        _activate(p.activation, x)
+    return mlp_forward(MlpParams(p.widths[1:], p.weights[1:], p.biases[1:],
+                                 p.activation), x)
 
 
 @dataclass(frozen=True)
@@ -153,9 +186,10 @@ def schnet_layer(S, X, topology: GraphTopology, p: SchNetParams) -> np.ndarray:
         raise DimensionMismatch("filter output dim != feature dim")
     if topology.num_edges == 0:
         return S.copy()
-    src, dst, _, dist = _edge_geometry(X, topology)
+    order = _summation_order(topology.edges[:, 1], len(S))
+    src, _, _, dist = _edge_geometry(X, topology.edges[order[0]])
     filters = mlp_forward(p.filter_mlp, rbf_expand(dist, p))
-    return S + _aggregate(S[src] * filters, dst, len(S))
+    return S + _aggregate(S[src] * filters, order)
 
 
 @dataclass(frozen=True)
@@ -180,13 +214,13 @@ def egnn_layer(S, X, topology: GraphTopology, p: EgnnParams):
     S, X = _node_arrays(topology, S=S, X=X)
     if p.coord_mlp.out_dim != 1:
         raise DimensionMismatch("coordinate gate must be scalar")
-    src, dst, diff, dist = _edge_geometry(X, topology)
-    edge_in = np.concatenate([S[dst], S[src], dist[:, None]], axis=1)
-    messages = mlp_forward(p.message_mlp, edge_in)
-    agg = _aggregate(messages, dst, len(S))
+    order = _summation_order(topology.edges[:, 1], len(S))
+    src, dst, diff, dist = _edge_geometry(X, topology.edges[order[0]])
+    messages = _edge_mlp(p.message_mlp, S, src, dst, dist[:, None])
+    agg = _aggregate(messages, order)
     S_out = mlp_forward(p.update_mlp, np.concatenate([S, agg], axis=1))
-    gates = mlp_forward(p.coord_mlp, edge_in)
-    X_out = X + _aggregate(diff * gates, dst, len(S))
+    gates = _edge_mlp(p.coord_mlp, S, src, dst, dist[:, None])
+    X_out = X + _aggregate(diff * gates, order)
     return S_out, X_out
 
 
@@ -206,7 +240,7 @@ class GcpFrame:
 def gcp_frames(X, topology: GraphTopology) -> GcpFrame:
     """Geometry-complete frames for every stored edge (receiver = target)."""
     X, = _node_arrays(topology, X=X)
-    return _frames(X, *_edge_geometry(X, topology))
+    return _frames(X, *_edge_geometry(X, topology.edges))
 
 
 def _frames(X, src, dst, rel, rel_norm) -> GcpFrame:
@@ -251,8 +285,9 @@ def gcp_layer(S, V, X, topology: GraphTopology, p: GcpParams):
     node updates are residual.
     """
     S, V, X = _node_arrays(topology, S=S, V=V, X=X)
-    n, n_vec = V.shape[0], V.shape[1]
-    src, dst, diff, dist = _edge_geometry(X, topology)
+    n_vec = V.shape[1]
+    order = _summation_order(topology.edges[:, 1], len(S))
+    src, dst, diff, dist = _edge_geometry(X, topology.edges[order[0]])
     frames = _frames(X, src, dst, diff, dist)
 
     def project(vecs):  # (E, n_vec, 3) onto the three frame axes
@@ -260,17 +295,18 @@ def gcp_layer(S, V, X, topology: GraphTopology, p: GcpParams):
                          for ax in (frames.a, frames.b, frames.c)],
                         axis=2).reshape(len(src), 3 * n_vec)
 
-    inv = np.concatenate([S[dst], S[src], project(V[dst]), project(V[src]),
-                          dist[:, None]], axis=1)
-    msg_s = mlp_forward(p.message_mlp, inv)
-    gates = mlp_forward(p.gate_mlp, inv).reshape(len(src), n_vec, 5)
+    per_edge = np.concatenate([project(V[dst]), project(V[src]),
+                               dist[:, None]], axis=1)
+    msg_s = _edge_mlp(p.message_mlp, S, src, dst, per_edge)
+    gates = _edge_mlp(p.gate_mlp, S, src, dst, per_edge).reshape(
+        len(src), n_vec, 5)
     msg_v = (gates[:, :, 0:1] * frames.a[:, None, :]
              + gates[:, :, 1:2] * frames.b[:, None, :]
              + gates[:, :, 2:3] * frames.c[:, None, :]
              + gates[:, :, 3:4] * V[dst]
              + gates[:, :, 4:5] * V[src])
-    agg_s = _aggregate(msg_s, dst, n)
-    agg_v = _aggregate(msg_v, dst, n)
+    agg_s = _aggregate(msg_s, order)
+    agg_v = _aggregate(msg_v, order)
     S_out = S + mlp_forward(p.node_mlp, np.concatenate([S, agg_s], axis=1))
     V_out = V + agg_v
     return S_out, V_out
@@ -302,11 +338,11 @@ def noise_predictor(S, X, topology: GraphTopology,
     S, X = _node_arrays(topology, S=S, X=X)
     if p.score_mlp.out_dim != 1:
         raise DimensionMismatch("edge score must be scalar")
-    src, dst, diff, dist = _edge_geometry(X, topology)
+    order = _summation_order(topology.edges[:, 1], len(S))
+    src, dst, diff, dist = _edge_geometry(X, topology.edges[order[0]])
     if np.any(dist < _EPS):
         raise CoincidentNodes("zero-length edge")
     embedded = mlp_forward(p.dist_mlp, dist[:, None])
-    scores = mlp_forward(p.score_mlp,
-                         np.concatenate([S[dst], S[src], embedded], axis=1))
+    scores = _edge_mlp(p.score_mlp, S, src, dst, embedded)
     directions = diff / dist[:, None]
-    return _aggregate(scores * directions, dst, len(S))
+    return _aggregate(scores * directions, order)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codec import DEFAULT_GEOMETRY, InternalCoords, from_internal
+from .geometry import shaped_array
 from .residues import CANONICAL_RESIDUES
 from .structure import Chain, Structure
 
@@ -31,7 +32,9 @@ def make_internal(phi, psi, omega, res_types=None,
     Terminal entries of phi/psi/omega are overwritten with the 0.0
     placeholder the codec uses for undefined torsions.
     """
-    torsions = np.stack([phi, psi, omega], axis=1).astype(np.float64)
+    phi = shaped_array(phi, (None,), "phi")
+    torsions = np.stack([phi, shaped_array(psi, phi.shape, "psi"),
+                         shaped_array(omega, phi.shape, "omega")], axis=1)
     torsions.flat[[0, -2, -1]] = 0.0  # phi[0], psi[-1], omega[-1]
     n = len(torsions)
     if res_types is None:

@@ -17,7 +17,7 @@ from foldkit.errors import (CoordinateOverflow, DegenerateConfiguration,
                             NoCompleteResidues)
 from foldkit.geometry import (Superposition, backbone_array, check_cutoff,
                               defined, dihedrals, wrap_angle)
-from foldkit.gnn import Activation
+from foldkit.gnn import Activation, gcp_frames, mlp_forward
 from foldkit.pdb import (_METHOD_TEXT, _format_date, _parse_method,
                          _parse_pdb_date)
 from foldkit.residues import CHI_ATOMS, MAX_CHI, RESIDUE_INDEX
@@ -422,6 +422,62 @@ def mlp_forward_oracle(p, x: np.ndarray) -> np.ndarray:
         elif i != last and p.activation is Activation.RELU:
             x = np.maximum(x, 0.0)
     return x
+
+
+def _edge_rows_oracle(X, topology):
+    src, dst = topology.edges[:, 0], topology.edges[:, 1]
+    diff = X[dst] - X[src]
+    return src, dst, diff, np.linalg.norm(diff, axis=1)
+
+
+def egnn_layer_oracle(S, X, topology, p):
+    """The concatenated-row forward that `foldkit.gnn.egnn_layer` replaced,
+    kept as its reference: both edge MLPs read the rows [S[dst], S[src],
+    dist], in stored-edge order, summed by `aggregate_oracle`."""
+    src, dst, diff, dist = _edge_rows_oracle(X, topology)
+    edge_in = np.concatenate([S[dst], S[src], dist[:, None]], axis=1)
+    agg = aggregate_oracle(mlp_forward(p.message_mlp, edge_in), dst, len(S))
+    S_out = mlp_forward(p.update_mlp, np.concatenate([S, agg], axis=1))
+    gates = mlp_forward(p.coord_mlp, edge_in)
+    return S_out, X + aggregate_oracle(diff * gates, dst, len(S))
+
+
+def gcp_layer_oracle(S, V, X, topology, p):
+    """The concatenated-row forward that `foldkit.gnn.gcp_layer` replaced,
+    kept as its reference: both edge MLPs read the rows [S[dst], S[src],
+    frame projections of V[dst] and V[src], dist] in stored-edge order."""
+    src, dst, _, dist = _edge_rows_oracle(X, topology)
+    frames = gcp_frames(X, topology)
+    n_vec = V.shape[1]
+
+    def project(vecs):
+        return np.stack([np.einsum("evk,ek->ev", vecs, ax)
+                         for ax in (frames.a, frames.b, frames.c)],
+                        axis=2).reshape(len(src), 3 * n_vec)
+
+    inv = np.concatenate([S[dst], S[src], project(V[dst]), project(V[src]),
+                          dist[:, None]], axis=1)
+    msg_s = mlp_forward(p.message_mlp, inv)
+    gates = mlp_forward(p.gate_mlp, inv).reshape(len(src), n_vec, 5)
+    msg_v = (gates[:, :, 0:1] * frames.a[:, None, :]
+             + gates[:, :, 1:2] * frames.b[:, None, :]
+             + gates[:, :, 2:3] * frames.c[:, None, :]
+             + gates[:, :, 3:4] * V[dst]
+             + gates[:, :, 4:5] * V[src])
+    agg_s = aggregate_oracle(msg_s, dst, len(S))
+    S_out = S + mlp_forward(p.node_mlp, np.concatenate([S, agg_s], axis=1))
+    return S_out, V + aggregate_oracle(msg_v, dst, len(S))
+
+
+def noise_predictor_oracle(S, X, topology, p):
+    """The concatenated-row forward that `foldkit.gnn.noise_predictor`
+    replaced, kept as its reference: the score MLP reads the rows
+    [S[dst], S[src], dist embedding] in stored-edge order."""
+    src, dst, diff, dist = _edge_rows_oracle(X, topology)
+    embedded = mlp_forward(p.dist_mlp, dist[:, None])
+    scores = mlp_forward(p.score_mlp,
+                         np.concatenate([S[dst], S[src], embedded], axis=1))
+    return aggregate_oracle(scores * (diff / dist[:, None]), dst, len(S))
 
 
 def full_atom_dimer() -> Structure:

@@ -285,11 +285,22 @@ class TestEdgeTextFormat:
         ("1\t2\t3\n", 1), ("0\t1\n\na\tb\n", 3), ("0\t1\n1 2\n", 2),
         ("99999999999999999999\t1\n", 1),
         ("0\t1\n1\t-9223372036854775809\n", 2),
-        ("0\t1\n2\t9223372036854775808\n", 2)])
+        ("0\t1\n2\t9223372036854775808\n", 2),
+        ("0\t1\n-9223372036854775809\t0\n", 2),
+        ("0\t1\n0\t1\n99999999999999999999999\t2\n", 3)])
     def test_malformed_line_raises_typed_error(self, text, line_no):
         with pytest.raises(MalformedRecord) as err:
             edges_from_text(text)
         assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize("text", [
+        "9223372036854775807\t1\n", "0\t1\n2\t1234567890123456789\n",
+        "1000000000000000000\t999999999999999999\n",
+        "000000000000000000007\t1\n"])
+    def test_integers_past_18_digits_read_exactly(self, text):
+        edges = edges_from_text(text).edges
+        assert edges.dtype == np.int64
+        assert edges.tolist() == edges_from_text_oracle(text).tolist()
 
 
 _EDGE_NOISE = "0123456789-+_ \t\r\n\u0663"  # U+0663: ARABIC-INDIC DIGIT THREE

@@ -11,8 +11,9 @@ from foldkit.geometry import GraphTopology, knn_graph
 from foldkit.rng import make_rng
 from foldkit.synth import random_chain, single_chain_structure
 
-from helpers import (aggregate_oracle, mlp_forward_oracle, random_reflection,
-                     random_rotation, silu_oracle)
+from helpers import (aggregate_oracle, egnn_layer_oracle, gcp_layer_oracle,
+                     mlp_forward_oracle, noise_predictor_oracle,
+                     random_reflection, random_rotation, silu_oracle)
 
 
 def small_graph(n=12, seed=0, k=4):
@@ -103,6 +104,12 @@ class TestAggregate:
     magnitude."""
 
     @staticmethod
+    def _aggregate(v, dst, n):
+        """`_aggregate` of v, passed in the summation order of dst."""
+        order = gnn._summation_order(dst, n)
+        return gnn._aggregate(v[order[0]], order)
+
+    @staticmethod
     def _values(rng, m, shape):
         v = rng.normal(size=(m,) + shape)
         v *= 10.0 ** rng.integers(-12, 12, size=v.shape)
@@ -116,7 +123,7 @@ class TestAggregate:
         for m in (0, 1, 5, 60, 400):
             dst = rng.integers(0, n - 3, m)  # the last 3 nodes get nothing
             v = self._values(rng, m, shape)
-            got = gnn._aggregate(v, dst, n)
+            got = self._aggregate(v, dst, n)
             assert got.shape == (n,) + shape
             assert np.array_equal(bits(got), bits(aggregate_oracle(v, dst, n)))
 
@@ -125,15 +132,157 @@ class TestAggregate:
         for dst in (np.repeat(np.arange(6), 16), np.zeros(50, dtype=np.int64),
                     np.sort(rng.integers(0, 4, 90)), rng.integers(0, 30, 25)):
             v = self._values(rng, len(dst), (3,))
-            assert np.array_equal(bits(gnn._aggregate(v, dst, 30)),
+            assert np.array_equal(bits(self._aggregate(v, dst, 30)),
                                   bits(aggregate_oracle(v, dst, 30)))
 
     def test_negative_zero_sums_to_positive_zero(self):
         v = np.array([-0.0, -0.0, 1.0, -1.0])
-        got = gnn._aggregate(v, np.array([0, 0, 1, 1]), 3)
+        got = self._aggregate(v, np.array([0, 0, 1, 1]), 3)
         assert np.array_equal(bits(got), bits(np.zeros(3)))
         assert np.array_equal(bits(got), bits(aggregate_oracle(
             v, np.array([0, 0, 1, 1]), 3)))
+
+
+def _knn_graph_inputs(n, seed):
+    g = build_graph(single_chain_structure(random_chain(n, make_rng(seed))),
+                    FeatureScheme.CA_SC, k=16)
+    S = make_rng(seed + 1).normal(size=g.scalars.shape) + g.scalars
+    return S, g.node_vectors, g.coords, g.topology
+
+
+def _oracle_cases():
+    """(S, V, X, topology) by name: ca_sc k = 16 graphs, the n = 100 one
+    shuffled, a star, one where half the nodes receive nothing, and one
+    without edges."""
+    rng = make_rng(83)
+    cases = {f"knn{n}": _knn_graph_inputs(n, 84 + n) for n in (100, 440)}
+    S, V, X, topo = cases["knn100"]
+    n = len(S)
+    cases["shuffled"] = (S, V, X, GraphTopology(
+        n, topo.edges[rng.permutation(topo.num_edges)]))
+    others = np.arange(1, n)
+    star = np.concatenate([np.stack([others, np.zeros(n - 1, int)], axis=1),
+                           topo.edges[rng.permutation(topo.num_edges)[:300]]])
+    cases["star"] = (S, V, X, GraphTopology(n, star[rng.permutation(len(star))]))
+    half = topo.edges[topo.edges[:, 1] < n // 2]
+    cases["half_receive"] = (S, V, X, GraphTopology(n, half))
+    cases["no_edges"] = (S, V, X, GraphTopology(n, np.empty((0, 2), int)))
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+_ORACLE_RTOL = 1e-13  # of max |oracle output|; measured up to 6.5e-16
+
+
+def _close_to_oracle(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= (
+        _ORACLE_RTOL * np.max(np.abs(want), initial=0.0))
+
+
+class TestConcatenatedRowOracles:
+    """The per-node first layer and the rank-ordered sums against the
+    concatenated-row forward they replaced. The two differ in rounding
+    only, so they agree to a relative tolerance, not bit for bit."""
+
+    @pytest.mark.parametrize("case", _ORACLE_CASES)
+    def test_egnn_layer(self, case):
+        S, _, X, topo = _ORACLE_CASES[case]
+        p = gnn.egnn_params(S.shape[1], seed=85)
+        for got, want in zip(gnn.egnn_layer(S, X, topo, p),
+                             egnn_layer_oracle(S, X, topo, p)):
+            _close_to_oracle(got, want)
+
+    @pytest.mark.parametrize("case", _ORACLE_CASES)
+    def test_gcp_layer(self, case):
+        S, V, X, topo = _ORACLE_CASES[case]
+        p = gnn.gcp_params(S.shape[1], seed=86)
+        for got, want in zip(gnn.gcp_layer(S, V, X, topo, p),
+                             gcp_layer_oracle(S, V, X, topo, p)):
+            _close_to_oracle(got, want)
+
+    @pytest.mark.parametrize("case", _ORACLE_CASES)
+    def test_noise_predictor(self, case):
+        S, _, X, topo = _ORACLE_CASES[case]
+        p = gnn.noise_predictor_params(S.shape[1], seed=87)
+        _close_to_oracle(gnn.noise_predictor(S, X, topo, p),
+                         noise_predictor_oracle(S, X, topo, p))
+
+    @pytest.mark.parametrize("case", ["shuffled", "star"])
+    def test_schnet_layer(self, case):
+        S, _, X, topo = _ORACLE_CASES[case]
+        p = gnn.schnet_params(S.shape[1], seed=88)
+        src, dst = topo.edges[:, 0], topo.edges[:, 1]
+        filters = gnn.mlp_forward(p.filter_mlp, gnn.rbf_expand(
+            np.linalg.norm(X[dst] - X[src], axis=1), p))
+        want = S + aggregate_oracle(S[src] * filters, dst, len(S))
+        _close_to_oracle(gnn.schnet_layer(S, X, topo, p), want)
+
+    @pytest.mark.parametrize("layer", ["egnn", "gcp", "noise"])
+    @pytest.mark.parametrize("params_dim", [5, 7])
+    def test_params_width_not_2d_plus_extra(self, layer, params_dim):
+        S, V, X, topo = _ORACLE_CASES["knn100"]
+        S = S[:, :6]
+        run = {"egnn": lambda: gnn.egnn_layer(
+                   S, X, topo, gnn.egnn_params(params_dim, seed=89)),
+               "gcp": lambda: gnn.gcp_layer(
+                   S, V, X, topo, gnn.gcp_params(params_dim, seed=90)),
+               "noise": lambda: gnn.noise_predictor(
+                   S, X, topo, gnn.noise_predictor_params(params_dim, seed=91))}
+        with pytest.raises(DimensionMismatch):
+            run[layer]()
+
+    def test_distance_embedding_width_not_score_input(self):
+        S, _, X, topo = _ORACLE_CASES["knn100"]
+        p = gnn.noise_predictor_params(S.shape[1], seed=92)
+        p = dataclasses.replace(p, dist_mlp=gnn.seeded_init((1, 8, 16), seed=93))
+        with pytest.raises(DimensionMismatch):
+            gnn.noise_predictor(S, X, topo, p)
+
+    def test_gcp_frames_in_stored_edge_order(self):
+        _, _, X, topo = _ORACLE_CASES["shuffled"]
+        frames = gnn.gcp_frames(X, topo)
+        src, dst = topo.edges[:, 0], topo.edges[:, 1]
+        rel = X[dst] - X[src]
+        cross = np.cross(X[dst], X[src])
+        assert np.array_equal(
+            frames.a, rel / np.linalg.norm(rel, axis=1)[:, None])
+        assert np.array_equal(
+            frames.b, cross / np.linalg.norm(cross, axis=1)[:, None])
+        assert np.array_equal(frames.c, np.cross(frames.a, frames.b))
+
+
+class TestSummationOrder:
+    @pytest.mark.parametrize("case", _ORACLE_CASES)
+    def test_ranks_are_prefixes_in_stored_order(self, case):
+        topo = _ORACLE_CASES[case][3]
+        perm, position, counts = gnn._summation_order(topo.edges[:, 1],
+                                                      topo.num_nodes)
+        assert np.array_equal(np.sort(perm), np.arange(topo.num_edges))
+        assert np.array_equal(np.sort(position), np.arange(topo.num_nodes))
+        assert sum(counts) == topo.num_edges
+        assert list(counts) == sorted(counts, reverse=True)
+        receivers = position[topo.edges[perm, 1]]
+        start = 0
+        for count in counts:
+            assert np.array_equal(receivers[start:start + count],
+                                  np.arange(count))
+            start += count
+        for node in range(topo.num_nodes):  # each node's edges in stored order
+            mine = perm[topo.edges[perm, 1] == node]
+            assert np.all(np.diff(mine) > 0)
+
+    def test_width_32_any_edge_order_bit_for_bit(self):
+        rng = make_rng(94)
+        for case in ("knn440", "shuffled", "star", "half_receive"):
+            topo = _ORACLE_CASES[case][3]
+            dst = topo.edges[:, 1]
+            v = rng.normal(size=(len(dst), 32))
+            v *= 10.0 ** rng.integers(-12, 12, size=v.shape)
+            order = gnn._summation_order(dst, topo.num_nodes)
+            assert np.array_equal(
+                bits(gnn._aggregate(v[order[0]], order)),
+                bits(aggregate_oracle(v, dst, topo.num_nodes)))
 
 
 class TestSeededInit:

@@ -54,15 +54,21 @@ _MALFORMED = {
         "text": [["a", "b", "c"]] * _N},
     "anchor (3, 3)": {
         "(9,)": _numbers(9), "(2, 3)": _numbers(2, 3),
-        "(3, 4)": _numbers(3, 4)},
+        "(3, 4)": _numbers(3, 4), "ragged": [[1.0, 2.0, 3.0], [4.0]]},
     "codes (n,)": {
         "(n - 1,)": np.arange(_N - 1, dtype=np.uint8),
         "(n + 1,)": np.arange(_N + 1, dtype=np.uint8),
-        "(n, 1)": np.arange(_N, dtype=np.uint8)[:, None]},
+        "(n, 1)": np.arange(_N, dtype=np.uint8)[:, None],
+        "ragged": [[0], [1, 2]] + [[3]] * (_N - 2)},
     "quantised (n, 6)": {
         "(n, 5)": np.ones((_N, 5), dtype=np.uint16),
         "(n - 1, 6)": np.ones((_N - 1, 6), dtype=np.uint16),
-        "(n,)": np.ones(_N, dtype=np.uint16)},
+        "(n,)": np.ones(_N, dtype=np.uint16),
+        "ragged": [[1] * 6] * (_N - 1) + [[1] * 5]},
+    "per residue (n,)": {
+        "(n - 1,)": _numbers(_N - 1), "(n + 1,)": _numbers(_N + 1),
+        "(n, 1)": _numbers(_N, 1), "ragged": [1.0] * (_N - 1) + [[1.0, 2.0]],
+        "text": ["a"] * _N},
 }
 
 _S, _X, _V = _numbers(_N, 4), _numbers(_N, 3), _numbers(_N, 2, 3)
@@ -101,6 +107,10 @@ _ENTRY_POINTS = {
                              {"anchor": "anchor (3, 3)",
                               "res_type_codes": "codes (n,)",
                               "quantised": "quantised (n, 6)"}),
+    "synth.make_internal": (lambda phi=_numbers(_N), psi=_numbers(_N),
+                            omega=_numbers(_N): make_internal(phi, psi, omega),
+                            dict.fromkeys(("phi", "psi", "omega"),
+                                          "per residue (n,)")),
     "geometry.dihedral": (lambda a=(0.0, 0.0, 0.0), b=(1.0, 0.0, 0.0),
                           c=(1.0, 1.0, 0.0), d=(1.0, 1.0, 1.0):
                           geometry.dihedral(a, b, c, d),
