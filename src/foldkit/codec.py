@@ -110,14 +110,20 @@ def _frame(a, b, c) -> np.ndarray:
     if nbc < 1e-12:
         raise DegenerateFrame("coincident frame atoms b and c")
     u = u / nbc
-    n = np.cross(b - a, u)
+    n = _cross(b - a, u)
     nn = np.linalg.norm(n)
     if not (math.isfinite(nn) and nn >= 1e-12):
         raise DegenerateFrame("collinear frame atoms")
     n = n / nn
     frame = np.eye(4)
-    frame[:3] = np.stack([u, np.cross(n, u), n, c], axis=1)
+    frame[:3] = np.stack([u, _cross(n, u), n, c], axis=1)
     return frame
+
+
+def _cross(x, y) -> np.ndarray:
+    """np.cross of two 3-vectors, rounded as it rounds, without its overhead."""
+    (x0, x1, x2), (y0, y1, y2) = x.tolist(), y.tolist()
+    return np.array([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0])
 
 
 def _steps(length, bond_angle_value, torsion) -> np.ndarray:

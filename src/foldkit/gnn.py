@@ -4,16 +4,21 @@ Edges follow the graph module's (source, target) storage; the target is
 the receiving node, so relative geometry uses x_target - x_source. All
 functions are pure: identical inputs and params give bit-identical
 outputs. Each node's incoming messages are summed in stored-edge order,
-starting from 0.0, so outputs do not depend on how the scatter runs. An
-edge MLP's first layer is applied to the endpoint features once per node
-and gathered per edge: outputs differ from a forward over concatenated
-edge rows in the last bits only.
+starting from 0.0, so outputs do not depend on how the scatter runs. Edge
+work runs in tiles of about EDGE_BLOCK edges, so no array spans all edges:
+a tile is a range of receivers and of their ranks (a node's r-th stored
+edge has rank r), and a receiver of more edges is split along its ranks,
+its partial sum carried from tile to tile. An edge MLP's first layer is
+applied to the endpoint features once per node and gathered per edge:
+outputs differ from a forward over concatenated edge rows in the last
+bits only.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from .geometry import GraphTopology, shaped_array
 from .rng import make_rng
 
 _EPS = 1e-12
+EDGE_BLOCK = 1024  # edges per tile of message passing
 
 
 class Activation(enum.Enum):
@@ -127,30 +133,75 @@ def _summation_order(dst: np.ndarray, n: int):
     return perm, position, counts
 
 
+def _tiles(counts: np.ndarray):
+    """(slots, b0, rows) per tile of about EDGE_BLOCK edges: slots index the
+    summation order, and the tile's i-th rank adds rows[i] values into
+    positions b0, b0 + 1, .... Positions are cut into near-equal ranges of
+    cumulative in-degree, and a range of more than EDGE_BLOCK edges (a hub)
+    along its ranks, in rank order: its sums carry from tile to tile."""
+    start = np.cumsum(counts) - counts  # of each rank in the order
+    degree = np.searchsorted(-counts, -np.arange(counts[:1].sum()))
+    ends = np.concatenate([[0], np.cumsum(degree)])  # in-degree before
+    parts = max(1, -(-ends[-1] // EDGE_BLOCK))
+    bounds = np.searchsorted(ends, np.arange(parts + 1) * ends[-1] // parts)
+    for b0, b1 in pairwise(np.unique(bounds)):
+        parts = -(-(ends[b1] - ends[b0]) // EDGE_BLOCK)
+        for r0, r1 in pairwise(np.arange(parts + 1) * degree[b0] // parts):
+            rows = np.minimum(counts[r0:r1], b1) - b0
+            at = np.cumsum(rows) - rows  # of each rank in the tile
+            yield (np.repeat(start[r0:r1] + b0 - at, rows)
+                   + np.arange(rows.sum()), b0, rows)
+
+
+def _tile_sum(sums: np.ndarray, values: np.ndarray, tile) -> None:
+    """Add one tile's values, given rank by rank, into its rows of sums: each
+    row adds its values in rank order to its sum so far (0.0 at first)."""
+    _, b0, rows = tile
+    runs = np.flatnonzero(np.diff(rows)) + 1  # of ranks with equal rows
+    for run, block in zip(np.split(rows, runs),
+                          np.split(values, np.cumsum(rows)[runs - 1])):
+        total = sums[b0:b0 + run[0]]
+        stack = np.concatenate([total[None], block.reshape(
+            (len(run),) + total.shape)])  # the sum so far, then each rank
+        if total.size == 1:  # numpy reduces into a single element pairwise
+            total[...] = np.add.accumulate(stack)[-1]
+        else:  # in order along axis 0
+            np.add.reduce(stack, axis=0, out=total)
+
+
 def _aggregate(values: np.ndarray, order) -> np.ndarray:
-    """Per-node sums of values given in summation order: each node adds its
-    incoming values in stored-edge order into 0.0, as np.add.at does."""
-    _, position, counts = order
-    sums = np.zeros((len(position),) + values.shape[1:])
-    for rank in np.split(values, np.cumsum(counts[:-1])):
-        sums[:len(rank)] += rank
-    return sums[position]
+    """Per-node sums of values given in summation order, tile by tile: each
+    node adds its incoming values in stored-edge order into 0.0."""
+    sums = np.zeros((len(order[1]),) + values.shape[1:])
+    for tile in _tiles(order[2]):
+        _tile_sum(sums, values[tile[0]], tile)
+    return sums[order[1]]
 
 
-def _edge_mlp(p: MlpParams, S: np.ndarray, src, dst, per_edge) -> np.ndarray:
-    """p on the rows [S[dst], S[src], per_edge], whose S blocks of the
-    first layer are applied once per node and gathered per edge."""
+def _edge_tiles(X: np.ndarray, topology: GraphTopology, order):
+    """((src, dst, diff, dist), tile) for each of _tiles(order[2])."""
+    for tile in _tiles(order[2]):
+        yield _edge_geometry(X, topology.edges[order[0][tile[0]]]), tile
+
+
+def _edge_mlp(p: MlpParams, S: np.ndarray, extra: int):
+    """p on the edge rows [S[dst], S[src], per_edge] of 2d + extra columns,
+    as a function of (src, dst, per_edge): the S blocks of the first layer
+    are applied once per node here and gathered per edge."""
     d = S.shape[1]
-    if p.in_dim != 2 * d + per_edge.shape[1]:
+    if p.in_dim != 2 * d + extra:
         raise DimensionMismatch(f"edge MLP input dim {p.in_dim} != 2d + extra")
     W = p.weights[0]
-    x = (S @ W[:, :d].T + p.biases[0])[dst]
-    x += (S @ W[:, d:2 * d].T)[src]
-    x += per_edge @ W[:, 2 * d:].T
-    if len(p.weights) > 1:
-        _activate(p.activation, x)
-    return mlp_forward(MlpParams(p.widths[1:], p.weights[1:], p.biases[1:],
-                                 p.activation), x)
+    to_dst, to_src = S @ W[:, :d].T + p.biases[0], S @ W[:, d:2 * d].T
+    rest = MlpParams(p.widths[1:], p.weights[1:], p.biases[1:], p.activation)
+
+    def forward(src, dst, per_edge):
+        x = to_dst[dst]
+        x += to_src[src]
+        x += per_edge @ W[:, 2 * d:].T
+        return mlp_forward(rest, _activate(p.activation, x) if rest.weights
+                           else x)
+    return forward
 
 
 @dataclass(frozen=True)
@@ -187,9 +238,11 @@ def schnet_layer(S, X, topology: GraphTopology, p: SchNetParams) -> np.ndarray:
     if topology.num_edges == 0:
         return S.copy()
     order = _summation_order(topology.edges[:, 1], len(S))
-    src, _, _, dist = _edge_geometry(X, topology.edges[order[0]])
-    filters = mlp_forward(p.filter_mlp, rbf_expand(dist, p))
-    return S + _aggregate(S[src] * filters, order)
+    sums = np.zeros_like(S)
+    for (src, _, _, dist), tile in _edge_tiles(X, topology, order):
+        filters = mlp_forward(p.filter_mlp, rbf_expand(dist, p))
+        _tile_sum(sums, np.multiply(S[src], filters, out=filters), tile)
+    return S + sums[order[1]]
 
 
 @dataclass(frozen=True)
@@ -214,14 +267,17 @@ def egnn_layer(S, X, topology: GraphTopology, p: EgnnParams):
     S, X = _node_arrays(topology, S=S, X=X)
     if p.coord_mlp.out_dim != 1:
         raise DimensionMismatch("coordinate gate must be scalar")
+    message = _edge_mlp(p.message_mlp, S, 1)
+    coord = _edge_mlp(p.coord_mlp, S, 1)
     order = _summation_order(topology.edges[:, 1], len(S))
-    src, dst, diff, dist = _edge_geometry(X, topology.edges[order[0]])
-    messages = _edge_mlp(p.message_mlp, S, src, dst, dist[:, None])
-    agg = _aggregate(messages, order)
-    S_out = mlp_forward(p.update_mlp, np.concatenate([S, agg], axis=1))
-    gates = _edge_mlp(p.coord_mlp, S, src, dst, dist[:, None])
-    X_out = X + _aggregate(diff * gates, order)
-    return S_out, X_out
+    agg = np.zeros((len(S), p.message_mlp.out_dim))
+    shift = np.zeros_like(X)
+    for (src, dst, diff, dist), tile in _edge_tiles(X, topology, order):
+        _tile_sum(agg, message(src, dst, dist[:, None]), tile)
+        gates = coord(src, dst, dist[:, None])
+        _tile_sum(shift, np.multiply(diff, gates, out=diff), tile)
+    S_out = mlp_forward(p.update_mlp, np.concatenate([S, agg[order[1]]], axis=1))
+    return S_out, X + shift[order[1]]
 
 
 @dataclass(frozen=True)
@@ -276,6 +332,13 @@ def gcp_params(feature_dim: int, n_vec: int = 2, hidden: int = 32,
                              seed=seed + 2))
 
 
+def _project(vecs: np.ndarray, frames: GcpFrame) -> np.ndarray:
+    """(e, v, 3) vectors onto the three axes of their edge's frame: (e, 3v)."""
+    return np.stack([np.einsum("evk,ek->ev", vecs, ax)
+                     for ax in (frames.a, frames.b, frames.c)],
+                    axis=2).reshape(len(vecs), 3 * vecs.shape[1])
+
+
 def gcp_layer(S, V, X, topology: GraphTopology, p: GcpParams):
     """Frame-projected message passing over scalar and vector channels.
 
@@ -286,30 +349,25 @@ def gcp_layer(S, V, X, topology: GraphTopology, p: GcpParams):
     """
     S, V, X = _node_arrays(topology, S=S, V=V, X=X)
     n_vec = V.shape[1]
+    message = _edge_mlp(p.message_mlp, S, 6 * n_vec + 1)
+    gate = _edge_mlp(p.gate_mlp, S, 6 * n_vec + 1)
     order = _summation_order(topology.edges[:, 1], len(S))
-    src, dst, diff, dist = _edge_geometry(X, topology.edges[order[0]])
-    frames = _frames(X, src, dst, diff, dist)
-
-    def project(vecs):  # (E, n_vec, 3) onto the three frame axes
-        return np.stack([np.einsum("evk,ek->ev", vecs, ax)
-                         for ax in (frames.a, frames.b, frames.c)],
-                        axis=2).reshape(len(src), 3 * n_vec)
-
-    per_edge = np.concatenate([project(V[dst]), project(V[src]),
-                               dist[:, None]], axis=1)
-    msg_s = _edge_mlp(p.message_mlp, S, src, dst, per_edge)
-    gates = _edge_mlp(p.gate_mlp, S, src, dst, per_edge).reshape(
-        len(src), n_vec, 5)
-    msg_v = (gates[:, :, 0:1] * frames.a[:, None, :]
-             + gates[:, :, 1:2] * frames.b[:, None, :]
-             + gates[:, :, 2:3] * frames.c[:, None, :]
-             + gates[:, :, 3:4] * V[dst]
-             + gates[:, :, 4:5] * V[src])
-    agg_s = _aggregate(msg_s, order)
-    agg_v = _aggregate(msg_v, order)
-    S_out = S + mlp_forward(p.node_mlp, np.concatenate([S, agg_s], axis=1))
-    V_out = V + agg_v
-    return S_out, V_out
+    agg_s = np.zeros((len(S), p.message_mlp.out_dim))
+    agg_v = np.zeros_like(V)
+    for (src, dst, diff, dist), tile in _edge_tiles(X, topology, order):
+        f = _frames(X, src, dst, diff, dist)
+        per_edge = np.concatenate([_project(V[dst], f), _project(V[src], f),
+                                   dist[:, None]], axis=1)
+        _tile_sum(agg_s, message(src, dst, per_edge), tile)
+        gates = gate(src, dst, per_edge).reshape(len(src), n_vec, 5)
+        _tile_sum(agg_v, gates[:, :, 0:1] * f.a[:, None, :]
+                  + gates[:, :, 1:2] * f.b[:, None, :]
+                  + gates[:, :, 2:3] * f.c[:, None, :]
+                  + gates[:, :, 3:4] * V[dst]
+                  + gates[:, :, 4:5] * V[src], tile)
+    S_out = S + mlp_forward(p.node_mlp, np.concatenate([S, agg_s[order[1]]],
+                                                       axis=1))
+    return S_out, V + agg_v[order[1]]
 
 
 @dataclass(frozen=True)
@@ -338,11 +396,13 @@ def noise_predictor(S, X, topology: GraphTopology,
     S, X = _node_arrays(topology, S=S, X=X)
     if p.score_mlp.out_dim != 1:
         raise DimensionMismatch("edge score must be scalar")
+    score = _edge_mlp(p.score_mlp, S, p.dist_mlp.out_dim)
     order = _summation_order(topology.edges[:, 1], len(S))
-    src, dst, diff, dist = _edge_geometry(X, topology.edges[order[0]])
-    if np.any(dist < _EPS):
-        raise CoincidentNodes("zero-length edge")
-    embedded = mlp_forward(p.dist_mlp, dist[:, None])
-    scores = _edge_mlp(p.score_mlp, S, src, dst, embedded)
-    directions = diff / dist[:, None]
-    return _aggregate(scores * directions, order)
+    sums = np.zeros_like(X)
+    for (src, dst, diff, dist), tile in _edge_tiles(X, topology, order):
+        if np.any(dist < _EPS):
+            raise CoincidentNodes("zero-length edge")
+        scores = score(src, dst, mlp_forward(p.dist_mlp, dist[:, None]))
+        diff /= dist[:, None]
+        _tile_sum(sums, np.multiply(scores, diff, out=diff), tile)
+    return sums[order[1]]

@@ -35,13 +35,13 @@ def make_internal(phi, psi, omega, res_types=None,
     phi = shaped_array(phi, (None,), "phi")
     torsions = np.stack([phi, shaped_array(psi, phi.shape, "psi"),
                          shaped_array(omega, phi.shape, "omega")], axis=1)
-    torsions.flat[[0, -2, -1]] = 0.0  # phi[0], psi[-1], omega[-1]
+    torsions[:1, 0] = torsions[-1:, 1:] = 0.0  # phi[0], psi[-1], omega[-1]
     n = len(torsions)
     if res_types is None:
         res_types = tuple(CANONICAL_RESIDUES[i % 20] for i in range(n))
     g = DEFAULT_GEOMETRY
     angles = np.tile([g.angle_n_ca_c, g.angle_ca_c_n, g.angle_c_n_ca], (n, 1))
-    angles[-1, 1:] = 0.0  # undefined trailing angles, codec convention
+    angles[-1:, 1:] = 0.0  # undefined trailing angles, codec convention
     return InternalCoords(tuple(res_types), torsions, angles,
                           default_anchor() if anchor is None else anchor)
 

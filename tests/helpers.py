@@ -17,7 +17,7 @@ from foldkit.errors import (CoordinateOverflow, DegenerateConfiguration,
                             NoCompleteResidues)
 from foldkit.geometry import (Superposition, backbone_array, check_cutoff,
                               defined, dihedrals, wrap_angle)
-from foldkit.gnn import Activation, gcp_frames, mlp_forward
+from foldkit.gnn import Activation, gcp_frames, mlp_forward, rbf_expand
 from foldkit.pdb import (_METHOD_TEXT, _format_date, _parse_method,
                          _parse_pdb_date)
 from foldkit.residues import CHI_ATOMS, MAX_CHI, RESIDUE_INDEX
@@ -428,6 +428,14 @@ def _edge_rows_oracle(X, topology):
     src, dst = topology.edges[:, 0], topology.edges[:, 1]
     diff = X[dst] - X[src]
     return src, dst, diff, np.linalg.norm(diff, axis=1)
+
+
+def schnet_layer_oracle(S, X, topology, p):
+    """`foldkit.gnn.schnet_layer` over the whole edge list at once, in
+    stored-edge order, summed by `aggregate_oracle`."""
+    src, dst, _, dist = _edge_rows_oracle(X, topology)
+    filters = mlp_forward(p.filter_mlp, rbf_expand(dist, p))
+    return S + aggregate_oracle(S[src] * filters, dst, len(S))
 
 
 def egnn_layer_oracle(S, X, topology, p):

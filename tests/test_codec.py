@@ -152,6 +152,12 @@ class TestBackboneWalk:
         assert backbone_walk(empty).shape == (0, 4, 3)
         assert from_internal(empty).residues == ()
 
+    def test_make_internal_with_no_residues(self):
+        ic = make_internal(np.zeros(0), np.zeros(0), np.zeros(0))
+        assert ic.res_types == ()
+        assert ic.torsions.shape == ic.angles.shape == (0, 3)
+        assert backbone_walk(ic).shape == (0, 4, 3)
+
     def test_decode_walks_the_dequantised_payload(self):
         """The CLI's encode RMSD walks dequantise(e) without a Chain: the
         same bits decode() writes."""

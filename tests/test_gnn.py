@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from foldkit.synth import random_chain, single_chain_structure
 
 from helpers import (aggregate_oracle, egnn_layer_oracle, gcp_layer_oracle,
                      mlp_forward_oracle, noise_predictor_oracle,
-                     random_reflection, random_rotation, silu_oracle)
+                     random_reflection, random_rotation, schnet_layer_oracle,
+                     silu_oracle)
 
 
 def small_graph(n=12, seed=0, k=4):
@@ -283,6 +285,121 @@ class TestSummationOrder:
             assert np.array_equal(
                 bits(gnn._aggregate(v[order[0]], order)),
                 bits(aggregate_oracle(v, dst, topo.num_nodes)))
+
+
+def _tile_cases():
+    """(S, V, X, topology) by name, each over several tiles: a ca_sc k = 16
+    graph of 1 000 nodes, the same shuffled, with every third node receiving
+    nothing and a quarter of the other edges dropped (receivers of uneven
+    in-degree, empty ones between them), and with a hub that every other
+    node sends to three times (3 013 edges, cut along its ranks)."""
+    rng = make_rng(95)
+    S, V, X, topo = _knn_graph_inputs(1000, 96)
+    n = len(S)
+    shuffled = topo.edges[rng.permutation(topo.num_edges)]
+    gaps = topo.edges[(topo.edges[:, 1] % 3 != 0)
+                      & (rng.random(topo.num_edges) < 0.75)]
+    into_hub = np.stack([np.tile(np.arange(1, n), 3),
+                         np.zeros(3 * (n - 1), int)], axis=1)
+    hub = np.concatenate([topo.edges, into_hub])
+    return {"knn1000": (S, V, X, topo),
+            "shuffled1000": (S, V, X, GraphTopology(n, shuffled)),
+            "gaps": (S, V, X, GraphTopology(n, gaps)),
+            "hub": (S, V, X, GraphTopology(n, hub[rng.permutation(len(hub))]))}
+
+
+_TILE_CASES = _tile_cases()
+
+
+class TestTiles:
+    """Each layer runs over tiles of about EDGE_BLOCK edges of the summation
+    order; a hub's tiles carry its partial sum from rank to rank."""
+
+    @pytest.mark.parametrize("case", _TILE_CASES)
+    def test_tiles_cover_the_order_rank_by_rank(self, case):
+        topo = _TILE_CASES[case][3]
+        dst = topo.edges[:, 1]
+        perm, position, counts = gnn._summation_order(dst, topo.num_nodes)
+        rank_of = np.repeat(np.arange(len(counts)), counts)
+        position_of = position[dst[perm]]
+        summed = np.zeros(topo.num_nodes, int)  # ranks summed per position
+        slots = []
+        for s, b0, rows in gnn._tiles(counts):
+            assert len(s) == rows.sum() <= 2 * gnn.EDGE_BLOCK
+            assert rows[0] > 1 or len(s) <= gnn.EDGE_BLOCK  # one receiver
+            assert np.array_equal(position_of[s], np.concatenate(
+                [np.arange(b0, b0 + r) for r in rows]))
+            assert np.array_equal(rank_of[s], np.concatenate(
+                [summed[b0:b0 + r] + i for i, r in enumerate(rows)]))
+            np.add.at(summed, position_of[s], 1)
+            slots.append(s)
+        assert np.array_equal(np.sort(np.concatenate(slots)),
+                              np.arange(topo.num_edges))
+        assert len(slots) >= topo.num_edges / gnn.EDGE_BLOCK
+
+    def test_hub_is_cut_along_its_ranks(self):
+        topo = _TILE_CASES["hub"][3]
+        _, _, counts = gnn._summation_order(topo.edges[:, 1], topo.num_nodes)
+        hub_tiles = [rows for _, b0, rows in gnn._tiles(counts) if b0 == 0]
+        assert [len(rows) for rows in hub_tiles] == [1004, 1004, 1005]
+        assert all(np.all(rows == 1) for rows in hub_tiles)
+
+    @pytest.mark.parametrize("case", _TILE_CASES)
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_sums_bit_for_bit(self, case, shape):
+        rng = make_rng(97)
+        topo = _TILE_CASES[case][3]
+        dst = topo.edges[:, 1]
+        v = rng.normal(size=(len(dst),) + shape)
+        v *= 10.0 ** rng.integers(-12, 12, size=v.shape)
+        order = gnn._summation_order(dst, topo.num_nodes)
+        assert np.array_equal(
+            bits(gnn._aggregate(v[order[0]], order)),
+            bits(aggregate_oracle(v, dst, topo.num_nodes)))
+
+    @pytest.mark.parametrize("case", _TILE_CASES)
+    def test_layers_match_oracles(self, case):
+        S, V, X, topo = _TILE_CASES[case]
+        d = S.shape[1]
+        p = gnn.schnet_params(d, seed=98)
+        _close_to_oracle(gnn.schnet_layer(S, X, topo, p),
+                         schnet_layer_oracle(S, X, topo, p))
+        p = gnn.egnn_params(d, seed=99)
+        for got, want in zip(gnn.egnn_layer(S, X, topo, p),
+                             egnn_layer_oracle(S, X, topo, p)):
+            _close_to_oracle(got, want)
+        p = gnn.gcp_params(d, seed=100)
+        for got, want in zip(gnn.gcp_layer(S, V, X, topo, p),
+                             gcp_layer_oracle(S, V, X, topo, p)):
+            _close_to_oracle(got, want)
+        p = gnn.noise_predictor_params(d, seed=101)
+        _close_to_oracle(gnn.noise_predictor(S, X, topo, p),
+                         noise_predictor_oracle(S, X, topo, p))
+
+    def test_star_of_20001_nodes(self):
+        """One receiver of 20 000 edges: 20 tiles along its ranks, each
+        summed in one call."""
+        rng = make_rng(102)
+        topo = GraphTopology(20_001, np.stack(
+            [np.arange(1, 20_001), np.zeros(20_000, int)], axis=1))
+        S = rng.normal(size=(20_001, 57))
+        X = rng.normal(size=(20_001, 3)) * 30.0
+        p = gnn.schnet_params(57, seed=103)
+        _close_to_oracle(gnn.schnet_layer(S, X, topo, p),
+                         schnet_layer_oracle(S, X, topo, p))
+
+    def test_gcp_memory_is_bounded_by_the_tile(self):
+        """At n = 2 000 (32 000 edges) a forward over whole-graph edge arrays
+        peaks at 39 MB; over tiles it peaks at 6.4 MB, most of it per node."""
+        S, V, X, topo = _knn_graph_inputs(2000, 104)
+        p = gnn.gcp_params(S.shape[1], seed=105)
+        tracemalloc.start()
+        try:
+            gnn.gcp_layer(S, V, X, topo, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestSeededInit:
