@@ -6,12 +6,14 @@ label (proximity CSV labels), filter (dataset manifests).
 
 Exit codes: 0 success, 1 usage error (argparse's, or the
 DegenerateConfiguration of a subcommand's argument check, made before any
-file is read), 2 data error. Every input may be a single file or a
-directory; directories are walked breadth-first in lexicographic order
+file is read), 2 data error. Every input but filter's may be a single file
+or a directory; directories are walked breadth-first in lexicographic order
 and can be processed with --jobs N, with per-file seeds derived from the
 relative path so outputs do not depend on N.
 Each file's notes or error print in input order for any --jobs, and a
 file that fails writes nothing: workers return outputs, _run_jobs writes.
+filter takes a directory only (exit 2 otherwise), has no --jobs, and
+skips a file it cannot parse with a note, still exiting 0.
 """
 
 from __future__ import annotations

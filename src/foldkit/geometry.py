@@ -234,17 +234,19 @@ def sidechain_torsions(residue: Residue) -> ChiSet:
 
 @dataclass(frozen=True)
 class GraphTopology:
-    """Directed edge list over num_nodes points; edges is an (E, 2) int
-    array of (source, target) pairs."""
+    """Directed edge list over num_nodes points; edges is a read-only copy,
+    an (E, 2) int array of (source, target) pairs, so what is derived from
+    it (the GNN summation order) can be kept on the topology."""
     num_nodes: int
     edges: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64)
+        edges = np.array(self.edges, dtype=np.int64)
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
             raise DimensionMismatch(
                 f"edges must be an (E, 2) array, got shape {edges.shape}")
         edges = edges.reshape(-1, 2)
+        edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
         if edges.size:
             if np.any(edges[:, 0] == edges[:, 1]):

@@ -4,19 +4,19 @@ Edges follow the graph module's (source, target) storage; the target is
 the receiving node, so relative geometry uses x_target - x_source. All
 functions are pure: identical inputs and params give bit-identical
 outputs. Each node's incoming messages are summed in stored-edge order,
-starting from 0.0, so outputs do not depend on how the scatter runs. Edge
-work runs in tiles of about EDGE_BLOCK edges, so no array spans all edges:
-a tile is a range of receivers and of their ranks (a node's r-th stored
-edge has rank r), and a receiver of more edges is split along its ranks,
-its partial sum carried from tile to tile. An edge MLP's first layer is
-applied to the endpoint features once per node and gathered per edge:
-outputs differ from a forward over concatenated edge rows in the last
-bits only.
+starting from 0.0, so outputs do not depend on how the scatter runs. One
+driver runs every layer's edge work in tiles of about EDGE_BLOCK edges, so
+no array spans all edges: a tile is a range of receivers and of their ranks
+(a node's r-th stored edge has rank r), and a receiver of more edges is
+split along its ranks, its partial sum carried from tile to tile. The order
+and tiles are made once per topology and kept on it. An edge MLP's first
+layer is applied to the endpoint features once per node and gathered per
+edge: outputs differ from a forward over concatenated edge rows in the
+last bits only.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -31,33 +31,22 @@ _EPS = 1e-12
 EDGE_BLOCK = 1024  # edges per tile of message passing
 
 
-class Activation(enum.Enum):
-    SILU = "silu"
-    RELU = "relu"
-    IDENTITY = "identity"
-
-
-def _activate(kind: Activation, x: np.ndarray) -> np.ndarray:
-    """Overwrite x with its activation and return it."""
-    if kind is Activation.SILU:  # x exp(min(x, 0)) / (1 + exp(-|x|)), no mask
-        num = np.minimum(x, 0.0)  # no exponent is positive: no overflow
-        num = np.multiply(np.exp(num, out=num), x, out=num)
-        den = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
-        den += 1.0
-        return np.divide(num, den, out=x)
-    if kind is Activation.RELU:
-        return np.maximum(x, 0.0, out=x)
-    return x
+def _activate(x: np.ndarray) -> np.ndarray:
+    """Overwrite x with its SiLU and return it: x exp(min(x, 0)) /
+    (1 + exp(-|x|)), with no mask and no positive exponent to overflow."""
+    num = np.minimum(x, 0.0)
+    num = np.multiply(np.exp(num, out=num), x, out=num)
+    den = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
+    den += 1.0
+    return np.divide(num, den, out=x)
 
 
 @dataclass(frozen=True)
 class MlpParams:
-    """Affine layers with an activation between them; the final layer is
-    always linear."""
+    """Affine layers with SiLU between them; the final layer is linear."""
     widths: tuple            # (in, hidden..., out)
     weights: tuple           # (out_i, in_i) arrays
     biases: tuple            # (out_i,) arrays
-    activation: Activation = Activation.SILU
 
     @property
     def in_dim(self) -> int:
@@ -68,8 +57,7 @@ class MlpParams:
         return self.widths[-1]
 
 
-def seeded_init(widths, activation: Activation = Activation.SILU,
-                seed: int = 0) -> MlpParams:
+def seeded_init(widths, seed: int = 0) -> MlpParams:
     """Deterministic fan-in-scaled uniform init: |w| < sqrt(6 / fan_in),
     biases zero. Identical across platforms for a given seed."""
     widths = tuple(int(w) for w in widths)
@@ -82,7 +70,7 @@ def seeded_init(widths, activation: Activation = Activation.SILU,
         bound = np.sqrt(6.0 / fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpParams(widths, tuple(weights), tuple(biases), activation)
+    return MlpParams(widths, tuple(weights), tuple(biases))
 
 
 def mlp_forward(p: MlpParams, x) -> np.ndarray:
@@ -98,7 +86,7 @@ def mlp_forward(p: MlpParams, x) -> np.ndarray:
         x = x @ W.T  # a new array, so the caller's x is never written
         x += b
         if i != last:
-            _activate(p.activation, x)
+            _activate(x)
     return x[0] if squeeze else x
 
 
@@ -119,69 +107,68 @@ def _edge_geometry(X: np.ndarray, edges: np.ndarray):
     return src, dst, diff, dist
 
 
-def _summation_order(dst: np.ndarray, n: int):
-    """(perm, position, counts): perm lists edges by rank (a receiver's r-th
-    stored edge has rank r), then by receiver position in the nodes stably
-    sorted by falling in-degree, so rank r adds into positions < counts[r]."""
+def _plan(topology: GraphTopology):
+    """(position, tiles) of the summation order, made on first use and kept
+    on the topology, whose edges are read-only. Edges go by rank (a node's
+    r-th stored edge has rank r), then by receiver position in the nodes
+    stably sorted by falling in-degree. A tile, (edge ids, b0, runs), holds
+    about EDGE_BLOCK edges of that order; in a run (rows, ranks, at), each
+    rank adds rows values, read from at on, into positions b0, b0 + 1, ...
+    Positions are cut into near-equal ranges of cumulative in-degree, and a
+    range of more than EDGE_BLOCK edges (a hub) along its ranks."""
+    if "_plan" in topology.__dict__:
+        return topology.__dict__["_plan"]
+    dst, n = topology.edges[:, 1], topology.num_nodes
     by_dst = np.argsort(dst, kind="stable")
     first = np.searchsorted(dst[by_dst], np.arange(n + 1))  # runs in by_dst
     degree = np.diff(first)
     position = np.argsort(np.argsort(-degree, kind="stable"))
     rank = np.arange(len(dst)) - np.repeat(first[:-1], degree)
-    perm = by_dst[np.argsort(rank * n + np.repeat(position, degree))]
-    counts = np.searchsorted(np.sort(-degree), -np.arange(degree.max(initial=0)))
-    return perm, position, counts
-
-
-def _tiles(counts: np.ndarray):
-    """(slots, b0, rows) per tile of about EDGE_BLOCK edges: slots index the
-    summation order, and the tile's i-th rank adds rows[i] values into
-    positions b0, b0 + 1, .... Positions are cut into near-equal ranges of
-    cumulative in-degree, and a range of more than EDGE_BLOCK edges (a hub)
-    along its ranks, in rank order: its sums carry from tile to tile."""
+    order = by_dst[np.argsort(rank * n + np.repeat(position, degree))]
+    degree = -np.sort(-degree)  # by position
+    counts = np.searchsorted(-degree, -np.arange(degree[:1].sum()))
     start = np.cumsum(counts) - counts  # of each rank in the order
-    degree = np.searchsorted(-counts, -np.arange(counts[:1].sum()))
     ends = np.concatenate([[0], np.cumsum(degree)])  # in-degree before
     parts = max(1, -(-ends[-1] // EDGE_BLOCK))
     bounds = np.searchsorted(ends, np.arange(parts + 1) * ends[-1] // parts)
+    tiles = []
     for b0, b1 in pairwise(np.unique(bounds)):
         parts = -(-(ends[b1] - ends[b0]) // EDGE_BLOCK)
         for r0, r1 in pairwise(np.arange(parts + 1) * degree[b0] // parts):
             rows = np.minimum(counts[r0:r1], b1) - b0
             at = np.cumsum(rows) - rows  # of each rank in the tile
-            yield (np.repeat(start[r0:r1] + b0 - at, rows)
-                   + np.arange(rows.sum()), b0, rows)
+            ids = order[np.repeat(start[r0:r1] + b0 - at, rows)
+                        + np.arange(rows.sum())]
+            run = np.flatnonzero(np.diff(rows, prepend=0))  # of equal rows
+            runs = zip(rows[run], np.diff(run, append=len(rows)), at[run])
+            tiles.append((ids, int(b0), [tuple(map(int, r)) for r in runs]))
+    topology.__dict__["_plan"] = position, tiles
+    return position, tiles
 
 
 def _tile_sum(sums: np.ndarray, values: np.ndarray, tile) -> None:
     """Add one tile's values, given rank by rank, into its rows of sums: each
     row adds its values in rank order to its sum so far (0.0 at first)."""
-    _, b0, rows = tile
-    runs = np.flatnonzero(np.diff(rows)) + 1  # of ranks with equal rows
-    for run, block in zip(np.split(rows, runs),
-                          np.split(values, np.cumsum(rows)[runs - 1])):
-        total = sums[b0:b0 + run[0]]
-        stack = np.concatenate([total[None], block.reshape(
-            (len(run),) + total.shape)])  # the sum so far, then each rank
+    _, b0, runs = tile
+    for rows, ranks, at in runs:
+        total = sums[b0:b0 + rows]
+        block = values[at:at + rows * ranks].reshape((ranks,) + total.shape)
+        stack = np.concatenate([total[None], block])  # sum so far, then ranks
         if total.size == 1:  # numpy reduces into a single element pairwise
             total[...] = np.add.accumulate(stack)[-1]
         else:  # in order along axis 0
             np.add.reduce(stack, axis=0, out=total)
 
 
-def _aggregate(values: np.ndarray, order) -> np.ndarray:
-    """Per-node sums of values given in summation order, tile by tile: each
-    node adds its incoming values in stored-edge order into 0.0."""
-    sums = np.zeros((len(order[1]),) + values.shape[1:])
-    for tile in _tiles(order[2]):
-        _tile_sum(sums, values[tile[0]], tile)
-    return sums[order[1]]
-
-
-def _edge_tiles(X: np.ndarray, topology: GraphTopology, order):
-    """((src, dst, diff, dist), tile) for each of _tiles(order[2])."""
-    for tile in _tiles(order[2]):
-        yield _edge_geometry(X, topology.edges[order[0][tile[0]]]), tile
+def _message_sums(topology: GraphTopology, shapes, messages) -> list:
+    """Per-node sums, (n, *shape) per shape, of the per-edge arrays that
+    messages(edge_ids) returns per tile, in stored-edge order from 0.0."""
+    position, tiles = _plan(topology)
+    sums = [np.zeros((len(position),) + tuple(shape)) for shape in shapes]
+    for tile in tiles:
+        for total, values in zip(sums, messages(tile[0])):
+            _tile_sum(total, values, tile)
+    return [total[position] for total in sums]
 
 
 def _edge_mlp(p: MlpParams, S: np.ndarray, extra: int):
@@ -193,14 +180,13 @@ def _edge_mlp(p: MlpParams, S: np.ndarray, extra: int):
         raise DimensionMismatch(f"edge MLP input dim {p.in_dim} != 2d + extra")
     W = p.weights[0]
     to_dst, to_src = S @ W[:, :d].T + p.biases[0], S @ W[:, d:2 * d].T
-    rest = MlpParams(p.widths[1:], p.weights[1:], p.biases[1:], p.activation)
+    rest = MlpParams(p.widths[1:], p.weights[1:], p.biases[1:])
 
     def forward(src, dst, per_edge):
         x = to_dst[dst]
         x += to_src[src]
         x += per_edge @ W[:, 2 * d:].T
-        return mlp_forward(rest, _activate(p.activation, x) if rest.weights
-                           else x)
+        return mlp_forward(rest, _activate(x) if rest.weights else x)
     return forward
 
 
@@ -235,14 +221,12 @@ def schnet_layer(S, X, topology: GraphTopology, p: SchNetParams) -> np.ndarray:
     S, X = _node_arrays(topology, S=S, X=X)
     if p.filter_mlp.out_dim != S.shape[1]:
         raise DimensionMismatch("filter output dim != feature dim")
-    if topology.num_edges == 0:
-        return S.copy()
-    order = _summation_order(topology.edges[:, 1], len(S))
-    sums = np.zeros_like(S)
-    for (src, _, _, dist), tile in _edge_tiles(X, topology, order):
+
+    def messages(ids):
+        src, _, _, dist = _edge_geometry(X, topology.edges[ids])
         filters = mlp_forward(p.filter_mlp, rbf_expand(dist, p))
-        _tile_sum(sums, np.multiply(S[src], filters, out=filters), tile)
-    return S + sums[order[1]]
+        return np.multiply(S[src], filters, out=filters),
+    return S + _message_sums(topology, [S.shape[1:]], messages)[0]
 
 
 @dataclass(frozen=True)
@@ -269,15 +253,16 @@ def egnn_layer(S, X, topology: GraphTopology, p: EgnnParams):
         raise DimensionMismatch("coordinate gate must be scalar")
     message = _edge_mlp(p.message_mlp, S, 1)
     coord = _edge_mlp(p.coord_mlp, S, 1)
-    order = _summation_order(topology.edges[:, 1], len(S))
-    agg = np.zeros((len(S), p.message_mlp.out_dim))
-    shift = np.zeros_like(X)
-    for (src, dst, diff, dist), tile in _edge_tiles(X, topology, order):
-        _tile_sum(agg, message(src, dst, dist[:, None]), tile)
+
+    def messages(ids):
+        src, dst, diff, dist = _edge_geometry(X, topology.edges[ids])
         gates = coord(src, dst, dist[:, None])
-        _tile_sum(shift, np.multiply(diff, gates, out=diff), tile)
-    S_out = mlp_forward(p.update_mlp, np.concatenate([S, agg[order[1]]], axis=1))
-    return S_out, X + shift[order[1]]
+        return (message(src, dst, dist[:, None]),
+                np.multiply(diff, gates, out=diff))
+    agg, shift = _message_sums(
+        topology, [(p.message_mlp.out_dim,), (3,)], messages)
+    S_out = mlp_forward(p.update_mlp, np.concatenate([S, agg], axis=1))
+    return S_out, X + shift
 
 
 @dataclass(frozen=True)
@@ -351,23 +336,23 @@ def gcp_layer(S, V, X, topology: GraphTopology, p: GcpParams):
     n_vec = V.shape[1]
     message = _edge_mlp(p.message_mlp, S, 6 * n_vec + 1)
     gate = _edge_mlp(p.gate_mlp, S, 6 * n_vec + 1)
-    order = _summation_order(topology.edges[:, 1], len(S))
-    agg_s = np.zeros((len(S), p.message_mlp.out_dim))
-    agg_v = np.zeros_like(V)
-    for (src, dst, diff, dist), tile in _edge_tiles(X, topology, order):
+
+    def messages(ids):
+        src, dst, diff, dist = _edge_geometry(X, topology.edges[ids])
         f = _frames(X, src, dst, diff, dist)
         per_edge = np.concatenate([_project(V[dst], f), _project(V[src], f),
                                    dist[:, None]], axis=1)
-        _tile_sum(agg_s, message(src, dst, per_edge), tile)
         gates = gate(src, dst, per_edge).reshape(len(src), n_vec, 5)
-        _tile_sum(agg_v, gates[:, :, 0:1] * f.a[:, None, :]
-                  + gates[:, :, 1:2] * f.b[:, None, :]
-                  + gates[:, :, 2:3] * f.c[:, None, :]
-                  + gates[:, :, 3:4] * V[dst]
-                  + gates[:, :, 4:5] * V[src], tile)
-    S_out = S + mlp_forward(p.node_mlp, np.concatenate([S, agg_s[order[1]]],
-                                                       axis=1))
-    return S_out, V + agg_v[order[1]]
+        return (message(src, dst, per_edge),
+                gates[:, :, 0:1] * f.a[:, None, :]
+                + gates[:, :, 1:2] * f.b[:, None, :]
+                + gates[:, :, 2:3] * f.c[:, None, :]
+                + gates[:, :, 3:4] * V[dst]
+                + gates[:, :, 4:5] * V[src])
+    agg_s, agg_v = _message_sums(
+        topology, [(p.message_mlp.out_dim,), V.shape[1:]], messages)
+    S_out = S + mlp_forward(p.node_mlp, np.concatenate([S, agg_s], axis=1))
+    return S_out, V + agg_v
 
 
 @dataclass(frozen=True)
@@ -397,12 +382,12 @@ def noise_predictor(S, X, topology: GraphTopology,
     if p.score_mlp.out_dim != 1:
         raise DimensionMismatch("edge score must be scalar")
     score = _edge_mlp(p.score_mlp, S, p.dist_mlp.out_dim)
-    order = _summation_order(topology.edges[:, 1], len(S))
-    sums = np.zeros_like(X)
-    for (src, dst, diff, dist), tile in _edge_tiles(X, topology, order):
+
+    def messages(ids):
+        src, dst, diff, dist = _edge_geometry(X, topology.edges[ids])
         if np.any(dist < _EPS):
             raise CoincidentNodes("zero-length edge")
         scores = score(src, dst, mlp_forward(p.dist_mlp, dist[:, None]))
         diff /= dist[:, None]
-        _tile_sum(sums, np.multiply(scores, diff, out=diff), tile)
-    return sums[order[1]]
+        return np.multiply(scores, diff, out=diff),
+    return _message_sums(topology, [(3,)], messages)[0]

@@ -17,7 +17,7 @@ from foldkit.errors import (CoordinateOverflow, DegenerateConfiguration,
                             NoCompleteResidues)
 from foldkit.geometry import (Superposition, backbone_array, check_cutoff,
                               defined, dihedrals, wrap_angle)
-from foldkit.gnn import Activation, gcp_frames, mlp_forward, rbf_expand
+from foldkit.gnn import gcp_frames, mlp_forward, rbf_expand
 from foldkit.pdb import (_METHOD_TEXT, _format_date, _parse_method,
                          _parse_pdb_date)
 from foldkit.residues import CHI_ATOMS, MAX_CHI, RESIDUE_INDEX
@@ -402,8 +402,8 @@ def silu_oracle(x: np.ndarray) -> np.ndarray:
 
 
 def aggregate_oracle(values: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    """The `np.add.at` scatter that `foldkit.gnn._aggregate` replaced, kept
-    as its reference: each node sums its incoming values in stored-edge
+    """The `np.add.at` scatter that `foldkit.gnn._message_sums` replaced,
+    kept as its reference: each node sums its incoming values in stored-edge
     order, starting from 0.0."""
     out = np.zeros((n,) + values.shape[1:])
     np.add.at(out, dst, values)
@@ -412,15 +412,13 @@ def aggregate_oracle(values: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
 
 def mlp_forward_oracle(p, x: np.ndarray) -> np.ndarray:
     """The `x @ W.T + b` forward pass that `foldkit.gnn.mlp_forward`
-    replaced, with `silu_oracle` or ReLU between layers, for a batch of
-    row vectors."""
+    replaced, with `silu_oracle` between layers, for a batch of row
+    vectors."""
     last = len(p.weights) - 1
     for i, (W, b) in enumerate(zip(p.weights, p.biases)):
         x = x @ W.T + b
-        if i != last and p.activation is Activation.SILU:
+        if i != last:
             x = silu_oracle(x)
-        elif i != last and p.activation is Activation.RELU:
-            x = np.maximum(x, 0.0)
     return x
 
 

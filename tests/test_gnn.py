@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import tracemalloc
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -32,25 +34,37 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def message_sums(v, topology):
+    """Per-node sums of v, one row per stored edge, through the layers'
+    message-passing driver."""
+    sums, = gnn._message_sums(topology, [v.shape[1:]], lambda ids: (v[ids],))
+    return sums
+
+
+def rows_of(runs):
+    """The receiver count of each rank of a tile, from its runs."""
+    return np.concatenate([np.full(ranks, rows) for rows, ranks, _ in runs])
+
+
 class TestMlp:
     def test_zero_weights_pass_bias(self):
-        p = gnn.MlpParams((3, 2), (np.zeros((2, 3)),), (np.array([1.0, -2.0]),),
-                          gnn.Activation.SILU)
+        p = gnn.MlpParams((3, 2), (np.zeros((2, 3)),),
+                          (np.array([1.0, -2.0]),))
         assert np.array_equal(gnn.mlp_forward(p, np.ones(3)), [1.0, -2.0])
 
     def test_identity_single_layer(self):
-        p = gnn.MlpParams((4, 4), (np.eye(4),), (np.zeros(4),),
-                          gnn.Activation.SILU)
+        p = gnn.MlpParams((4, 4), (np.eye(4),), (np.zeros(4),))
         x = make_rng(1).normal(size=4)
         assert np.array_equal(gnn.mlp_forward(p, x), x)
 
     def test_matches_naive_dot_product_oracle(self):
         rng = make_rng(2)
-        p = gnn.seeded_init((5, 7, 3), gnn.Activation.RELU, seed=3)
+        p = gnn.seeded_init((5, 7, 3), seed=3)
         for _ in range(50):
             x = rng.normal(size=5)
-            h = [max(0.0, sum(W_row[j] * x[j] for j in range(5)) + b)
+            z = [sum(W_row[j] * x[j] for j in range(5)) + b
                  for W_row, b in zip(p.weights[0], p.biases[0])]
+            h = [v / (1.0 + math.exp(-v)) for v in z]
             y = [sum(W_row[j] * h[j] for j in range(7)) + b
                  for W_row, b in zip(p.weights[1], p.biases[1])]
             assert np.max(np.abs(gnn.mlp_forward(p, x) - y)) < 1e-12
@@ -58,14 +72,12 @@ class TestMlp:
     def test_silu_matches_two_branch_oracle_bit_for_bit(self):
         x = make_rng(7).normal(size=(7040, 32)) * 6.0
         x[0, :8] = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 5e-324, -5e-324]
-        got = gnn._activate(gnn.Activation.SILU, x.copy())
+        got = gnn._activate(x.copy())
         assert np.array_equal(got.view(np.int64), silu_oracle(x).view(np.int64))
 
-    @pytest.mark.parametrize("activation",
-                             [gnn.Activation.SILU, gnn.Activation.RELU])
-    def test_matches_affine_oracle_bit_for_bit(self, activation):
+    def test_matches_affine_oracle_bit_for_bit(self):
         rng = make_rng(71)
-        p = gnn.seeded_init((6, 16, 16, 3), activation, seed=72)
+        p = gnn.seeded_init((6, 16, 16, 3), seed=72)
         p = dataclasses.replace(p, biases=tuple(
             rng.normal(size=b.shape) for b in p.biases))
         x = rng.normal(size=(300, 6)) * 4.0
@@ -77,13 +89,10 @@ class TestMlp:
                               bits(mlp_forward_oracle(p, x[7:8])[0]))
         assert np.array_equal(bits(x), bits(before))  # input left alone
 
-    @pytest.mark.parametrize("activation", list(gnn.Activation))
-    def test_activation_overwrites_its_input(self, activation):
+    def test_activation_overwrites_its_input(self):
         x = make_rng(73).normal(size=(40, 5))
-        expected = {gnn.Activation.SILU: silu_oracle,
-                    gnn.Activation.RELU: lambda x: np.maximum(x, 0.0),
-                    gnn.Activation.IDENTITY: np.copy}[activation](x)
-        assert gnn._activate(activation, x) is x
+        expected = silu_oracle(x)
+        assert gnn._activate(x) is x
         assert np.array_equal(bits(x), bits(expected))
 
     def test_dimension_mismatch(self):
@@ -101,15 +110,15 @@ class TestMlp:
 
 
 class TestAggregate:
-    """`_aggregate` against the `np.add.at` scatter it replaced, bit for
-    bit: summation order shows in the bits, so values span many orders of
-    magnitude."""
+    """The driver's sums against the `np.add.at` scatter they replaced, bit
+    for bit: summation order shows in the bits, so values span many orders
+    of magnitude."""
 
     @staticmethod
     def _aggregate(v, dst, n):
-        """`_aggregate` of v, passed in the summation order of dst."""
-        order = gnn._summation_order(dst, n)
-        return gnn._aggregate(v[order[0]], order)
+        """The sums of v over edges into dst, each from the next node."""
+        return message_sums(v, GraphTopology(
+            n, np.stack([(dst + 1) % n, dst], axis=1)))
 
     @staticmethod
     def _values(rng, m, shape):
@@ -258,20 +267,20 @@ class TestSummationOrder:
     @pytest.mark.parametrize("case", _ORACLE_CASES)
     def test_ranks_are_prefixes_in_stored_order(self, case):
         topo = _ORACLE_CASES[case][3]
-        perm, position, counts = gnn._summation_order(topo.edges[:, 1],
-                                                      topo.num_nodes)
-        assert np.array_equal(np.sort(perm), np.arange(topo.num_edges))
+        dst = topo.edges[:, 1]
+        position, tiles = gnn._plan(topo)
         assert np.array_equal(np.sort(position), np.arange(topo.num_nodes))
-        assert sum(counts) == topo.num_edges
-        assert list(counts) == sorted(counts, reverse=True)
-        receivers = position[topo.edges[perm, 1]]
-        start = 0
-        for count in counts:
-            assert np.array_equal(receivers[start:start + count],
-                                  np.arange(count))
-            start += count
+        degree = np.bincount(position[dst], minlength=topo.num_nodes)
+        assert np.all(np.diff(degree) <= 0)  # positions by falling in-degree
+        order = np.concatenate([np.empty(0, int)] + [t[0] for t in tiles])
+        assert np.array_equal(np.sort(order), np.arange(topo.num_edges))
+        for ids, b0, runs in tiles:  # each rank adds into b0, b0 + 1, ...
+            rows = rows_of(runs)
+            assert list(rows) == sorted(rows, reverse=True)
+            assert np.array_equal(position[dst[ids]], np.concatenate(
+                [np.arange(b0, b0 + r) for r in rows]))
         for node in range(topo.num_nodes):  # each node's edges in stored order
-            mine = perm[topo.edges[perm, 1] == node]
+            mine = order[dst[order] == node]
             assert np.all(np.diff(mine) > 0)
 
     def test_width_32_any_edge_order_bit_for_bit(self):
@@ -281,9 +290,8 @@ class TestSummationOrder:
             dst = topo.edges[:, 1]
             v = rng.normal(size=(len(dst), 32))
             v *= 10.0 ** rng.integers(-12, 12, size=v.shape)
-            order = gnn._summation_order(dst, topo.num_nodes)
             assert np.array_equal(
-                bits(gnn._aggregate(v[order[0]], order)),
+                bits(message_sums(v, topo)),
                 bits(aggregate_oracle(v, dst, topo.num_nodes)))
 
 
@@ -319,28 +327,36 @@ class TestTiles:
     def test_tiles_cover_the_order_rank_by_rank(self, case):
         topo = _TILE_CASES[case][3]
         dst = topo.edges[:, 1]
-        perm, position, counts = gnn._summation_order(dst, topo.num_nodes)
-        rank_of = np.repeat(np.arange(len(counts)), counts)
-        position_of = position[dst[perm]]
+        position, tiles = gnn._plan(topo)
+        by_dst = np.argsort(dst, kind="stable")
+        rank_of = np.empty(topo.num_edges, int)  # among its receiver's edges
+        rank_of[by_dst] = (np.arange(topo.num_edges)
+                           - np.searchsorted(dst[by_dst], dst[by_dst]))
         summed = np.zeros(topo.num_nodes, int)  # ranks summed per position
-        slots = []
-        for s, b0, rows in gnn._tiles(counts):
-            assert len(s) == rows.sum() <= 2 * gnn.EDGE_BLOCK
-            assert rows[0] > 1 or len(s) <= gnn.EDGE_BLOCK  # one receiver
-            assert np.array_equal(position_of[s], np.concatenate(
+        seen = []
+        for ids, b0, runs in tiles:
+            counts = [rows for rows, _, _ in runs]  # one per run, falling
+            assert counts == sorted(set(counts), reverse=True)
+            sizes = [rows * ranks for rows, ranks, _ in runs]
+            assert ([at for _, _, at in runs]
+                    == np.cumsum([0] + sizes[:-1]).tolist())
+            rows = rows_of(runs)
+            assert len(ids) == rows.sum() <= 2 * gnn.EDGE_BLOCK
+            assert rows[0] > 1 or len(ids) <= gnn.EDGE_BLOCK  # one receiver
+            assert np.array_equal(position[dst[ids]], np.concatenate(
                 [np.arange(b0, b0 + r) for r in rows]))
-            assert np.array_equal(rank_of[s], np.concatenate(
+            assert np.array_equal(rank_of[ids], np.concatenate(
                 [summed[b0:b0 + r] + i for i, r in enumerate(rows)]))
-            np.add.at(summed, position_of[s], 1)
-            slots.append(s)
-        assert np.array_equal(np.sort(np.concatenate(slots)),
+            np.add.at(summed, position[dst[ids]], 1)
+            seen.append(ids)
+        assert np.array_equal(np.sort(np.concatenate(seen)),
                               np.arange(topo.num_edges))
-        assert len(slots) >= topo.num_edges / gnn.EDGE_BLOCK
+        assert len(seen) >= topo.num_edges / gnn.EDGE_BLOCK
 
     def test_hub_is_cut_along_its_ranks(self):
         topo = _TILE_CASES["hub"][3]
-        _, _, counts = gnn._summation_order(topo.edges[:, 1], topo.num_nodes)
-        hub_tiles = [rows for _, b0, rows in gnn._tiles(counts) if b0 == 0]
+        hub_tiles = [rows_of(runs) for _, b0, runs in gnn._plan(topo)[1]
+                     if b0 == 0]
         assert [len(rows) for rows in hub_tiles] == [1004, 1004, 1005]
         assert all(np.all(rows == 1) for rows in hub_tiles)
 
@@ -352,9 +368,8 @@ class TestTiles:
         dst = topo.edges[:, 1]
         v = rng.normal(size=(len(dst),) + shape)
         v *= 10.0 ** rng.integers(-12, 12, size=v.shape)
-        order = gnn._summation_order(dst, topo.num_nodes)
         assert np.array_equal(
-            bits(gnn._aggregate(v[order[0]], order)),
+            bits(message_sums(v, topo)),
             bits(aggregate_oracle(v, dst, topo.num_nodes)))
 
     @pytest.mark.parametrize("case", _TILE_CASES)
@@ -400,6 +415,62 @@ class TestTiles:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+
+def _layer_outputs(S, V, X, topology):
+    d = S.shape[1]
+    return [gnn.schnet_layer(S, X, topology, gnn.schnet_params(d, seed=106)),
+            *gnn.egnn_layer(S, X, topology, gnn.egnn_params(d, seed=107)),
+            *gnn.gcp_layer(S, V, X, topology, gnn.gcp_params(d, seed=108)),
+            gnn.noise_predictor(S, X, topology,
+                                gnn.noise_predictor_params(d, seed=109))]
+
+
+class TestPlan:
+    """The summation order and its tiles are made on a topology's first
+    layer call and kept on it; they depend on its edges alone."""
+
+    def test_four_layers_build_the_plan_once(self, monkeypatch):
+        S, V, X, topo = _TILE_CASES["hub"]
+        topo = GraphTopology(topo.num_nodes, topo.edges)  # no plan yet
+        cuts = []  # the plan cuts its tiles with pairwise, nothing else does
+        monkeypatch.setattr(gnn, "pairwise",
+                            lambda a: cuts.append(1) or pairwise(a))
+        assert "_plan" not in vars(topo)
+        d = S.shape[1]
+        gnn.schnet_layer(S, X, topo, gnn.schnet_params(d, seed=110))
+        plan, built = vars(topo)["_plan"], len(cuts)
+        assert built > 0
+        gnn.egnn_layer(S, X, topo, gnn.egnn_params(d, seed=111))
+        gnn.gcp_layer(S, V, X, topo, gnn.gcp_params(d, seed=112))
+        gnn.noise_predictor(S, X, topo,
+                            gnn.noise_predictor_params(d, seed=113))
+        assert len(cuts) == built
+        assert vars(topo)["_plan"] is plan
+
+    @pytest.mark.parametrize("case", ["hub", "gaps"])
+    def test_reused_topology_matches_a_fresh_one(self, case):
+        S, V, X, topo = _TILE_CASES[case]
+        rng = make_rng(114)
+        moved = X @ random_rotation(rng).T + 5.0
+        _layer_outputs(rng.normal(size=S.shape), V, moved, topo)  # other inputs
+        fresh = GraphTopology(topo.num_nodes, topo.edges)
+        for reused, new in zip(_layer_outputs(S, V, X, topo),
+                               _layer_outputs(S, V, X, fresh)):
+            assert np.array_equal(bits(reused), bits(new))
+
+    def test_caller_edits_reach_neither_edges_nor_plan(self):
+        S, V, X, topo = _TILE_CASES["shuffled1000"]
+        edges = topo.edges.copy()
+        mine = GraphTopology(topo.num_nodes, edges)
+        _layer_outputs(S, V, X, mine)  # the plan is made here
+        edges[:] = edges[::-1, ::-1]  # the caller reuses its array
+        assert np.array_equal(mine.edges, topo.edges)
+        for got, want in zip(_layer_outputs(S, V, X, mine), _layer_outputs(
+                S, V, X, GraphTopology(topo.num_nodes, topo.edges))):
+            assert np.array_equal(bits(got), bits(want))
+        with pytest.raises(ValueError):
+            mine.edges[0, 0] = 1
 
 
 class TestSeededInit:
@@ -452,8 +523,7 @@ class TestSchnetLayer:
         X = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         topo = GraphTopology(2, np.array([[0, 1]]))
         n_rbf = 4
-        mlp = gnn.MlpParams((n_rbf, 2), (np.zeros((2, n_rbf)),),
-                            (np.ones(2),), gnn.Activation.IDENTITY)
+        mlp = gnn.MlpParams((n_rbf, 2), (np.zeros((2, n_rbf)),), (np.ones(2),))
         p = gnn.SchNetParams(np.linspace(0, 3, n_rbf), 1.0, mlp)
         out = gnn.schnet_layer(S, X, topo, p)
         assert np.allclose(out[1], S[1] + S[0])
@@ -481,8 +551,7 @@ class TestEgnnLayer:
         zeroed = gnn.MlpParams(
             p.coord_mlp.widths,
             tuple(np.zeros_like(w) for w in p.coord_mlp.weights),
-            tuple(np.zeros_like(b) for b in p.coord_mlp.biases),
-            p.coord_mlp.activation)
+            tuple(np.zeros_like(b) for b in p.coord_mlp.biases))
         import dataclasses
         p0 = dataclasses.replace(p, coord_mlp=zeroed)
         _, X_out = gnn.egnn_layer(S, g.coords, g.topology, p0)
@@ -492,8 +561,7 @@ class TestEgnnLayer:
         S = np.array([[0.5], [0.25]])
         X = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         topo = GraphTopology(2, np.array([[1, 0]]))  # 1 -> 0
-        ones_gate = gnn.MlpParams((3, 1), (np.zeros((1, 3)),),
-                                  (np.ones(1),), gnn.Activation.IDENTITY)
+        ones_gate = gnn.MlpParams((3, 1), (np.zeros((1, 3)),), (np.ones(1),))
         p = gnn.EgnnParams(
             message_mlp=gnn.seeded_init((3, 4, 4), seed=21),
             update_mlp=gnn.seeded_init((5, 4, 1), seed=22),
@@ -580,8 +648,7 @@ class TestGcpLayer:
         def zeroed(mlp):
             return gnn.MlpParams(mlp.widths,
                                  tuple(np.zeros_like(w) for w in mlp.weights),
-                                 tuple(np.zeros_like(b) for b in mlp.biases),
-                                 mlp.activation)
+                                 tuple(np.zeros_like(b) for b in mlp.biases))
 
         p0 = gnn.GcpParams(zeroed(p.message_mlp), zeroed(p.gate_mlp),
                            zeroed(p.node_mlp))
@@ -683,12 +750,13 @@ class TestPerNodeInputs:
 
     def test_zero_edges_send_no_message(self):
         g, S, V, X = self._inputs(seed=82)
+        S[0, 0] = -0.0  # a zero sum is added, as in schnet_layer_oracle
         n = g.num_nodes
         topo = GraphTopology(n, np.empty((0, 2), dtype=np.int64))
         out = {name: run(S, V, X, topo)
                for name, run in self._layers().items()}
         egnn, gcp = gnn.egnn_params(6, seed=79), gnn.gcp_params(6, seed=80)
-        assert np.array_equal(bits(out["schnet"]), bits(S))
+        assert np.array_equal(bits(out["schnet"]), bits(S + 0.0))
         assert np.array_equal(bits(out["egnn"][0]), bits(gnn.mlp_forward(
             egnn.update_mlp, np.concatenate([S, np.zeros((n, 32))], axis=1))))
         assert np.array_equal(bits(out["egnn"][1]), bits(X + 0.0))
