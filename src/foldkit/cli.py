@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextvars
+import functools
+import itertools
 import json
 import logging
 import os
@@ -267,10 +269,9 @@ def run_label(args) -> int:
         else:
             labels = interface_labels(structure, args.cutoff)
         table = structure.table
-        rows = "".join(f"{chain_id},{seq_index},{label}\n"
-                       for chain_id, seq_index, label in zip(
-                           table.chain.tolist(), table.seq_index.tolist(),
-                           labels.labels))
+        rows = "%s,%d,%d\n" * len(table.chain) % tuple(itertools.chain(*zip(
+            table.chain.tolist(), table.seq_index.tolist(),
+            labels.labels.tolist())))
         return {out_path: "chain,seq_index,label\n" + rows}, []
 
     return _run_jobs(args, ".pdb", ".csv", worker)
@@ -352,10 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call: a build costs about a
+    millisecond, which in-process callers of main would pay per command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     logging.basicConfig(level=(logging.WARNING, logging.INFO,

@@ -329,15 +329,12 @@ def knn_graph(points, k: int) -> GraphTopology:
 
 
 def edges_to_text(topology: GraphTopology) -> str:
-    """Serialise edges as 'src<TAB>dst' lines: each source id in use is
-    rendered once as 'src<TAB>', each target id as 'dst<LF>', gathered by
-    edge."""
-    (src, at_src), (dst, at_dst) = (
-        np.unique(ids, return_inverse=True) for ids in topology.edges.T)
-    fields = np.array(["%d\t" % i for i in src.tolist()]
-                      + ["%d\n" % i for i in dst.tolist()], dtype=object)
-    at = np.stack((at_src, at_dst + len(src)), axis=1)
-    return "".join(fields[at].ravel().tolist())
+    """Serialise edges as 'src<TAB>dst' lines: each node id is rendered
+    once as 'id<TAB>' and once as 'id<LF>', gathered by edge."""
+    n = topology.num_nodes
+    fields = np.array(["%d\t" % i for i in range(n)]
+                      + ["%d\n" % i for i in range(n)], dtype=object)
+    return "".join(fields[topology.edges + [0, n]].ravel().tolist())
 
 
 def shaped_array(a, shape: tuple, what: str) -> np.ndarray:

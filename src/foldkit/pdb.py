@@ -74,10 +74,7 @@ def _columns(block: np.ndarray, lines: list[str], rows: np.ndarray):
     short = block[:, 53] == 32  # a blank that may be padding
     short[short] = [len(lines[i]) < 54 for i in rows[short].tolist()]
     serials, bad_serial = _read("serial", int, block[:, 6:11], 5)
-    pairs = np.ascontiguousarray(block[:, [12, 13, 14, 15, 76, 77]])
-    fields, field = np.unique(pairs.view(f"S{pairs.itemsize * 6}").ravel(),
-                              return_inverse=True)
-    fields = _texts(fields.view(block.dtype), 6)  # distinct name-and-element
+    fields, field = _distinct(block[:, [12, 13, 14, 15, 76, 77]])
     names, name = np.unique(object_array(f[:4].strip() for f in fields),
                             return_inverse=True)  # names that strip alike
     seq_index, bad_seq = _read("residue number", int, block[:, 22:26], 4)
@@ -116,6 +113,20 @@ def _texts(codes: np.ndarray, width: int) -> list[str]:
     return [text[i:i + width] for i in range(0, len(text), width)]
 
 
+def _distinct(codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct rows of an (m, width) code matrix as text, in no set
+    order, and each row's index among them. A row of at most 8 bytes sorts
+    as one uint64 (zero-padded), a longer one as a byte string."""
+    width = codes.shape[1]
+    keys = np.zeros((len(codes), max(width, 8 // codes.itemsize)), codes.dtype)
+    keys[:, :width] = codes
+    size = keys.itemsize * keys.shape[1]
+    distinct, at = np.unique(keys.view(np.uint64 if size == 8 else f"S{size}"),
+                             return_inverse=True)
+    rows = distinct.view(codes.dtype).reshape(len(distinct), -1)[:, :width]
+    return _texts(rows, width), at.ravel()
+
+
 def _read(field: str, convert, block: np.ndarray, width: int,
           decimals: int = 0) -> tuple[np.ndarray, tuple[int, str] | None]:
     """The width-column numbers of block's codes as convert reads them, int64
@@ -124,29 +135,30 @@ def _read(field: str, convert, block: np.ndarray, width: int,
     field in printf's shape, ' *-?[0-9]+' then '.' and decimals digits if
     any, is its digits' integer over 10**decimals, so float()'s bits; any
     other is read by convert, row by row, up to the first it rejects."""
-    codes = block.reshape(-1, width)
+    codes = np.ascontiguousarray(block.reshape(-1, width).T)  # row per column
     units = width - 1 - (decimals and decimals + 1)  # units digit column
     digits = codes - 48  # wraps below '0', so only digits are < 10
     is_digit = digits < 10
     digits *= is_digit
-    printf, minus = is_digit[:, units].copy(), np.zeros(len(codes), bool)
-    value = np.zeros(len(codes), np.int64)
+    printf, minus = is_digit[units].copy(), np.zeros(codes.shape[1], bool)
+    value = np.zeros(codes.shape[1], np.int32)  # up to 9 digits fit
     for j in range(width):  # column by column: a row-wise all() is slow
         if j < units:  # a blank, or a sign or digit that a digit follows
-            sign = codes[:, j] == ord("-")
+            sign = codes[j] == ord("-")
             minus |= sign
-            printf &= ((sign | is_digit[:, j]) & is_digit[:, j + 1]
-                       | (codes[:, j] == ord(" ")))
+            printf &= ((sign | is_digit[j]) & is_digit[j + 1]
+                       | (codes[j] == ord(" ")))
         elif j == units + 1:
-            printf &= codes[:, j] == ord(".")
+            printf &= codes[j] == ord(".")
             continue
         elif j > units:
-            printf &= is_digit[:, j]
-        value = value * 10 + digits[:, j]
-    values = value / 10.0 ** decimals if decimals else value
-    np.negative(values, out=values, where=minus)  # -0.000 reads as -0.0
+            printf &= is_digit[j]
+        value *= 10
+        value += digits[j]
+    values = value / 10.0 ** decimals if decimals else value.astype(np.int64)
+    values *= 1 - 2 * minus.view(np.int8)  # -1 if minus: -0.000 reads as -0.0
     others = np.flatnonzero(~printf)
-    for at, text in zip(others.tolist(), _texts(codes[others], width)):
+    for at, text in zip(others.tolist(), _texts(codes[:, others].T, width)):
         try:
             values[at] = convert(text)
         except ValueError as exc:  # a row of block holds several fields
@@ -241,33 +253,33 @@ def _chains(records, block, codes, name, seq_index, xyz, elements,
     vocabulary read as UNK."""
     if not len(records):
         return ()
-    _, first, chain = np.unique(block[records, 21], return_index=True,
-                                return_inverse=True)
+    ids, first, chain = np.unique(block[records, 21], return_index=True,
+                                  return_inverse=True)
     icode = block[records, 26].astype(np.int64)
     icode[icode == ord(" ")] = -1  # no insertion code sorts first
     key = np.stack([first[chain], seq_index[records], icode])
     by_key = np.lexsort(key[::-1])  # stable: file order within a key
-    records, key = records[by_key], key[:, by_key]
+    records, key = records[by_key], key.take(by_key, axis=1)
     head = np.ones(len(records), dtype=bool)
     head[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
     residue = np.cumsum(head) - 1
     code = name[records]
     # the first atom of each name in each residue
     kept = np.sort(np.unique(residue * len(codes) + code, return_index=True)[1])
-    atoms = records[kept]
-    heads = _texts(block[records[head]], 80)  # each residue's first record
-    res_names = [line[17:20].strip() for line in heads]
+    atoms, heads = records[kept], block[records[head]]  # each residue's first
+    types, type_of = _distinct(heads[:, 17:20])  # each text read once
+    icodes, icode_of = _distinct(heads[:, 26:27])
     table = AtomTable(
-        xyz[atoms], code[kept], codes, elements[atoms],
+        xyz.take(atoms, axis=0), code[kept], codes, elements[atoms],
         occupancy[atoms], b_factor[atoms], serial[atoms], residue[kept],
         object_array(r if not polymer or r in RESIDUE_INDEX else "UNK"
-                     for r in res_names),
+                     for r in map(str.strip, types))[type_of],
         seq_index[records[head]],
-        object_array(None if line[26] == " " else line[26] for line in heads),
-        object_array(line[21] for line in heads))
+        object_array(None if i == " " else i for i in icodes)[icode_of],
+        object_array(_texts(ids, 1))[chain[by_key[head]]])
     bounds = np.flatnonzero(np.diff(key[0, head], prepend=-1)).tolist()
     bounds.append(len(heads))
-    return tuple(Chain.from_table(heads[start][21], table.rows(start, stop))
+    return tuple(Chain.from_table(table.chain[start], table.rows(start, stop))
                  for start, stop in zip(bounds, bounds[1:]))
 
 

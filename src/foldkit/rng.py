@@ -7,6 +7,8 @@ sequence-then-structure co-corruption) can hand independent generators to
 their parts and reproduce each part in isolation from the same seed.
 """
 
+from __future__ import annotations
+
 import hashlib
 
 import numpy as np

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from foldkit.cli import main
+import foldkit.cli
+from foldkit.cli import build_parser, main
 from foldkit.codec import EncodedProtein
 from foldkit.tensorio import read_tensor
 
@@ -581,3 +582,41 @@ class TestSubprocessEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "RMSD" in proc.stderr
+
+
+class TestParserReuse:
+    def test_main_builds_its_parser_once(self, tmp_path, fixture_file,
+                                         monkeypatch, capsys):
+        """Calls of main share one parser; usage errors and --version
+        behave as with a fresh one, after a good call too."""
+        builds = []
+
+        def counted():
+            builds.append(None)
+            return build_parser()
+
+        foldkit.cli._parser.cache_clear()
+        monkeypatch.setattr(foldkit.cli, "build_parser", counted)
+        try:
+            for name in ("a.fkc", "b.fkc"):
+                assert run_cli("encode", fixture_file, str(tmp_path / name)) == 0
+            assert run_cli("label", "a", "b") == 1  # --mode required
+            assert "required: --mode" in capsys.readouterr().err
+            assert run_cli("--version") == 0
+            assert capsys.readouterr().out == foldkit.__version__ + "\n"
+            assert run_cli("encode", fixture_file, str(tmp_path / "c.fkc")) == 0
+        finally:
+            foldkit.cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert build_parser() is not build_parser()
+
+
+class TestImport:
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        src = os.path.dirname(os.path.dirname(foldkit.cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, foldkit.cli; print('numpy.random' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True)
+        assert proc.stdout == "False\n"

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from foldkit.errors import (CoordinateOverflow, EmptyStructure,
                             FieldOverflow, FoldkitError, InvalidFilterSpec,
                             MalformedRecord, NoCompleteResidues)
-from foldkit.pdb import _codes, _number, _read, parse_pdb, write_pdb
+from foldkit.pdb import (_codes, _distinct, _number, _read, parse_pdb,
+                         write_pdb)
 from foldkit.structure import (Atom, Chain, FilterSpec, Granularity, Method,
                                Residue, Structure, filter_structures,
                                load_filter_spec, select_granularity)
@@ -496,6 +497,101 @@ class TestParsedTable:
         read = {line[12:16].strip() for line in text.splitlines()
                 if line.startswith(("ATOM", "HETATM"))}
         assert codes == {name: i for i, name in enumerate(sorted(read))}
+
+
+def _names_and_elements(s):
+    return [(a.name, a.element) for c in (*s.chains, *s.ligands)
+            for r in c.residues for a in r.atoms]
+
+
+class TestDistinctKeys:
+    """The reader's distinct-value passes: atom name and element keys, and
+    residue name, insertion code and chain id read once per distinct text."""
+
+    def test_distinct_rows_map_back_to_every_row(self):
+        """Rows that differ only in their last code, and rows whose packed
+        little-endian integer order is not their byte order, for bytes
+        (one uint64 key) and code points (byte-string keys)."""
+        rows = [" CA  C", " CA  N", " CA1 C", " CA2 C", " CA  O", " N   C",
+                " N   C", "CA   C", " CA  C"]
+        for ascii, extra in ((True, []), (False, [
+                " C\u03b1  \u00c5", " C\u03b2  \u00c5", " C\u03b1  \u00c6"])):
+            text = rows + extra
+            codes = _codes("".join(text), ascii).reshape(-1, 6)
+            for width in (6, 3, 1):
+                texts, at = _distinct(codes[:, :width])
+                assert sorted(texts) == sorted({t[:width] for t in text})
+                assert ([texts[i] for i in at.tolist()]
+                        == [t[:width] for t in text])
+
+    def test_names_and_elements_differing_in_the_last_packed_byte(self):
+        """Pairs equal but for the name's last column or the element's
+        second column each keep their own name and element."""
+        lines = [atom_line(i + 1, name, "ALA", "A", i, float(i), 0.0, 0.0,
+                           element=element)
+                 for i, (name, element) in enumerate([
+                     ("CA1", "C"), ("CA2", "C"), ("ZN", "ZN"), ("ZN", "ZR"),
+                     ("ZN", " Z"), ("CB", "C")])]
+        text = "\n".join(lines)
+        assert _names_and_elements(parse_pdb(text)) == [
+            ("CA1", "C"), ("CA2", "C"), ("ZN", "ZN"), ("ZN", "ZR"),
+            ("ZN", "Z"), ("CB", "C")]
+        _assert_matches_oracle(text)
+
+    def test_key_order_does_not_reach_the_name_codes(self):
+        """' CA '+' O' sorts before ' N  '+' C' as bytes and after it as a
+        little-endian integer: codes still number names in sorted order."""
+        text = "\n".join([
+            atom_line(1, "N", "ALA", "A", 1, 0.0, 0.0, 0.0, element="C"),
+            atom_line(2, "CA", "ALA", "A", 1, 1.0, 0.0, 0.0, element="O")])
+        s = parse_pdb(text)
+        assert s.chains[0].table.codes == {"CA": 0, "N": 1}
+        assert s.chains[0].table.names.tolist() == [1, 0]
+        assert _names_and_elements(s) == [("N", "C"), ("CA", "O")]
+        _assert_matches_oracle(text)
+
+    def test_code_point_names_and_elements(self):
+        """Names and elements that differ only in a non-ASCII code point
+        are read from the code-point matrix exactly."""
+        def record(serial, name, element):
+            return (f"ATOM  {serial:5d} {name} ALA A{serial:4d}    "
+                    f"   1.000   2.000   3.000  1.00  0.00          {element}")
+        text = "\n".join([record(1, " C\u03b1 ", "\u00c5C"),
+                          record(2, " C\u03b2 ", "\u00c5C"),
+                          record(3, " C\u03b1 ", "\u00c5D"),
+                          record(4, "\U0001d538CA ", " C")])
+        assert not text.isascii()
+        assert _names_and_elements(parse_pdb(text)) == [
+            ("C\u03b1", "\u00c5C"), ("C\u03b2", "\u00c5C"),
+            ("C\u03b1", "\u00c5D"), ("\U0001d538CA", "C")]
+        _assert_matches_oracle(text)
+
+    def test_many_residues_over_few_distinct_residue_fields(self):
+        """300 residues over three interleaved chains, four residue names,
+        three insertion codes: polymer types outside the vocabulary read as
+        UNK, ligand codes are kept, and every residue keeps its own fields."""
+        types, icodes = ("ALA", "XYZ", "GLY", "MSE"), (" ", "A", "B")
+        fields = [("BAC"[i % 3], i // 6 + 1, icodes[i // 3 % 3], types[i % 4])
+                  for i in range(300)]
+        lines = [atom_line(i + 1, "CA", res, chain, seq, float(i), 0.0, 0.0,
+                           icode=icode)
+                 for i, (chain, seq, icode, res) in enumerate(fields)]
+        lines += [atom_line(301 + i, "C1", res, "L", i + 1, 0.0, float(i), 0.0,
+                            record="HETATM")
+                  for i, res in enumerate(("XYZ", "LIG", "XYZ", "ALA"))]
+        text = "\n".join(lines)
+        s = parse_pdb(text)
+        fields.sort(key=lambda f: ("BAC".index(f[0]), f[1], f[2] != " ", f[2]))
+        assert [c.id for c in s.chains] == ["B", "A", "C"]
+        assert [(c.id, r.seq_index, r.insertion_code, r.res_type)
+                for c in s.chains for r in c.residues] == [
+            (chain, seq, None if icode == " " else icode,
+             res if res in ("ALA", "GLY") else "UNK")
+            for chain, seq, icode, res in fields]
+        assert s.table.chain.tolist() == [f[0] for f in fields]
+        assert [(c.id, r.res_type) for c in s.ligands for r in c.residues] == [
+            ("L", "XYZ"), ("L", "LIG"), ("L", "XYZ"), ("L", "ALA")]
+        _assert_matches_oracle(text)
 
 
 class TestWrite:
