@@ -102,7 +102,9 @@ def _write(path: str, data) -> None:
     """Write text, bytes or an array (as FKT1) to path, making its parent."""
     os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     if isinstance(data, (str, bytes)):
-        with open(path, "w" if isinstance(data, str) else "wb") as fh:
+        text = isinstance(data, str)  # text is UTF-8, whatever the locale
+        with open(path, "w" if text else "wb",
+                  encoding="utf-8" if text else None) as fh:
             fh.write(data)
     else:
         write_tensor(path, data)
@@ -139,10 +141,12 @@ def _run_jobs(args, in_suffix: str, out_suffix: str | None, worker) -> int:
 
 
 def _read(path: str, mode: str = "r"):
-    """The text (mode "r", undecodable bytes replaced) or bytes ("rb") of
-    a file."""
+    """The text (mode "r": UTF-8, whatever the locale, with undecodable
+    bytes replaced) or bytes ("rb") of a file."""
+    text = mode != "rb"
     try:
-        with open(path, mode, errors=None if mode == "rb" else "replace") as fh:
+        with open(path, mode, encoding="utf-8" if text else None,
+                  errors="replace" if text else None) as fh:
             return fh.read()
     except OSError as exc:
         raise FoldkitError(f"{path}: {exc}") from exc

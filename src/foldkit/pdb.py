@@ -1,9 +1,10 @@
 """PDB v3.3 text parsing and writing.
 
 Fixed-width column layout only; no whitespace-split fallback. The parser
-reads one matrix of codes (bytes for ASCII text, else code points), a row
-per line padded or cut to 80 columns, and each ATOM/HETATM field as columns
-of it; the writer builds a table's records as one such matrix. Multi-model
+finds the lines of the encoded text (bytes for ASCII text, else code
+points) by str.splitlines' rules, copies its ATOM/HETATM records into one
+matrix of codes, a row per record padded or cut to 80 columns, and reads
+each field as columns of it; the writer builds a table's records as one such matrix. Multi-model
 files contribute MODEL 1 only. Alternate locations keep altloc ' ' or 'A'.
 Waters (HOH) are dropped; the other HETATM records become ligand chains,
 grouped as the ATOM records are and written back the same way.
@@ -66,13 +67,13 @@ def _parse_method(text: str) -> Method:
     return Method.OTHER
 
 
-def _columns(block: np.ndarray, lines: list[str], rows: np.ndarray):
-    """The serial, atom name and element, residue number and coordinate
-    columns of records lines[rows], whose space-padded codes are block, each
-    field read once. Raises MalformedRecord for the first bad record in file
-    order, naming its first bad field in column order."""
-    short = block[:, 53] == 32  # a blank that may be padding
-    short[short] = [len(lines[i]) < 54 for i in rows[short].tolist()]
+def _columns(block: np.ndarray, rows: np.ndarray, short: np.ndarray):
+    """The serial, atom name, residue number and coordinate columns of the
+    records on lines rows, whose space-padded codes are block and short
+    those under 54 columns, each field read once, and the distinct elements
+    with each record's index among them. Raises
+    MalformedRecord for the first bad record in file order, naming its
+    first bad field in column order."""
     serials, bad_serial = _read("serial", int, block[:, 6:11], 5)
     fields, field = _distinct(block[:, [12, 13, 14, 15, 76, 77]])
     names, name = np.unique(object_array(f[:4].strip() for f in fields),
@@ -89,7 +90,7 @@ def _columns(block: np.ndarray, lines: list[str], rows: np.ndarray):
         raise MalformedRecord(int(rows[fault[0]]) + 1, fault[1])
     elements = object_array(f[4:].strip() or next(
         (c for c in f[:4] if c.isalpha()), "X") for f in fields)
-    return serials, names, name[field], elements[field], seq_index, xyz
+    return serials, names, name[field], (elements, field), seq_index, xyz
 
 
 def _first(bad: np.ndarray, reason: str) -> tuple[int, str] | None:
@@ -121,10 +122,13 @@ def _distinct(codes: np.ndarray) -> tuple[list[str], np.ndarray]:
     keys = np.zeros((len(codes), max(width, 8 // codes.itemsize)), codes.dtype)
     keys[:, :width] = codes
     size = keys.itemsize * keys.shape[1]
-    distinct, at = np.unique(keys.view(np.uint64 if size == 8 else f"S{size}"),
-                             return_inverse=True)
+    keys = keys.view(np.uint64 if size == 8 else f"S{size}").ravel()
+    distinct = np.sort(keys)  # then a search: no argsort of every row
+    new = np.ones(len(keys), bool)
+    new[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[new]
     rows = distinct.view(codes.dtype).reshape(len(distinct), -1)[:, :width]
-    return _texts(rows, width), at.ravel()
+    return _texts(rows, width), np.searchsorted(distinct, keys)
 
 
 def _read(field: str, convert, block: np.ndarray, width: int,
@@ -175,22 +179,82 @@ def _float_or(text: str, default: float) -> float:
     return value if math.isfinite(value) else default
 
 
+# The codes that may end a line, with 32 standing for NEL, LS and PS.
+_BREAKS = np.isin(np.arange(33), [10, 11, 12, 13, 28, 29, 30, 32])
+
+
+def _lines(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each line's start in codes, then len(codes), and each line's length,
+    by str.splitlines' rules: a line ends at LF, CR, CR LF, VT, FF, FS, GS
+    or RS, and in code points also at NEL, LS or PS; a break that ends the
+    text starts no line."""
+    at = []  # the control codes, few of them not a newline, found in
+    for i in range(0, len(codes), 1 << 16):  # blocks: no text-long mask
+        block = codes[i:i + (1 << 16)]
+        near = block < 32
+        if codes.dtype != np.uint8:
+            near |= (block == 0x85) | ((block | 1) == 0x2029)
+        at.append(np.flatnonzero(near) + i)
+    at = np.concatenate(at) if at else np.zeros(0, np.intp)
+    at = at[_BREAKS[np.minimum(codes[at], 32)]]
+    code = codes[at]
+    lone = np.ones(len(at) + 1, bool)  # not half of a CR LF, which is one
+    lone[1:-1] = (code[:-1] != 13) | (code[1:] != 10) | (at[1:] - at[:-1] != 1)
+    ends = at[lone[:-1]]
+    starts = np.concatenate(([0], at[lone[1:]] + 1))
+    if starts[-1] != len(codes):  # a last line with no break
+        ends = np.concatenate((ends, [len(codes)]))
+        starts = np.concatenate((starts, [len(codes)]))
+    return starts, ends - starts[:-1]
+
+
+_TAGS = np.array([[*b"ATOM  "], [*b"HETATM"]]).T[:, :, None]  # (column, tag)
+
+
+def _records(codes: np.ndarray, starts, lengths) -> np.ndarray:
+    """Whether each line is at least 6 long and starts 'ATOM  ' or
+    'HETATM'; the header loop reads the shorter ones."""
+    tags = codes.take(starts[:-1] + np.arange(6)[:, None], mode="clip")
+    return (tags[:, None] == _TAGS).all(0).any(0) & (lengths >= 6)
+
+
+def _matrix(codes: np.ndarray, lines, starts, lengths) -> np.ndarray:
+    """The given lines (in file order) as the rows of one matrix, each
+    padded or cut to 80 columns. A run of adjacent lines of one length and
+    one span to the next line's start is evenly spaced in codes: one
+    reshape, copied."""
+    span = starts[lines + 1] - starts[lines]
+    starts, lengths = starts[lines], lengths[lines]
+    out = np.full((len(lines), 80), ord(" "), codes.dtype)
+    head = np.ones(len(lines), bool)  # the first line of each run
+    head[1:] = ((lines[1:] - lines[:-1] != 1) | (lengths[1:] != lengths[:-1])
+                | (span[1:] != span[:-1]))
+    heads = np.flatnonzero(head)
+    for first, stop, start, length, span in zip(
+            heads.tolist(), [*heads[1:].tolist(), len(lines)],
+            starts[heads].tolist(), lengths[heads].tolist(),
+            span[heads].tolist()):
+        cut = min(length, 80)
+        out[first:stop, :cut] = codes[start:start + (stop - first) * span
+                                      ].reshape(-1, span)[:, :cut]
+    return out
+
+
 def parse_pdb(text: str, structure_id: str = "") -> Structure:
-    """Parse PDB-format text into a Structure.
+    """Parse PDB-format text into a Structure. Lines are str.splitlines'.
 
     Raises MalformedRecord for the first bad ATOM/HETATM record of MODEL 1,
     naming its first bad field; EmptyStructure with no polymer or ligand atom.
     """
     resolution = dep_date = method = None
-    lines = text.splitlines()
-    chars = _codes("%-80.80s" * len(lines) % tuple(lines),
-                   text.isascii()).reshape(-1, 80)
-    tags = chars[:, :6].copy().view(f"S{chars.itemsize * 6}").ravel()
-    codec = _CODECS[chars.dtype]  # record: ATOM/HETATM of MODEL 1
-    record = (tags == "ATOM  ".encode(codec)) | (tags == "HETATM".encode(codec))
+    codes = _codes(text, text.isascii())
+    starts, lengths = _lines(codes)
+    record = _records(codes, starts, lengths)  # ATOM/HETATM of MODEL 1
     models_seen = 0
-    for i in np.flatnonzero(~record).tolist():
-        line = lines[i]
+    others = np.flatnonzero(~record)
+    for i, start, length in zip(others.tolist(), starts[others].tolist(),
+                                lengths[others].tolist()):
+        line = text[start:start + length]
         tag = line[:6].strip()
         if tag == "ATOM" or tag == "HETATM":
             record[i] = True
@@ -214,13 +278,15 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
             resolution = next((v for v in values if v is not None), resolution)
 
     rows = np.flatnonzero(record)
-    block = chars[rows]
-    del chars  # the records' rows are all that is read from here on
+    if not len(rows):  # nothing to read
+        raise EmptyStructure("no ATOM or HETATM records parsed")
+    block = _matrix(codes, rows, starts, lengths)
+    del codes  # the records' rows are all that is read from here on
     keep = (block[:, 16] == ord(" ")) | (block[:, 16] == ord("A"))  # altloc
     hetero = block[:, 0] == ord("H")  # only HETATM starts with H
     polymer, ligand = keep & ~hetero, keep & hetero  # ligand: HETATM but HOH
     ligand[ligand] = (block[ligand, 17:20] != [*map(ord, "HOH")]).any(axis=1)
-    columns = _columns(block, lines, rows) if len(rows) else ()  # raises first
+    columns = _columns(block, rows, lengths[rows] < 54)  # raises first
     if not (polymer | ligand).any():
         raise EmptyStructure("no ATOM or HETATM records parsed")
     serial, names, name, elements, seq, xyz = columns
@@ -228,8 +294,10 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
                                 block[:, 54:66], 6, 2)[0].reshape(-1, 2).T
     occupancy = np.where(occupancy < 0.0, 0.0, np.fmin(occupancy, 1.0))  # NaN: 1
     b_factor = np.where(np.isnan(b_factor), 0.0, b_factor)  # unread (NaN): 0
-    if (np.diff(np.sort(serial[keep])) == 0).any():  # repeats move up
-        kept, above = serial[keep].tolist(), {}  # taken -> <= the next free
+    kept = serial[keep]
+    if not (kept[1:] > kept[:-1]).all() and (
+            np.diff(np.sort(kept)) == 0).any():  # repeats move up
+        kept, above = kept.tolist(), {}  # taken -> <= the next free
         for i, value in enumerate(kept):
             while value in above:  # path halving: skip ahead two links
                 above[value] = above.get(above[value], above[value])
@@ -244,43 +312,72 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
                      dep_date, method, ligands)
 
 
+# A residue's sort key packs, high bits first, its chain's first-seen rank,
+# its number + 1 000 (a 4-column number is -999..9999: 14 bits) and its
+# insertion code + 1, 0 if blank (at most 0x110000: 21 bits).
+_SEQ_SHIFT, _CHAIN_SHIFT = 21, 35
+
+
 def _chains(records, block, codes, name, seq_index, xyz, elements,
             occupancy, b_factor, serial, polymer) -> tuple[Chain, ...]:
     """The chains of the records (indices in file order): chains in
     first-seen order, residues sorted by (seq_index, insertion code) with
     file order kept inside each, the first atom of each name kept. Atom
-    names are name's codes in codes. Polymer residue types outside the
-    vocabulary read as UNK."""
+    names are name's codes in codes; elements holds the distinct element
+    texts and each record's index among them. Polymer residue types
+    outside the vocabulary read as UNK."""
     if not len(records):
         return ()
-    ids, first, chain = np.unique(block[records, 21], return_index=True,
-                                  return_inverse=True)
-    icode = block[records, 26].astype(np.int64)
-    icode[icode == ord(" ")] = -1  # no insertion code sorts first
-    key = np.stack([first[chain], seq_index[records], icode])
-    by_key = np.lexsort(key[::-1])  # stable: file order within a key
-    records, key = records[by_key], key.take(by_key, axis=1)
+    chain = block[records, 21]
+    runs = np.concatenate((  # file-order runs of one id, as bounds
+        [0], np.flatnonzero(chain[1:] != chain[:-1]) + 1, [len(records)]))
+    ids = chain[runs[:-1]].tolist()  # every id's first record heads a run
+    rank = {i: r for r, i in enumerate(dict.fromkeys(ids))}  # first seen
+    key = np.repeat(np.array([rank[i] for i in ids]) << _CHAIN_SHIFT,
+                    runs[1:] - runs[:-1])
+    part = seq_index[records]
+    part += 1000
+    part <<= _SEQ_SHIFT
+    key |= part
+    part = block[records, 26].astype(np.int64)
+    part += 1
+    part[part == ord(" ") + 1] = 0  # no insertion code sorts first
+    key |= part
+    if (key[1:] < key[:-1]).any():  # file order within a key
+        by_key = np.argsort(key, kind="stable")
+        records, key = records[by_key], key[by_key]
     head = np.ones(len(records), dtype=bool)
-    head[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
-    residue = np.cumsum(head) - 1
+    head[1:] = key[1:] != key[:-1]
+    residue = np.cumsum(head)
+    residue -= 1
     code = name[records]
-    # the first atom of each name in each residue
-    kept = np.sort(np.unique(residue * len(codes) + code, return_index=True)[1])
+    kept = _first_of_each(residue * len(codes) + code)
     atoms, heads = records[kept], block[records[head]]  # each residue's first
+    element, of_element = elements
     types, type_of = _distinct(heads[:, 17:20])  # each text read once
     icodes, icode_of = _distinct(heads[:, 26:27])
+    chain = key[head] >> _CHAIN_SHIFT  # each residue's chain rank
     table = AtomTable(
-        xyz.take(atoms, axis=0), code[kept], codes, elements[atoms],
+        xyz.take(atoms, axis=0), code[kept], codes, element[of_element[atoms]],
         occupancy[atoms], b_factor[atoms], serial[atoms], residue[kept],
         object_array(r if not polymer or r in RESIDUE_INDEX else "UNK"
                      for r in map(str.strip, types))[type_of],
         seq_index[records[head]],
         object_array(None if i == " " else i for i in icodes)[icode_of],
-        object_array(_texts(ids, 1))[chain[by_key[head]]])
-    bounds = np.flatnonzero(np.diff(key[0, head], prepend=-1)).tolist()
-    bounds.append(len(heads))
+        object_array(_texts(np.array([*rank], block.dtype), 1))[chain])
+    bounds = [0, *(np.flatnonzero(chain[1:] != chain[:-1]) + 1).tolist(),
+              len(heads)]
     return tuple(Chain.from_table(table.chain[start], table.rows(start, stop))
                  for start, stop in zip(bounds, bounds[1:]))
+
+
+def _first_of_each(keys: np.ndarray):
+    """The indices of the first of each distinct value of keys, in order
+    (a slice of all when no value repeats, as is usual)."""
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return slice(None)
+    return np.sort(np.unique(keys, return_index=True)[1])
 
 
 def _format_date(d: datetime.date) -> str:

@@ -620,3 +620,29 @@ class TestImport:
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, check=True)
         assert proc.stdout == "False\n"
+
+
+class TestLocale:
+    def test_text_is_utf8_in_an_ascii_locale(self, tmp_path):
+        """The CLI reads and writes UTF-8 whatever the locale: a record
+        whose atom name is non-ASCII parses and is written back under
+        LC_ALL=C with UTF-8 mode off (a locale is per process)."""
+        line = ("ATOM      1 Cé   ALA A   1       1.000   2.000   3.000"
+                "  1.00  0.00           C")
+        (tmp_path / "one.pdb").write_text(line + "\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(foldkit.cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c",
+             "import locale, sys, foldkit.cli\n"
+             "print(locale.getpreferredencoding(False))\n"
+             "sys.exit(foldkit.cli.main(sys.argv[1:]))",
+             "corrupt", str(tmp_path / "one.pdb"), str(tmp_path / "out"),
+             "--kind", "coord_gauss"],
+            env={**os.environ, "PYTHONPATH": src, "LC_ALL": "C",
+                 "PYTHONUTF8": "0"},
+            capture_output=True, text=True)
+        assert proc.stdout.strip().lower() not in ("utf-8", "utf8")
+        assert proc.returncode == 0, proc.stderr
+        written = (tmp_path / "out" / "corrupted.pdb").read_text("utf-8")
+        assert [row[12:16] for row in written.splitlines()
+                if row.startswith("ATOM")] == [" Cé "]

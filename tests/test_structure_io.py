@@ -219,6 +219,15 @@ _LENIENT = [(54, "      "), (54, "  x.xx"), (54, " -0.50"), (54, "  1.50"),
 
 
 _NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+# Every line break str.splitlines knows; the last three are not ASCII, so
+# a text holding one is read as code points.
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+           "\x85", "\u2028", "\u2029"]
+# Lines past column 80: a resolution there, a longer REMARK 2 and a header.
+_LONG = ["REMARK   2" + " " * 71 + "2.75 ANGSTROMS.",
+         "REMARK   2 RESOLUTION.    3.10 ANGSTROMS." + " " * 45 + "x",
+         "HEADER    HYDROLASE                               12-JAN-04   1ABC"
+         + " " * 20 + "9XYZ"]
 
 
 @st.composite
@@ -226,7 +235,7 @@ def _pdb_texts(draw):
     lines = []
     for _ in range(draw(st.integers(0, 25))):
         if draw(st.integers(0, 5)) == 0:
-            lines.append(draw(st.sampled_from(_NON_ATOM)))
+            lines.append(draw(st.sampled_from(_NON_ATOM + _LONG)))
             continue
         line = atom_line(
             draw(st.integers(1, 12)),
@@ -249,8 +258,15 @@ def _pdb_texts(draw):
             line = line[:start] + field + line[start + len(field):]
         if draw(st.integers(0, 20)) == 0:
             line = line[:draw(st.integers(40, 79))]
+        if draw(st.integers(0, 10)) == 0:  # past column 80
+            line = line.ljust(draw(st.integers(78, 84))) + draw(
+                st.sampled_from(["X", "  1.00", "\u00e9"]))
         lines.append(line)
-    return "\n".join(lines)
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=1, max_size=3))
+    ends = [breaks[draw(st.integers(0, len(breaks) - 1))] for _ in lines]
+    if ends and draw(st.booleans()):  # no break after the last line
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 def _malformed_at_scale():
@@ -415,6 +431,45 @@ class TestParseOracle:
         s, oracle = parse_pdb(texts[1]), parse_pdb_oracle(texts[1])
         assert s.chains[0].table.codes == {"CA": 0}
         assert _columns(s.chains[0].table) == _columns(oracle.chains[0].table)
+
+    @pytest.mark.parametrize(
+        "brk", _BREAKS, ids=lambda b: b.encode("unicode_escape").decode())
+    def test_each_line_break(self, brk):
+        """Each break splitlines knows ends a line, after the last line or
+        not, around blank lines and lines past column 80: the structure
+        read from LF lines."""
+        lines = [_NON_ATOM[-1], _LONG[0], "",
+                 atom_line(1, "N", "ALA", "A", 1, 1.0, 2.0, 3.0),
+                 atom_line(2, "CA", "ALA", "A", 1, 2.0, 2.0, 3.0).ljust(84) + "X",
+                 "", "", atom_line(3, "C", "ALA", "A", 1, 3.0, 2.0, 3.0)[:70],
+                 "TER", atom_line(4, "CA", "GLY", "B", 1, 4.0, 2.0, 3.0)]
+        expected = parse_pdb("\n".join(lines))
+        assert expected.resolution == 2.75 and expected.num_residues == 2
+        for text in (brk.join(lines), brk.join(lines) + brk):
+            _assert_matches_oracle(text)
+            assert parse_pdb(text) == expected
+            bad = text + brk + lines[3][:30] + "     nan" + lines[3][38:]
+            with pytest.raises(MalformedRecord) as err:
+                parse_pdb(bad)
+            assert err.value.line_no == len(lines) + 1 + text.endswith(brk)
+            _assert_matches_oracle(bad)
+
+    def test_mixed_line_breaks(self):
+        """Breaks mixed in one text, a CR and a later LF among them: the
+        structure read from LF lines, and splitlines' line numbers."""
+        lines = [atom_line(i + 1, "CA", "ALA", "A", i + 1, float(i), 2.0, 3.0)
+                 for i in range(12)]
+        expected = parse_pdb("\n".join(lines))
+        bad = lines[0][:30] + "     nan" + lines[0][38:]
+        for breaks in (_BREAKS, ["\r", "\n"], ["\n", "\r", "\r\n"]):
+            text = "".join(line + breaks[i % len(breaks)]
+                           for i, line in enumerate(lines))
+            _assert_matches_oracle(text)
+            assert parse_pdb(text) == expected
+            with pytest.raises(MalformedRecord) as err:
+                parse_pdb(text + bad)
+            assert err.value.line_no == len(lines) + 1
+            _assert_matches_oracle(text + bad)
 
     def test_wrapped_serials_renumber_in_linear_time(self):
         """Serials that wrap, as in large systems: each repeat moves past
