@@ -4,10 +4,11 @@ Fixed-width column layout only; no whitespace-split fallback. The parser
 finds the lines of the encoded text (bytes for ASCII text, else code
 points) by str.splitlines' rules, copies its ATOM/HETATM records into one
 matrix of codes, a row per record padded or cut to 80 columns, and reads
-each field as columns of it; the writer builds a table's records as one such matrix. Multi-model
-files contribute MODEL 1 only. Alternate locations keep altloc ' ' or 'A'.
-Waters (HOH) are dropped; the other HETATM records become ligand chains,
-grouped as the ATOM records are and written back the same way.
+each field as columns of it; the writer builds a table's records as one
+such matrix. Multi-model files contribute MODEL 1 only. Alternate
+locations keep altloc ' ' or 'A'. Waters (HOH) are dropped; the other
+HETATM records become ligand chains, grouped as the ATOM records are and
+written back the same way.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _columns(block: np.ndarray, rows: np.ndarray, short: np.ndarray):
 
 def _first(bad: np.ndarray, reason: str) -> tuple[int, str] | None:
     """(the first row that bad marks in any column, reason), or None."""
-    hit = np.flatnonzero(bad)  # flat: a row-wise any() is slow
+    hit = bad.ravel().nonzero()[0]  # flat: a row-wise any() is slow
     return (int(hit[0]) * len(bad) // bad.size, reason) if len(hit) else None
 
 
@@ -183,60 +184,64 @@ def _float_or(text: str, default: float) -> float:
 _BREAKS = np.isin(np.arange(33), [10, 11, 12, 13, 28, 29, 30, 32])
 
 
-def _lines(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lines(codes: np.ndarray, crlf: bool) -> tuple[np.ndarray, np.ndarray]:
     """Each line's start in codes, then len(codes), and each line's length,
     by str.splitlines' rules: a line ends at LF, CR, CR LF, VT, FF, FS, GS
     or RS, and in code points also at NEL, LS or PS; a break that ends the
-    text starts no line."""
+    text starts no line. crlf may be False only if the text holds no CR."""
     at = []  # the control codes, few of them not a newline, found in
     for i in range(0, len(codes), 1 << 16):  # blocks: no text-long mask
         block = codes[i:i + (1 << 16)]
         near = block < 32
-        if codes.dtype != np.uint8:
+        if codes.itemsize > 1:
             near |= (block == 0x85) | ((block | 1) == 0x2029)
-        at.append(np.flatnonzero(near) + i)
+        at.append(near.nonzero()[0] + i)
     at = np.concatenate(at) if at else np.zeros(0, np.intp)
-    at = at[_BREAKS[np.minimum(codes[at], 32)]]
-    code = codes[at]
-    lone = np.ones(len(at) + 1, bool)  # not half of a CR LF, which is one
-    lone[1:-1] = (code[:-1] != 13) | (code[1:] != 10) | (at[1:] - at[:-1] != 1)
-    ends = at[lone[:-1]]
-    starts = np.concatenate(([0], at[lone[1:]] + 1))
-    if starts[-1] != len(codes):  # a last line with no break
-        ends = np.concatenate((ends, [len(codes)]))
-        starts = np.concatenate((starts, [len(codes)]))
+    at = at[_BREAKS.take(codes[at], mode="clip")]
+    ends, after = at, at + 1  # where each break's line ends, the next starts
+    if crlf:  # the LF of a CR LF ends no line; the next starts after it
+        lone = np.ones(len(at) + 1, bool)
+        lone[1:-1] = at[1:] - at[:-1] != 1
+        lone[1:-1] |= codes[at[:-1]] != 13
+        lone[1:-1] |= codes[at[1:]] != 10
+        ends, after = at[lone[:-1]], after[lone[1:]]
+    ends = np.concatenate((ends, [len(codes)]))  # a last line with no break
+    starts = np.concatenate(([0], after, [len(codes)]))
+    if starts[-2] == len(codes):  # a break ends the text: no last line
+        ends, starts = ends[:-1], starts[:-1]
     return starts, ends - starts[:-1]
 
 
 _TAGS = np.array([[*b"ATOM  "], [*b"HETATM"]]).T[:, :, None]  # (column, tag)
 
 
-def _records(codes: np.ndarray, starts, lengths) -> np.ndarray:
-    """Whether each line is at least 6 long and starts 'ATOM  ' or
-    'HETATM'; the header loop reads the shorter ones."""
+def _records(codes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Whether each line starts 'ATOM  ' or 'HETATM'. A line shorter than
+    6 has its break among the six codes read, or is the last and 'ATOM '
+    read as 'ATOM  ', which the header loop would take too."""
     tags = codes.take(starts[:-1] + np.arange(6)[:, None], mode="clip")
-    return (tags[:, None] == _TAGS).all(0).any(0) & (lengths >= 6)
+    return (tags[:, None] == _TAGS).all(0).any(0)
 
 
 def _matrix(codes: np.ndarray, lines, starts, lengths) -> np.ndarray:
     """The given lines (in file order) as the rows of one matrix, each
-    padded or cut to 80 columns. A run of adjacent lines of one length and
-    one span to the next line's start is evenly spaced in codes: one
-    reshape, copied."""
-    span = starts[lines + 1] - starts[lines]
-    starts, lengths = starts[lines], lengths[lines]
-    out = np.full((len(lines), 80), ord(" "), codes.dtype)
-    head = np.ones(len(lines), bool)  # the first line of each run
-    head[1:] = ((lines[1:] - lines[:-1] != 1) | (lengths[1:] != lengths[:-1])
-                | (span[1:] != span[:-1]))
-    heads = np.flatnonzero(head)
-    for first, stop, start, length, span in zip(
-            heads.tolist(), [*heads[1:].tolist(), len(lines)],
-            starts[heads].tolist(), lengths[heads].tolist(),
-            span[heads].tolist()):
-        cut = min(length, 80)
-        out[first:stop, :cut] = codes[start:start + (stop - first) * span
-                                      ].reshape(-1, span)[:, :cut]
+    padded with blanks or cut to 80 columns. A run of adjacent lines of one
+    length and one span to the next line's start is evenly spaced in codes:
+    one reshape, copied, then blanks past its length."""
+    first, after = starts.take(lines), starts[1:].take(lines)
+    lengths = lengths.take(lines)
+    span = after - first
+    out = np.empty((len(lines), 80), codes.dtype)
+    head = first[1:] != after[:-1]  # the next line is not the next record
+    head |= span[1:] != span[:-1]
+    head |= lengths[1:] != lengths[:-1]
+    bounds = [0, *(head.nonzero()[0] + 1).tolist(), len(lines)]
+    for lo, hi in zip(bounds, bounds[1:]):  # a run of records at a time
+        start, step = int(first[lo]), int(span[lo])
+        cut = min(int(lengths[lo]), 80)
+        out[lo:hi, :cut] = codes[start:start + (hi - lo) * step
+                                 ].reshape(-1, step)[:, :cut]
+        out[lo:hi, cut:] = ord(" ")
     return out
 
 
@@ -246,12 +251,14 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
     Raises MalformedRecord for the first bad ATOM/HETATM record of MODEL 1,
     naming its first bad field; EmptyStructure with no polymer or ligand atom.
     """
+    if "ATOM" not in text and "HETATM" not in text:  # no record to read
+        raise EmptyStructure("no ATOM or HETATM records parsed")
     resolution = dep_date = method = None
     codes = _codes(text, text.isascii())
-    starts, lengths = _lines(codes)
-    record = _records(codes, starts, lengths)  # ATOM/HETATM of MODEL 1
+    starts, lengths = _lines(codes, "\r" in text)
+    record = _records(codes, starts)  # ATOM/HETATM of MODEL 1
     models_seen = 0
-    others = np.flatnonzero(~record)
+    others = (~record).nonzero()[0]
     for i, start, length in zip(others.tolist(), starts[others].tolist(),
                                 lengths[others].tolist()):
         line = text[start:start + length]
@@ -277,7 +284,7 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
                       line[10:].replace("RESOLUTION.", " ").split())
             resolution = next((v for v in values if v is not None), resolution)
 
-    rows = np.flatnonzero(record)
+    rows = record.nonzero()[0]
     if not len(rows):  # nothing to read
         raise EmptyStructure("no ATOM or HETATM records parsed")
     block = _matrix(codes, rows, starts, lengths)
@@ -306,8 +313,8 @@ def parse_pdb(text: str, structure_id: str = "") -> Structure:
         serial[keep] = kept
     codes = {n: code for code, n in enumerate(names.tolist())}  # shared by all
     columns = block, codes, name, seq, xyz, elements, occupancy, b_factor, serial
-    chains = _chains(np.flatnonzero(polymer), *columns, polymer=True)
-    ligands = _chains(np.flatnonzero(ligand), *columns, polymer=False)
+    chains = _chains(polymer.nonzero()[0], *columns, polymer=True)
+    ligands = _chains(ligand.nonzero()[0], *columns, polymer=False)
     return Structure(structure_id, chains, resolution,
                      dep_date, method, ligands)
 
@@ -330,7 +337,7 @@ def _chains(records, block, codes, name, seq_index, xyz, elements,
         return ()
     chain = block[records, 21]
     runs = np.concatenate((  # file-order runs of one id, as bounds
-        [0], np.flatnonzero(chain[1:] != chain[:-1]) + 1, [len(records)]))
+        [0], (chain[1:] != chain[:-1]).nonzero()[0] + 1, [len(records)]))
     ids = chain[runs[:-1]].tolist()  # every id's first record heads a run
     rank = {i: r for r, i in enumerate(dict.fromkeys(ids))}  # first seen
     key = np.repeat(np.array([rank[i] for i in ids]) << _CHAIN_SHIFT,
@@ -365,7 +372,7 @@ def _chains(records, block, codes, name, seq_index, xyz, elements,
         seq_index[records[head]],
         object_array(None if i == " " else i for i in icodes)[icode_of],
         object_array(_texts(np.array([*rank], block.dtype), 1))[chain])
-    bounds = [0, *(np.flatnonzero(chain[1:] != chain[:-1]) + 1).tolist(),
+    bounds = [0, *((chain[1:] != chain[:-1]).nonzero()[0] + 1).tolist(),
               len(heads)]
     return tuple(Chain.from_table(table.chain[start], table.rows(start, stop))
                  for start, stop in zip(bounds, bounds[1:]))
