@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .codec import (CanonicalGeometry, DEFAULT_GEOMETRY, EncodedProtein,
                     InternalCoords, backbone_walk, decode, encode,
                     from_internal, nerf_place, to_internal)
-from .featurise import (FeatureScheme, ProteinGraph, build_graph, embed_angle,
+from .featurise import (FeatureScheme, ProteinGraph, build_graph,
                         positional_encoding, scalar_features, vector_features)
 from .geometry import (ChiSet, DihedralSet, GraphTopology, Superposition,
                        VirtualAngleSet, backbone_dihedrals, bond_angle,

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BadMagic, ChainTooShort, DegenerateFrame,
-                     DimensionMismatch, TruncatedPayload, VersionMismatch)
+                     TruncatedPayload, VersionMismatch, shaped_array)
 from .geometry import (TWO_PI, backbone_frames, backbone_torsions,
-                       bond_angles, defined, shaped_array)
+                       bond_angles, defined)
 from .residues import UNK, VOCABULARY, residue_index
 from .structure import BACKBONE_ATOMS, AtomTable, Chain, object_array
 
@@ -260,15 +260,10 @@ class EncodedProtein:
     res_type_codes: np.ndarray  # (n,) uint8
     quantised: np.ndarray       # (n, 6) uint16
 
-    def __post_init__(self):
-        try:  # np.shape and np.size raise ValueError for a ragged field
-            n = np.size(self.res_type_codes)
-            for name, shape in (("anchor", (3, 3)), ("res_type_codes", (n,)),
-                                ("quantised", (n, 6))):
-                if np.shape(getattr(self, name)) != shape:
-                    raise DimensionMismatch(f"{name} must have shape {shape}")
-        except ValueError:
-            raise DimensionMismatch("EncodedProtein field is ragged") from None
+    def __post_init__(self):  # checks the fields and keeps their dtypes
+        n = len(shaped_array(self.res_type_codes, (None,), "res_type_codes"))
+        shaped_array(self.anchor, (3, 3), "anchor")
+        shaped_array(self.quantised, (n, 6), "quantised")
 
     @property
     def n_residues(self) -> int:
@@ -311,7 +306,7 @@ def encode(chain: Chain) -> EncodedProtein:
     ic = to_internal(chain)
     anchor = ic.anchor.astype(np.float32)
     # residue 1's N-CA-C is the anchor's: measure it as the payload stores it
-    ic.angles[0, 0] = defined(bond_angles, *anchor)[0]
+    ic.angles[0, 0] = defined(bond_angles, *anchor[:, None])[0]
     quantised = np.hstack([quantise_torsions(ic.torsions),
                            quantise_bond_angles(ic.angles)]).astype(np.uint16)
     codes = np.array([residue_index(t) for t in ic.res_types], dtype=np.uint8)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateConfiguration, DegenerateGeometry,
-                     DimensionMismatch, OddDimension)
+                     OddDimension, shaped_array)
 from .geometry import (GraphTopology, backbone_frames, backbone_torsions,
                        knn_graph, row_norms, table_chi,
                        virtual_angle_array)
@@ -80,13 +80,6 @@ def _embed(angles: np.ndarray) -> np.ndarray:
     out[:, 0::2] = np.where(undefined, 0.0, np.sin(angles))
     out[:, 1::2] = np.where(undefined, 0.0, np.cos(angles))
     return out
-
-
-def embed_angle(theta) -> tuple[float, float]:
-    """(sin, cos) on the unit circle; None (or NaN) embeds as (0, 0)."""
-    sin, cos = _embed(np.array([[np.nan if theta is None else theta]],
-                               dtype=np.float64))[0]
-    return (float(sin), float(cos))
 
 
 # One chain's graph nodes: the chain id, the AtomTable of the whole
@@ -194,17 +187,10 @@ class ProteinGraph:
 
     def __post_init__(self):
         n = self.topology.num_nodes
-        for name, expected in (("coords", (n, 3)),
-                               ("scalars", (n, self.scheme.dim)),
-                               ("node_vectors", (n, 2, 3)),
-                               ("edge_vectors", (self.topology.num_edges, 3))):
-            shape = np.shape(getattr(self, name))
-            if shape != expected:
-                raise DimensionMismatch(
-                    f"{name} has shape {shape}, expected {expected}")
-        if len(self.res_types) != n:
-            raise DimensionMismatch(
-                f"{len(self.res_types)} residue types for {n} nodes")
+        for name, shape in (("coords", (n, 3)), ("scalars", (n, self.scheme.dim)),
+                            ("node_vectors", (n, 2, 3)), ("res_types", (n,)),
+                            ("edge_vectors", (self.topology.num_edges, 3))):
+            shaped_array(getattr(self, name), shape, name)
         if not np.all(np.isfinite(self.scalars)):
             raise DegenerateGeometry("non-finite scalar features")
         norms = np.linalg.norm(self.node_vectors, axis=-1)

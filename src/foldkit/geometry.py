@@ -4,8 +4,8 @@ Angles are radians. Torsions live in [-pi, pi) with +pi normalised to -pi;
 bond angles live in [0, pi]. Every angle comes from the batched kernels
 dihedrals() and bond_angles(). Angles that do not exist (chain termini,
 absent sidechain atoms) are NaN in arrays and None, never NaN, in tuples.
-A point that is not three numbers, or a point set that is not (n, 3),
-raises DimensionMismatch.
+A point that is not three numbers, or a point set that is not (n, 3)
+(a stack that is not (r, m, 3) for superpose), raises DimensionMismatch.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateConfiguration, DegenerateGeometry,
-                     DimensionMismatch, MalformedRecord, MissingAtom,
-                     TooFewNodes)
+                     MalformedRecord, MissingAtom, TooFewNodes, index_array,
+                     shaped_array)
 from .residues import CHI_ATOMS, MAX_CHI, RESIDUE_INDEX, VOCAB_SIZE, residue_index
 from .structure import BACKBONE_ATOMS, AtomTable, Chain, Residue, atom_table
 
@@ -60,7 +60,7 @@ def dihedrals(p1, p2, p3, p4) -> tuple[np.ndarray, np.ndarray]:
     from p2 toward p3 (atan2 of the two plane normals around b2). A row
     whose bonded triples are collinear is invalid and holds NaN.
     """
-    p1, p2, p3, p4 = (np.asarray(p, dtype=np.float64).reshape(-1, 3)
+    p1, p2, p3, p4 = (shaped_array(p, (None, 3), "points")
                       for p in (p1, p2, p3, p4))
     b2 = p3 - p2
     n1 = np.cross(p2 - p1, b2)
@@ -76,8 +76,7 @@ def bond_angles(p1, p2, p3) -> tuple[np.ndarray, np.ndarray]:
     """Angles at p2 between the bonds to p1 and p3 over (m, 3) rows, in
     [0, pi], and their validity mask; a row with coincident atoms is
     invalid and holds NaN."""
-    p1, p2, p3 = (np.asarray(p, dtype=np.float64).reshape(-1, 3)
-                  for p in (p1, p2, p3))
+    p1, p2, p3 = (shaped_array(p, (None, 3), "points") for p in (p1, p2, p3))
     u = p1 - p2
     v = p3 - p2
     valid = ~((row_norms(u) < _EPS) | (row_norms(v) < _EPS))
@@ -99,14 +98,14 @@ def defined(kernel, *points) -> np.ndarray:
 def dihedral(p1, p2, p3, p4) -> float:
     """Signed torsion of the bond p2-p3: one row of dihedrals(). Raises
     DegenerateGeometry when either bonded triple is collinear."""
-    points = (shaped_array(p, (3,), "point") for p in (p1, p2, p3, p4))
+    points = (shaped_array(p, (3,), "point")[None] for p in (p1, p2, p3, p4))
     return float(defined(dihedrals, *points)[0])
 
 
 def bond_angle(p1, p2, p3) -> float:
     """Angle at p2 between the bonds to p1 and p3, in [0, pi]: one row of
     bond_angles()."""
-    points = (shaped_array(p, (3,), "point") for p in (p1, p2, p3))
+    points = (shaped_array(p, (3,), "point")[None] for p in (p1, p2, p3))
     return float(defined(bond_angles, *points)[0])
 
 
@@ -204,16 +203,11 @@ def virtual_angles(ca_trace) -> VirtualAngleSet:
                              for column in virtual_angle_array(ca_trace).T))
 
 
-def chi_angles(residues) -> np.ndarray:
-    """(n, 4) chi1..chi4 per residue from the per-type atom quadruples,
-    found by name in one AtomTable; NaN where the type defines fewer
-    torsions or atoms are absent. Raises DegenerateGeometry on collinear
-    atoms."""
-    return table_chi(atom_table(residues))
-
-
 def table_chi(table: AtomTable, rows=slice(None)) -> np.ndarray:
-    """chi_angles of the residues rows of an AtomTable."""
+    """(n, 4) chi1..chi4 of the residues rows of an AtomTable from the
+    per-type atom quadruples, found by name; NaN where the type defines
+    fewer torsions or atoms are absent. Raises DegenerateGeometry on
+    collinear atoms."""
     slots = table.slots(_CHI_NAMES)[rows]
     types = np.array([residue_index(t) for t in table.res_type[rows]],
                      dtype=np.int64)
@@ -229,7 +223,7 @@ def table_chi(table: AtomTable, rows=slice(None)) -> np.ndarray:
 
 def sidechain_torsions(residue: Residue) -> ChiSet:
     """chi1..chi4 from the per-type atom quadruples; missing atoms give None."""
-    return ChiSet(_optional(chi_angles((residue,))[0]))
+    return ChiSet(_optional(table_chi(atom_table((residue,)))[0]))
 
 
 @dataclass(frozen=True)
@@ -241,11 +235,9 @@ class GraphTopology:
     edges: np.ndarray
 
     def __post_init__(self):
-        edges = np.array(self.edges, dtype=np.int64)
-        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
-            raise DimensionMismatch(
-                f"edges must be an (E, 2) array, got shape {edges.shape}")
-        edges = edges.reshape(-1, 2)
+        edges = index_array(self.edges, None, "edges")  # any empty one fits
+        edges = index_array(edges if edges.size else edges.reshape(0, 2),
+                            (None, 2), "edges").copy()
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
         if edges.size:
@@ -253,6 +245,8 @@ class GraphTopology:
                 raise DegenerateGeometry("self-loop in edge list")
             if edges.min() < 0 or edges.max() >= self.num_nodes:
                 raise DegenerateGeometry("edge index out of range")
+        if self.num_nodes < 0:
+            raise DegenerateConfiguration(f"negative num_nodes {self.num_nodes}")
 
     @property
     def num_edges(self) -> int:
@@ -335,18 +329,6 @@ def edges_to_text(topology: GraphTopology) -> str:
     fields = np.array(["%d\t" % i for i in range(n)]
                       + ["%d\n" % i for i in range(n)], dtype=object)
     return "".join(fields[topology.edges + [0, n]].ravel().tolist())
-
-
-def shaped_array(a, shape: tuple, what: str) -> np.ndarray:
-    """a as float64 of the given shape (None matches any length); raises
-    DimensionMismatch otherwise, for ragged or non-numeric input too."""
-    try:
-        a = np.asarray(a, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise DimensionMismatch(f"{what} is not a numeric array") from None
-    if a.ndim != len(shape) or any(w not in (None, d) for d, w in zip(a.shape, shape)):
-        raise DimensionMismatch(f"{what} has shape {a.shape}, expected {shape}")
-    return a
 
 
 def check_k(k: int) -> None:
@@ -448,11 +430,11 @@ def superpose(A, B) -> tuple[np.ndarray, np.ndarray]:
     """Kabsch superposition of each row of the (r, m, 3) stack A onto the
     same row of B: (r, 3, 3) proper rotations R (the reflection branch of
     the SVD corrected, so det(R) = +1) and (r, 3) translations t
-    minimising the RMSD of R @ a + t against B. Raises
-    DegenerateConfiguration for stacks of different shape, fewer than 3
-    points or a collinear reference row, DegenerateGeometry on a
-    non-finite point."""
-    A, B = (np.asarray(p, dtype=np.float64) for p in (A, B))
+    minimising the RMSD of R @ a + t against B. Raises DimensionMismatch
+    unless A and B are (r, m, 3), DegenerateConfiguration for stacks of
+    different shape, fewer than 3 points or a collinear reference row,
+    DegenerateGeometry on a non-finite point."""
+    A, B = (shaped_array(p, (None, None, 3), "point stack") for p in (A, B))
     if A.shape != B.shape:
         raise DegenerateConfiguration("point sets differ in length")
     if A.shape[1] < 3:

@@ -23,8 +23,8 @@ from itertools import pairwise
 import numpy as np
 
 from .errors import (CoincidentNodes, DegenerateConfiguration,
-                     DegenerateFrame, DimensionMismatch)
-from .geometry import GraphTopology, shaped_array
+                     DegenerateFrame, DimensionMismatch, shaped_array)
+from .geometry import GraphTopology
 from .rng import make_rng
 
 _EPS = 1e-12
@@ -74,13 +74,11 @@ def seeded_init(widths, seed: int = 0) -> MlpParams:
 
 
 def mlp_forward(p: MlpParams, x) -> np.ndarray:
-    """Apply the MLP to a vector or a batch of row vectors."""
-    x = np.asarray(x, dtype=np.float64)
+    """Apply the MLP to a vector (in_dim,) or a batch of row vectors
+    (m, in_dim); DimensionMismatch otherwise."""
+    x = shaped_array(x, None, "x")
     squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.shape[1] != p.in_dim:
-        raise DimensionMismatch(f"input dim {x.shape[1]}, expected {p.in_dim}")
+    x = shaped_array(x[None] if squeeze else x, (None, p.in_dim), "x")
     last = len(p.weights) - 1
     for i, (W, b) in enumerate(zip(p.weights, p.biases)):
         x = x @ W.T  # a new array, so the caller's x is never written
@@ -212,7 +210,7 @@ def schnet_params(feature_dim: int, hidden: int = 32, n_rbf: int = 16,
 
 def rbf_expand(d, p: SchNetParams) -> np.ndarray:
     """g_k = exp(-gamma * (d - mu_k)^2); accepts a scalar or a batch."""
-    d = np.asarray(d, dtype=np.float64)
+    d = shaped_array(d, None, "d")
     return np.exp(-p.rbf_gamma * (d[..., None] - p.rbf_centers)**2)
 
 

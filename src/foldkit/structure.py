@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidFilterSpec, NoCompleteResidues
+from .errors import InvalidFilterSpec, NoCompleteResidues, shaped_array
 
 logger = logging.getLogger(__name__)
 
@@ -229,12 +229,14 @@ def object_array(values) -> np.ndarray:
 
 def atom_table(residues) -> AtomTable:
     """Gather the atoms of a residue sequence into one AtomTable whose
-    views are those residues and atoms; its chain column is blank."""
+    views are those residues and atoms; its chain column is blank. An atom
+    position that is not three numbers raises DimensionMismatch."""
     residues = tuple(residues)
     atoms = [a for r in residues for a in r.atoms]
     codes: dict[str, int] = {}
     table = AtomTable(
-        np.array([a.position for a in atoms]).reshape(-1, 3),
+        shaped_array([a.position for a in atoms] or np.empty((0, 3)),
+                     (None, 3), "atom positions"),
         np.array([codes.setdefault(a.name, len(codes)) for a in atoms],
                  dtype=np.int64),
         codes, object_array(a.element for a in atoms),
@@ -355,7 +357,7 @@ def load_filter_spec(text: str) -> FilterSpec:
     Recognised keys: min_length, max_length, max_chains, max_resolution,
     date_range (from,to as ISO dates), required_ligands, excluded_ligands
     (comma-separated codes), allowed_methods. Blank lines and '#' comments
-    are skipped.
+    are skipped; a key given twice raises InvalidFilterSpec.
     """
     kwargs: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -366,6 +368,8 @@ def load_filter_spec(text: str) -> FilterSpec:
             raise InvalidFilterSpec(f"line {line_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in kwargs:
+            raise InvalidFilterSpec(f"line {line_no}: repeated key {key!r}")
         try:
             if key in ("min_length", "max_length", "max_chains"):
                 kwargs[key] = int(value)

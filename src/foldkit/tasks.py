@@ -14,7 +14,7 @@ import numpy as np
 
 from .codec import backbone_walk, to_internal
 from .errors import (DegenerateConfiguration, MissingConfidence, SelectorEmpty,
-                     SingleChain, TooFewNodes)
+                     SingleChain, TooFewNodes, index_array, shaped_array)
 from .featurise import ProteinGraph
 from .geometry import (bond_angles, defined, dihedrals, near_masks, row_norms,
                        superpose)
@@ -104,11 +104,11 @@ def corrupt_sequence_mutate(residues, nu: float,
                             rng: np.random.Generator) -> CorruptionResult:
     """Mutate floor(nu*n) residues to a different canonical type.
 
-    residues is an array of vocabulary indices. The replacement is drawn
-    uniformly from the 20 canonical types excluding the original (all 20
-    when the original is itself non-canonical).
+    residues is a vector of integer vocabulary indices (DimensionMismatch
+    otherwise). The replacement is drawn uniformly from the 20 canonical
+    types excluding the original (all 20 when it is itself non-canonical).
     """
-    residues = np.asarray(residues, dtype=np.int64)
+    residues = index_array(residues, (None,), "residues")
     positions = _pick_positions(len(residues), nu, rng)
     corrupted = residues.copy()
     original = residues[positions]
@@ -121,7 +121,7 @@ def corrupt_sequence_mutate(residues, nu: float,
 def corrupt_sequence_mask(residues, nu: float,
                           rng: np.random.Generator) -> CorruptionResult:
     """Replace floor(nu*n) residues with the MASK vocabulary symbol."""
-    residues = np.asarray(residues, dtype=np.int64)
+    residues = index_array(residues, (None,), "residues")
     positions = _pick_positions(len(residues), nu, rng)
     corrupted = residues.copy()
     corrupted[positions] = MASK_INDEX
@@ -139,18 +139,21 @@ def _sequence_result(residues: np.ndarray, positions: np.ndarray,
 
 def corrupt_coords_gaussian(X, sigma: float,
                             rng: np.random.Generator) -> CorruptionResult:
-    """x~ = x + sigma * eps with eps ~ N(0, I3) per row.
+    """x~ = x + sigma * eps with eps ~ N(0, I3) per row of the (m, 3) X;
+    DimensionMismatch for any other shape, before any draw.
 
     eps and sigma are stored separately so sigma = 0 leaves X bit-identical
     and x = x~ - sigma * eps recovers the input exactly.
     """
-    return _noise_coords(X, sigma, rng.standard_normal(np.shape(X)))
+    X = shaped_array(X, (None, 3), "X")
+    return _noise_coords(X, sigma, rng.standard_normal(X.shape))
 
 
 def corrupt_coords_uniform(X, sigma: float,
                            rng: np.random.Generator) -> CorruptionResult:
     """As the Gaussian variant with eps components ~ Uniform(-1, 1)."""
-    return _noise_coords(X, sigma, rng.uniform(-1.0, 1.0, size=np.shape(X)))
+    X = shaped_array(X, (None, 3), "X")
+    return _noise_coords(X, sigma, rng.uniform(-1.0, 1.0, size=X.shape))
 
 
 def check_sigma(sigma: float) -> None:
@@ -162,7 +165,6 @@ def check_sigma(sigma: float) -> None:
 
 def _noise_coords(X, sigma: float, eps: np.ndarray) -> CorruptionResult:
     check_sigma(sigma)
-    X = np.asarray(X, dtype=np.float64)
     noised = X if sigma == 0.0 else X + sigma * eps
     targets = DenoisingTargets(kind="coordinate", noise=eps, sigma=sigma)
     return CorruptionResult(noised, targets, np.ones(len(X), dtype=bool))

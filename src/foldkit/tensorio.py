@@ -8,7 +8,7 @@ One tensor per file (normative, little-endian):
     then         f32 payload, row-major
 
 Values are stored as f32; integer tensors (e.g. index arrays) are exact
-up to 2**24.
+up to 2**24. A finite value outside the f32 range raises FieldOverflow.
 """
 
 from __future__ import annotations
@@ -17,23 +17,23 @@ import struct
 
 import numpy as np
 
-from .errors import (BadMagic, DimensionMismatch, TruncatedPayload,
-                     VersionMismatch)
+from .errors import (BadMagic, DimensionMismatch, FieldOverflow,
+                     TruncatedPayload, VersionMismatch, shaped_array)
 
 MAGIC = b"FKT1"
 MAX_RANK = 8
 
 
 def tensor_to_bytes(array) -> bytes:
-    arr = np.asarray(array, dtype=np.float64)
+    arr = shaped_array(array, None, "tensor")
     if arr.ndim == 0 or arr.ndim > MAX_RANK:
         raise DimensionMismatch(f"rank {arr.ndim} outside 1..{MAX_RANK}")
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<B", arr.ndim)
-    out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    return bytes(out)
+    with np.errstate(over="ignore"):  # a finite value rounded to inf raises
+        values = np.ascontiguousarray(arr, dtype="<f4")
+    if np.any(np.isfinite(arr[np.isinf(values)])):
+        raise FieldOverflow("finite value outside the float32 range")
+    return b"".join((MAGIC, struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+                     values.tobytes()))
 
 
 def tensor_from_bytes(payload: bytes) -> np.ndarray:

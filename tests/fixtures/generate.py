@@ -11,10 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from foldkit.codec import from_internal
 from foldkit.pdb import write_pdb
 from foldkit.rng import make_rng
 from foldkit.structure import Atom, Chain, Method, Residue, Structure
-from foldkit.synth import helix_chain, random_chain, single_chain_structure
+from foldkit.synth import make_internal, random_chain, single_chain_structure
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(HERE, "pdb")
@@ -39,7 +40,8 @@ def main():
                       deposition_date=datetime.date(2019, 7, 2))
     save("chain_b.pdb", chain_b)
 
-    helix = helix_chain(30)
+    helix = from_internal(make_internal(  # ideal alpha-helix, trans omega
+        *np.full((3, 30), [[-1.047], [-0.820], [np.pi]])))
     ca = helix.residues[4].atom("CA").position
     zn = Atom("ZN", "ZN", ca + np.array([3.0, 0.0, 0.0]), serial=9001)
     save("helix_zn.pdb", single_chain_structure(

@@ -343,7 +343,7 @@ def backbone_array_oracle(chain: Chain):
 
 
 def chi_angles_oracle(residues) -> np.ndarray:
-    """The per-residue Residue.atom loop that `foldkit.geometry.chi_angles`
+    """The per-residue Residue.atom loop that `foldkit.geometry.table_chi`
     replaced, kept as its reference."""
     quads = np.zeros((len(residues), MAX_CHI, 4, 3))
     present = np.zeros((len(residues), MAX_CHI), dtype=bool)

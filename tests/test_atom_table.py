@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from foldkit.codec import encode
 from foldkit.errors import MissingConfidence, NoCompleteResidues
 from foldkit.featurise import FeatureScheme, build_graph
-from foldkit.geometry import backbone_array, chi_angles
+from foldkit.geometry import backbone_array, table_chi
 from foldkit.pdb import parse_pdb, write_pdb
 from foldkit.residues import CHI_ATOMS
 from foldkit.structure import (BACKBONE_ATOMS, Atom, Chain, Granularity,
@@ -107,7 +107,7 @@ class TestAtomTable:
         assert table.slots(("CA",)).tolist() == [[-1], [-1]]
         xyz, present = backbone_array(Chain("A", table.residues))
         assert not present.any() and not xyz.any()
-        assert np.isnan(chi_angles(table.residues)).all()
+        assert np.isnan(table_chi(table)).all()
 
 
 class TestConsumersMatchOracles:
@@ -117,7 +117,7 @@ class TestConsumersMatchOracles:
         for chain in s.chains:
             got, want = backbone_array(chain), backbone_array_oracle(chain)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            assert np.array_equal(chi_angles(chain.residues),
+            assert np.array_equal(table_chi(atom_table(chain.residues)),
                                   chi_angles_oracle(chain.residues),
                                   equal_nan=True)
 

@@ -18,8 +18,7 @@ from foldkit.errors import (BadMagic, ChainTooShort, DegenerateFrame,
 from foldkit.geometry import (backbone_array, backbone_dihedrals, bond_angle,
                               dihedral, kabsch)
 from foldkit.rng import make_rng
-from foldkit.synth import (default_anchor, helix_chain, make_internal,
-                           random_chain, single_chain_structure)
+from foldkit.synth import make_internal, random_chain, single_chain_structure
 
 from helpers import (angle_close, backbone_walk_oracle, jittered_chain,
                      nerf_place_oracle, random_rotation, transform_structure,
@@ -148,7 +147,7 @@ class TestBackboneWalk:
 
     def test_no_residues_walk_to_nothing(self):
         empty = InternalCoords((), np.empty((0, 3)), np.empty((0, 3)),
-                               default_anchor())
+                               make_internal([], [], []).anchor)
         assert backbone_walk(empty).shape == (0, 4, 3)
         assert from_internal(empty).residues == ()
 
@@ -196,7 +195,8 @@ class TestInternalRoundTrip:
             to_internal(short)
 
     def test_helix_generator_angles(self):
-        chain = helix_chain(12)
+        chain = from_internal(make_internal(
+            *np.full((3, 12), [[-1.047], [-0.820], [np.pi]])))
         d = backbone_dihedrals(chain)
         for i in range(1, 11):
             assert abs(d.phi[i] - (-1.047)) < 1e-9

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldkit.errors import (DegenerateGeometry, DimensionMismatch, MissingAtom,
+from foldkit.errors import (DegenerateConfiguration, DegenerateGeometry,
+                            DimensionMismatch, FieldOverflow, MissingAtom,
                             MalformedRecord, OddDimension, BadMagic,
                             TruncatedPayload, VersionMismatch, FoldkitError)
-from foldkit.featurise import (FeatureScheme, build_graph, embed_angle,
+from foldkit.featurise import (FeatureScheme, _embed, build_graph,
                                positional_encoding, scalar_features,
                                vector_features)
 from foldkit.geometry import GraphTopology, knn_graph, edges_from_text, edges_to_text
@@ -51,15 +52,15 @@ class TestPositionalEncoding:
 
 class TestEmbedAngle:
     def test_zero(self):
-        assert embed_angle(0.0) == (0.0, 1.0)
+        assert _embed(np.array([[0.0]])).tolist() == [[0.0, 1.0]]
 
     def test_right_angle(self):
-        s, c = embed_angle(np.pi / 2)
+        s, c = _embed(np.array([[np.pi / 2]]))[0]
         assert s == pytest.approx(1.0)
         assert c == pytest.approx(0.0, abs=1e-15)
 
     def test_undefined_off_circle(self):
-        assert embed_angle(None) == (0.0, 0.0)
+        assert _embed(np.array([[np.nan]])).tolist() == [[0.0, 0.0]]
 
 
 def _ca_only_structure(res_types, positions, chain_id="A"):
@@ -259,6 +260,21 @@ class TestBuildGraph:
         assert np.all(g.chain_index == 0)
 
 
+class TestGraphTopologyArguments:
+    def test_negative_node_count_raises(self):
+        for make in (lambda: GraphTopology(-1, []),
+                     lambda: edges_from_text("", -1)):
+            with pytest.raises(DegenerateConfiguration):
+                make()
+
+    def test_non_integral_edge_raises(self):
+        for edges in ([[0.5, 1]], [[0, 1], [1, 2.25]], [[np.nan, 1]],
+                      [[0, np.inf]], [[2.0**63, 1]]):
+            with pytest.raises(DimensionMismatch):
+                GraphTopology(3, edges)
+        assert GraphTopology(3, [[2.0, 1.0]]).edges.tolist() == [[2, 1]]
+
+
 class TestEdgeTextFormat:
     def test_round_trip(self):
         topo = knn_graph(make_rng(9).normal(size=(10, 3)), 3)
@@ -380,6 +396,14 @@ class TestTensorContainer:
         for rank in (0, 9):
             with pytest.raises(VersionMismatch):
                 tensor_from_bytes(b"FKT1" + bytes([rank]) + bytes(40))
+
+    def test_finite_value_outside_float32_raises(self):
+        for values in ([1e300], [0.0, -3.5e38], [[1.0], [4e38]]):
+            with pytest.raises(FieldOverflow):
+                tensor_to_bytes(values)
+        big = float(np.finfo(np.float32).max)  # the largest f32 still fits
+        back = tensor_from_bytes(tensor_to_bytes([np.inf, -np.inf, big]))
+        assert back.tolist() == [np.inf, -np.inf, big]
 
     def test_bad_magic(self):
         with pytest.raises(BadMagic):

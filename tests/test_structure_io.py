@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldkit.codec import from_internal
 from foldkit.errors import (CoordinateOverflow, EmptyStructure,
                             FieldOverflow, FoldkitError, InvalidFilterSpec,
                             MalformedRecord, NoCompleteResidues)
@@ -17,7 +18,7 @@ from foldkit.pdb import (_codes, _distinct, _number, _read, parse_pdb,
 from foldkit.structure import (Atom, Chain, FilterSpec, Granularity, Method,
                                Residue, Structure, filter_structures,
                                load_filter_spec, select_granularity)
-from foldkit.synth import helix_chain, random_chain, single_chain_structure
+from foldkit.synth import make_internal, random_chain, single_chain_structure
 from foldkit.rng import make_rng
 
 from foldkit.tasks import binding_site_labels
@@ -1213,6 +1214,11 @@ class TestFilterSpecConfig:
         with pytest.raises(InvalidFilterSpec):
             load_filter_spec("frobnicate=1\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(InvalidFilterSpec,
+                           match="line 3: repeated key 'min_length'"):
+            load_filter_spec("min_length=1\n# shorter\nmin_length = 2\n")
+
     def test_bad_value_rejected(self):
         # a NaN bound compares false with every resolution: it would pass all
         for text in ("min_length=ten\n", "max_resolution=nan\n",
@@ -1223,7 +1229,8 @@ class TestFilterSpecConfig:
 
 class TestHelixFixture:
     def test_backbone_structure_sane(self):
-        s = single_chain_structure(helix_chain(10))
+        s = single_chain_structure(from_internal(make_internal(
+            *np.full((3, 10), [[-1.047], [-0.820], [np.pi]]))))
         assert s.num_residues == 10
         ca = [r.atom("CA").position for r in s.chains[0].residues]
         # consecutive CA distance for trans peptide ~3.8 A

@@ -7,15 +7,20 @@ FoldkitError; any other exception fails the test. Another entry point is
 one more row, and another kind of array one more entry of _MALFORMED.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from foldkit import geometry, gnn
+from foldkit import geometry, gnn, tasks
 from foldkit.codec import EncodedProtein, InternalCoords, backbone_walk, nerf_place
 from foldkit.errors import FoldkitError
+from foldkit.featurise import build_graph
 from foldkit.geometry import GraphTopology
 from foldkit.rng import make_rng
-from foldkit.synth import make_internal
+from foldkit.structure import Atom, Residue, atom_table
+from foldkit.synth import make_internal, random_chain, single_chain_structure
+from foldkit.tensorio import tensor_to_bytes
 
 _N = 5
 _TOPOLOGY = GraphTopology(_N, np.array([[0, 1], [1, 2], [2, 3], [3, 4],
@@ -69,6 +74,24 @@ _MALFORMED = {
         "(n - 1,)": _numbers(_N - 1), "(n + 1,)": _numbers(_N + 1),
         "(n, 1)": _numbers(_N, 1), "ragged": [1.0] * (_N - 1) + [[1.0, 2.0]],
         "text": ["a"] * _N},
+    "stack (r, m, 3)": {
+        "(m, 3)": _numbers(_N, 3), "(r, m, 2)": _numbers(2, _N, 2),
+        "(r, m, 4)": _numbers(2, _N, 4),
+        "ragged": [_numbers(_N, 3).tolist(), _numbers(_N - 1, 3).tolist()],
+        "text": [[["a", "b", "c"]] * _N] * 2},
+    "vector (d,) or rows (m, d)": {
+        "()": 5.0, "(m, d, 1)": _numbers(_N, 4, 1),
+        "ragged": [[1.0] * 4] * (_N - 1) + [[1.0] * 3],
+        "text": [["a"] * 4] * _N},
+    "any rank": {
+        "ragged": [[1.0, 2.0], [3.0]], "text": ["a", "b", "c"]},
+    "indices (n,)": {
+        "(n, 1)": np.arange(_N)[:, None], "(n, 2)": np.ones((_N, 2), int),
+        "non-integral": [0.5] * _N, "NaN": [np.nan] * _N,
+        "ragged": [[0], [1, 2]] + [[3]] * (_N - 2), "text": ["a"] * _N},
+    "atom position (3,)": {
+        "(2,)": (1.0, 2.0), "(4,)": (1.0, 2.0, 3.0, 4.0),
+        "(1, 3)": [[1.0, 2.0, 3.0]]},
 }
 
 _S, _X, _V = _numbers(_N, 4), _numbers(_N, 3), _numbers(_N, 2, 3)
@@ -77,6 +100,8 @@ _GCP, _NOISE = gnn.gcp_params(4, seed=98), gnn.noise_predictor_params(4, seed=99
 _NODES = {"S": "features (n, d)", "X": "points (n, 3)"}
 _POINTS = dict.fromkeys("abc", "point (3,)")
 _IC = make_internal(*np.full((3, _N), 0.5))
+_GRAPH = build_graph(single_chain_structure(random_chain(_N, make_rng(94))), k=2)
+_MLP = gnn.seeded_init((4, 8, 2), seed=100)
 
 # name: (call taking its array arguments by keyword, their kinds)
 _ENTRY_POINTS = {
@@ -126,6 +151,47 @@ _ENTRY_POINTS = {
                         dict.fromkeys("AB", "points (n, 3)")),
     "geometry.near_masks": (lambda A=_X, B=_X + 1.0: geometry.near_masks(
         A, B, 3.5), dict.fromkeys("AB", "points (n, 3)")),
+    # one stack as both A and B, so that no shape comparison fires first
+    "geometry.superpose": (lambda A=_numbers(2, _N, 3): geometry.superpose(
+        A, A), {"A": "stack (r, m, 3)"}),
+    "geometry.dihedrals": (lambda a=_X, b=_X + 1.0, c=_X * 2.0, d=_X - 1.0:
+                           geometry.dihedrals(a, b, c, d),
+                           dict.fromkeys("abcd", "points (n, 3)")),
+    "geometry.bond_angles": (lambda a=_X, b=_X + 1.0, c=_X * 2.0:
+                             geometry.bond_angles(a, b, c),
+                             dict.fromkeys("abc", "points (n, 3)")),
+    "gnn.mlp_forward": (lambda x=_S: gnn.mlp_forward(_MLP, x),
+                        {"x": "vector (d,) or rows (m, d)"}),
+    "gnn.rbf_expand": (lambda d=_numbers(_N): gnn.rbf_expand(d, _SCHNET),
+                       {"d": "any rank"}),
+    "tensorio.tensor_to_bytes": (lambda a=_S: tensor_to_bytes(a),
+                                 {"a": "any rank"}),
+    "tasks.corrupt_coords_gaussian": (
+        lambda X=_X: tasks.corrupt_coords_gaussian(X, 0.5, make_rng(1)),
+        {"X": "points (n, 3)"}),
+    "tasks.corrupt_coords_uniform": (
+        lambda X=_X: tasks.corrupt_coords_uniform(X, 0.5, make_rng(1)),
+        {"X": "points (n, 3)"}),
+    "tasks.corrupt_sequence_mutate": (
+        lambda r=np.arange(_N): tasks.corrupt_sequence_mutate(
+            r, 0.5, make_rng(1)), {"r": "indices (n,)"}),
+    "tasks.corrupt_sequence_mask": (
+        lambda r=np.arange(_N): tasks.corrupt_sequence_mask(
+            r, 0.5, make_rng(1)), {"r": "indices (n,)"}),
+    "structure.atom_table": (
+        lambda a=(0.0, 0.0, 0.0), b=(1.5, 0.0, 0.0), c=(2.0, 1.4, 0.0):
+        atom_table([Residue("GLY", 1, None, tuple(
+            Atom(name, "C", p) for name, p in zip(("N", "CA", "C"), (a, b, c))))]),
+        dict.fromkeys("abc", "atom position (3,)")),
+    "featurise.ProteinGraph": (
+        lambda coords=_GRAPH.coords, scalars=_GRAPH.scalars,
+        node_vectors=_GRAPH.node_vectors, edge_vectors=_GRAPH.edge_vectors,
+        res_types=_GRAPH.res_types: dataclasses.replace(
+            _GRAPH, coords=coords, scalars=scalars, node_vectors=node_vectors,
+            edge_vectors=edge_vectors, res_types=res_types),
+        {"coords": "points (n, 3)", "scalars": "features (n, d)",
+         "node_vectors": "vectors (n, v, 3)",
+         "edge_vectors": "points (n, 3)", "res_types": "per residue (n,)"}),
 }
 
 _CASES = [(entry, arg, label)
